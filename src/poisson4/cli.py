@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -141,6 +142,8 @@ def _parse_point(text: str, s: Optional[Fraction]) -> Point4:
         coords = [float(v) for v in parts]
     except ValueError as err:
         raise UsageError(f"--point: bad coordinate in {text!r}") from err
+    if not all(math.isfinite(c) for c in coords):
+        raise UsageError(f"--point: coordinates must be finite, got {text!r}")
     return Point4(*coords, s=0.0 if s is None else float(s))
 
 
@@ -262,6 +265,8 @@ def _cmd_flow(args) -> None:
     h = _parse_expr(args.h, "--h")
     if s is not None:
         h = h.substitute_s(s)
+    if not math.isfinite(args.dt):
+        raise UsageError("--dt: must be finite")
     if args.dt < 0:
         raise UsageError("--dt: must be non-negative")
     if args.steps < 1:
@@ -324,10 +329,28 @@ _HANDLERS = {
 }
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--point -1,0,0,1`` as ``--point=-1,0,0,1``.
+
+    argparse reads a value that starts with '-' and is not a plain negative
+    number as an option, so a point whose first coordinate is negative would
+    otherwise be accepted only in the ``=`` form.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--point" and arg.startswith("-") and "," in arg:
+            out[-1] = "--point=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_point_values(sys.argv[1:] if argv is None else argv)
+        )
     except SystemExit as exit_:  # argparse handles --version/--help/usage
         return int(exit_.code or 0)
     try:

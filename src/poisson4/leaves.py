@@ -232,16 +232,14 @@ class Trajectory:
                 "CSV export needs Casimir diagnostics; integrate with a "
                 "bivector that records its Casimir pair"
             )
-        lines = ["step,x,y,z,t,C1,C2,H"]
-        for idx, p in enumerate(self.points):
-            row = [str(idx)]
-            row += [format(c, ".17g") for c in p.coords()]
-            row += [
-                format(self.conserved[key][idx], ".17g")
-                for key in ("C1", "C2", "H")
+        row = "%d" + ",%.17g" * 7 + "\n"
+        c1, c2, h = (self.conserved[key] for key in ("C1", "C2", "H"))
+        return "step,x,y,z,t,C1,C2,H\n" + "".join(
+            [
+                row % (idx, p.x, p.y, p.z, p.t, c1[idx], c2[idx], h[idx])
+                for idx, p in enumerate(self.points)
             ]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        )
 
 
 def flow(
@@ -257,18 +255,23 @@ def flow(
     Records C1, C2 (when the Casimir pair is known) and h at every step,
     plus the maximum drift of each from its initial value.  Raises
     :class:`NonFiniteError` if a coordinate leaves double precision.
+
+    The state is four Python floats, each updated as ``x + (dt/2)*k``,
+    ``x + dt*k3`` and ``x + (dt/6)*(k1 + 2*(k2 + k3) + k4)``; the exported
+    CSV digits depend on this order of operations.  A float power that
+    overflows raises ``OverflowError`` instead of giving inf, so an overflow
+    inside a step ends the flow as a non-finite coordinate does, and an
+    overflowing tracked quantity is recorded as inf.
     """
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
     if dt < 0:
         raise ValueError("dt must be non-negative")
     if steps < 1:
         raise ValueError("steps must be at least 1")
 
-    field = [e.compiled() for e in hamiltonian_field(b, h)]
+    fx, fy, fz, ft = (e.compiled() for e in hamiltonian_field(b, h))
     s = p0.s
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        x, y, z, t = state
-        return np.array([f(x, y, z, t, s) for f in field])
 
     pair = casimirs if casimirs is not None else b.casimirs
     trackers = {}
@@ -276,24 +279,51 @@ def flow(
         trackers["C1"] = pair.c1.compiled()
         trackers["C2"] = pair.c2.compiled()
     trackers["H"] = h.compiled()
+    values = {key: [] for key in trackers}
 
-    state = np.array(p0.coords(), dtype=float)
-    points = [p0]
-    values = {key: [fn(*state, s)] for key, fn in trackers.items()}
-
-    for _ in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(state)):
-            raise NonFiniteError(
-                f"trajectory left double precision after {len(points)} steps"
-            )
-        points.append(Point4(*map(float, state), s=s))
+    def track(x: float, y: float, z: float, t: float) -> None:
         for key, fn in trackers.items():
-            values[key].append(float(fn(*state, s)))
+            try:
+                values[key].append(float(fn(x, y, z, t, s)))
+            except OverflowError:
+                values[key].append(math.inf)
+
+    isfinite = math.isfinite
+    half, sixth = 0.5 * dt, dt / 6.0
+    x, y, z, t = map(float, p0.coords())
+    points = [p0]
+    track(x, y, z, t)
+
+    for n in range(1, steps + 1):
+        try:
+            k1x, k1y = fx(x, y, z, t, s), fy(x, y, z, t, s)
+            k1z, k1t = fz(x, y, z, t, s), ft(x, y, z, t, s)
+            px, py = x + half * k1x, y + half * k1y
+            pz, pt = z + half * k1z, t + half * k1t
+            k2x, k2y = fx(px, py, pz, pt, s), fy(px, py, pz, pt, s)
+            k2z, k2t = fz(px, py, pz, pt, s), ft(px, py, pz, pt, s)
+            px, py = x + half * k2x, y + half * k2y
+            pz, pt = z + half * k2z, t + half * k2t
+            k3x, k3y = fx(px, py, pz, pt, s), fy(px, py, pz, pt, s)
+            k3z, k3t = fz(px, py, pz, pt, s), ft(px, py, pz, pt, s)
+            px, py = x + dt * k3x, y + dt * k3y
+            pz, pt = z + dt * k3z, t + dt * k3t
+            k4x, k4y = fx(px, py, pz, pt, s), fy(px, py, pz, pt, s)
+            k4z, k4t = fz(px, py, pz, pt, s), ft(px, py, pz, pt, s)
+        except OverflowError:
+            finite = False
+        else:
+            x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+            y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+            z = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
+            t = t + sixth * (k1t + 2.0 * (k2t + k3t) + k4t)
+            finite = isfinite(x) and isfinite(y) and isfinite(z) and isfinite(t)
+        if not finite:
+            raise NonFiniteError(
+                f"trajectory left double precision after {n} steps"
+            )
+        points.append(Point4(x, y, z, t, s=s))
+        track(x, y, z, t)
 
     conserved = {key: tuple(vals) for key, vals in values.items()}
     drift = {

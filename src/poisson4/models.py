@@ -308,6 +308,7 @@ def catalogue_json_dict() -> dict:
     models = []
     for name in MODEL_NAMES:
         data = _CATALOGUE[name]
+        matrix = expected_bivector(name).components
         models.append(
             {
                 "name": name,
@@ -318,13 +319,7 @@ def catalogue_json_dict() -> dict:
                 "bivector": {
                     "coords": ["x", "y", "z", "t"],
                     "k": None,
-                    "matrix": [
-                        [
-                            str(expected_bivector(name).components[i][j])
-                            for j in range(4)
-                        ]
-                        for i in range(4)
-                    ],
+                    "matrix": [[str(entry) for entry in row] for row in matrix],
                 },
                 "leaf_coefficient": _form_json(data["leaf"]),
                 "leaf_coefficient_chart": _form_json(data["leaf_chart"]),

@@ -1,11 +1,13 @@
 """CLI tests: payloads, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from poisson4 import models
 from poisson4.cli import main
 from poisson4.models import expected_bivector
 from poisson4.poisson import bivector_to_json_dict
@@ -163,6 +165,13 @@ class TestFlow:
         assert "--h" in err and "column" in err
 
 
+# sha256 of `list-models --format json`: the catalogue export is pinned
+# byte for byte.
+CATALOGUE_JSON_SHA256 = (
+    "edb82541b02fcc427d554055bb2240020223cbdf7e37b6f2e8bca3175a925d72"
+)
+
+
 class TestListModelsAndVersion:
     def test_list_models_text(self, capsys):
         code, out, _ = run_cli(capsys, "list-models")
@@ -173,6 +182,22 @@ class TestListModelsAndVersion:
         code, out, _ = run_cli(capsys, "list-models", "--format", "json")
         names = [m["name"] for m in json.loads(out)["models"]]
         assert "wrinkle" in names
+
+    def test_list_models_json_bytes_and_one_bivector_per_model(
+        self, capsys, monkeypatch
+    ):
+        built = []
+        original = models.expected_bivector
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(models, "expected_bivector", counting)
+        code, out, _ = run_cli(capsys, "list-models", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CATALOGUE_JSON_SHA256
+        assert built == [(name,) for name in models.MODEL_NAMES]
 
     def test_version(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
@@ -195,3 +220,52 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, "list-models", "--format", "json")
         _, out2, _ = run_cli(capsys, "list-models", "--format", "json")
         assert out1 == out2
+
+
+NON_FINITE_INPUTS = [
+    (("rank", "--model", "cusp", "--point", "nan,0,0,1"), "--point"),
+    (("rank", "--model", "birth", "--s", "1", "--point", "1,0,0,inf"), "--point"),
+    (("locus", "--model", "cusp", "--point", "nan,0,0,1"), "--point"),
+    (("leaf-form", "--model", "cusp", "--point", "inf,0,0,1"), "--point"),
+    (("flow", "--model", "cusp", "--h", "x", "--point", "0,1,-inf,1"), "--point"),
+    (("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--dt", "nan"),
+     "--dt"),
+    (("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--dt", "inf"),
+     "--dt"),
+]
+
+NEGATIVE_POINTS = [
+    ("rank", "--model", "cusp", "--point", "-1,0,0,1"),
+    ("locus", "--model", "cusp", "--point", "-1,0,0,-1"),
+    ("leaf-form", "--model", "cusp", "--point", "-1,1,0,1", "--format", "json"),
+    ("flow", "--model", "cusp", "--h", "x", "--point", "-0.1,1,1,1", "--steps", "3"),
+]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv,flag", NON_FINITE_INPUTS)
+    def test_non_finite_input_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err and "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", NEGATIVE_POINTS)
+    def test_negative_point_after_a_space(self, capsys, argv):
+        spaced = run_cli(capsys, *argv)
+        i = argv.index("--point")
+        joined = run_cli(capsys, *argv[:i], "--point=" + argv[i + 1], *argv[i + 2:])
+        assert spaced[0] == 0
+        assert spaced == joined
+
+    def test_fresh_interpreter(self):
+        def run(*argv):
+            cmd = [sys.executable, "-m", "poisson4", *argv]
+            return subprocess.run(cmd, capture_output=True, text=True)
+
+        probe = run("rank", "--model", "cusp", "--point", "nan,0,0,1")
+        assert probe.returncode == 2
+        assert "Traceback" not in probe.stderr
+        negative = run("rank", "--model", "cusp", "--point", "-1,0,0,1")
+        assert (negative.returncode, negative.stdout) == (0, "rank: 0\n")

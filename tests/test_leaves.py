@@ -1,6 +1,9 @@
 """Tests for leaf frames, anchor solves, leaf coefficients and flow."""
 
 import math
+import random
+import warnings
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from poisson4.poisson import (
     bivector_matrix_at,
     flaschka_ratiu,
     gradient,
+    hamiltonian_field,
 )
 
 CUSP = model("cusp")
@@ -218,3 +222,166 @@ class TestFlow:
         traj = flow(b, parse("x"), Point4(0, 0, 0, 0), 1e-3, 2)
         with pytest.raises(ValueError):
             traj.to_csv()
+
+
+def _reference_flow_csv(b, h, p0, dt, steps, casimirs=None):
+    """The RK4 loop on a (4,) ndarray state, kept as an independent reference.
+
+    Returns the CSV text and the drift, or raises NonFiniteError with the
+    message the float loop must reproduce.
+    """
+    field = [e.compiled() for e in hamiltonian_field(b, h)]
+    s = p0.s
+
+    def rhs(state):
+        x, y, z, t = state
+        return np.array([f(x, y, z, t, s) for f in field])
+
+    pair = casimirs if casimirs is not None else b.casimirs
+    trackers = {"C1": pair.c1.compiled(), "C2": pair.c2.compiled()}
+    trackers["H"] = h.compiled()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        state = np.array(p0.coords(), dtype=float)
+        points = [p0]
+        values = {key: [fn(*state, s)] for key, fn in trackers.items()}
+        for _ in range(steps):
+            k1 = rhs(state)
+            k2 = rhs(state + 0.5 * dt * k1)
+            k3 = rhs(state + 0.5 * dt * k2)
+            k4 = rhs(state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.all(np.isfinite(state)):
+                raise NonFiniteError(
+                    f"trajectory left double precision after {len(points)} steps"
+                )
+            points.append(Point4(*map(float, state), s=s))
+            for key, fn in trackers.items():
+                values[key].append(float(fn(*state, s)))
+        drift = {
+            key: max(abs(v - vals[0]) for v in vals)
+            for key, vals in values.items()
+        }
+    if not all(math.isfinite(d) for d in drift.values()):
+        raise NonFiniteError("conserved quantities left double precision")
+    lines = ["step,x,y,z,t,C1,C2,H"]
+    for idx, p in enumerate(points):
+        row = [str(idx)] + [format(c, ".17g") for c in p.coords()]
+        row += [format(values[key][idx], ".17g") for key in ("C1", "C2", "H")]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n", drift
+
+
+def _first_difference(text, expected):
+    """(line number, line, expected line) where two texts first differ.
+
+    None when they are equal; keeps a failure report to one CSV row.
+    """
+    if text == expected:
+        return None
+    rows = zip_longest(text.split("\n"), expected.split("\n"))
+    return next((n, a, b) for n, (a, b) in enumerate(rows) if a != b)
+
+
+FLOW_ORIGIN = (0.1, 0.5, 0.5, 0.5)
+K_FACTOR = parse("1 + x^2 + y^2 + z^2 + t^2")
+
+# (model, s, h) whose flow from FLOW_ORIGIN exists up to t = 1.
+CONSERVING_COMBOS = [
+    ("fold", None, "x"),
+    ("fold", None, "x + y*z"),
+    ("cusp", None, "x"),
+    ("cusp", None, "x + y*z"),
+    ("birth", -1, "x"),
+    ("birth", 0, "x"),
+    ("birth", 0, "x + y*z"),
+    ("birth", 1, "x"),
+    ("merge", -1, "x"),
+    ("merge", 0, "x"),
+    ("merge", 0, "x + y*z"),
+    ("merge", 1, "x"),
+    ("flip", -1, "x"),
+    ("flip", 0, "x"),
+    ("flip", 0, "x + y*z"),
+    ("flip", 1, "x"),
+    ("flip", 1, "x + y*z"),
+]
+
+# (model, s, h) whose flow from FLOW_ORIGIN leaves double precision.
+ESCAPING_COMBOS = [
+    ("lefschetz", None, "x"),
+    ("lefschetz", None, "x + y*z"),
+    ("wrinkle", 1, "x"),
+    ("birth", 1, "x + y*z"),
+    ("flip", -1, "x + y*z"),
+]
+
+
+def _combo_flow_inputs(name, s, h_text, k=None, coords=FLOW_ORIGIN):
+    b = flaschka_ratiu(model(name, s).casimirs, k=k)
+    return b, parse(h_text), Point4(*coords, s=float(s or 0))
+
+
+class TestFlowMatchesNdarrayReference:
+    @pytest.mark.parametrize("name,s,h_text", CONSERVING_COMBOS)
+    def test_csv_bytes_on_conserving_combos(self, name, s, h_text):
+        b, h, p0 = _combo_flow_inputs(name, s, h_text)
+        expected, _ = _reference_flow_csv(b, h, p0, 1e-3, 1000)
+        traj = flow(b, h, p0, 1e-3, 1000)
+        assert _first_difference(traj.to_csv(), expected) is None
+        assert all(type(d) is float for d in traj.drift.values())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_csv_bytes_or_message_with_k_from_seeded_starts(self, seed):
+        rng = random.Random(seed)
+        name, s, h_text = rng.choice(CONSERVING_COMBOS)
+        coords = [c + rng.uniform(-0.05, 0.05) for c in FLOW_ORIGIN]
+        b, h, p0 = _combo_flow_inputs(name, s, h_text, K_FACTOR, coords)
+
+        def outcome(run):
+            try:
+                return run(b, h, p0, 1e-3, 1000)
+            except NonFiniteError as err:
+                return str(err)
+
+        expected = outcome(lambda *a: _reference_flow_csv(*a)[0])
+        found = outcome(lambda *a: flow(*a).to_csv())
+        assert _first_difference(found, expected) is None
+
+    @pytest.mark.parametrize("name,s,h_text", ESCAPING_COMBOS)
+    def test_escape_message_matches(self, name, s, h_text):
+        b, h, p0 = _combo_flow_inputs(name, s, h_text)
+        with pytest.raises(NonFiniteError) as ref:
+            _reference_flow_csv(b, h, p0, 1e-3, 1000)
+        assert str(ref.value).startswith("trajectory left double precision after")
+        with pytest.raises(NonFiniteError) as new:
+            flow(b, h, p0, 1e-3, 1000)
+        assert str(new.value) == str(ref.value)
+
+    def test_overflow_in_a_step_matches(self):
+        # dx/dt = x^3: the power overflows within a step from a large start.
+        b = Bivector.from_upper({(0, 1): parse("x^3")})
+        pair = CasimirPair(parse("z"), parse("t"))
+        p0 = Point4(1e100, 0, 0, 0)
+        with pytest.raises(NonFiniteError) as ref:
+            _reference_flow_csv(b, parse("y"), p0, 1e-3, 10, casimirs=pair)
+        with pytest.raises(NonFiniteError) as new:
+            flow(b, parse("y"), p0, 1e-3, 10, casimirs=pair)
+        assert str(new.value) == str(ref.value)
+
+    def test_overflow_in_a_tracker_matches(self):
+        # The state stays finite while C1 = t^60 overflows at t = 1e6.
+        b = Bivector.from_upper({(0, 1): Expr.one()})
+        pair = CasimirPair(parse("t^60"), parse("y"))
+        p0 = Point4(1e6, 1e6, 0, 1e6)
+        with pytest.raises(NonFiniteError) as ref:
+            _reference_flow_csv(b, parse("x^3"), p0, 1e-3, 50, casimirs=pair)
+        assert str(ref.value) == "conserved quantities left double precision"
+        with pytest.raises(NonFiniteError) as new:
+            flow(b, parse("x^3"), p0, 1e-3, 50, casimirs=pair)
+        assert str(new.value) == str(ref.value)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError):
+            flow(CUSP_BIVECTOR, parse("x"), Point4(0, 1, 1, 1), dt, 10)
