@@ -25,7 +25,7 @@ from .leaves import (
     flow,
     leaf_form_coefficient,
 )
-from .models import MODEL_NAMES, catalogue_json, critical_locus_indicator, model
+from .models import MODEL_NAMES, catalogue_json, model, on_critical_locus
 from .poisson import (
     Bivector,
     CasimirPair,
@@ -297,10 +297,7 @@ def _cmd_flow(args) -> None:
 def _cmd_locus(args) -> None:
     pair, s = _resolve_pair(args, numeric=True)
     p = _parse_point(args.point, s)
-    b = flaschka_ratiu(pair)
-    from .poisson import bivector_matrix_at
-
-    on_locus = bool((abs(bivector_matrix_at(b, p)) <= 1e-9).all())
+    on_locus = on_critical_locus(flaschka_ratiu(pair), p)
     if args.format == "json":
         print(json.dumps({"point": list(p.coords()), "s": p.s, "critical": on_locus}))
     else:

@@ -9,6 +9,10 @@ which keeps determinant expansions and Jacobiator sums exact.
 x, y, z, t are coordinates and may be differentiated; s is a deformation
 parameter and is deliberately excluded from :class:`Var`, so no code path can
 ever request d/ds.
+
+numpy is imported inside the functions that use it, here and in the other
+modules, so that a command doing no floating-point linear algebra starts
+without it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-import numpy as np
-
 __all__ = [
     "Expr",
     "Var",
@@ -28,14 +30,28 @@ __all__ = [
     "ParseError",
     "parse",
     "equals",
+    "COORD_NAMES",
     "MAX_EXPONENT",
+    "MAX_NESTING",
+    "MAX_TERMS",
 ]
 
 VAR_NAMES = ("x", "y", "z", "t", "s")
 
+# The four coordinates of R^4, in the order of every matrix and gradient.
+COORD_NAMES = VAR_NAMES[:4]
+
 # Exponent of any single variable in a parsed literal; guards against typos
 # like x^400 silently producing megabyte monomials.
 MAX_EXPONENT = 64
+
+# Parentheses and unary minus signs open one parser recursion level each;
+# deeper input is refused well before Python's recursion limit.
+MAX_NESTING = 100
+
+# Bound on the term count of a parsed product or power, checked before it is
+# expanded: (x+y+z+t+s)^24 would otherwise take minutes.
+MAX_TERMS = 1000
 
 Monomial = tuple[int, int, int, int, int]
 Scalar = Union[int, Fraction]
@@ -277,6 +293,8 @@ class Expr:
 
     def evaluate_batch(self, coords: np.ndarray, s: float = 0.0) -> np.ndarray:
         """Vectorised evaluation on an (n, 4) array of (x, y, z, t) rows."""
+        import numpy as np
+
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 4:
             raise ValueError("coords must have shape (n, 4)")
@@ -394,7 +412,9 @@ def equals(a: Expr, b: Expr) -> bool:
 # base   := var | rational | '(' expr ')' | '-' factor
 # rational := int ('/' nat)?
 #
-# Whitespace is insignificant; implicit multiplication is rejected.
+# Whitespace is insignificant; implicit multiplication is rejected.  Nesting
+# is bounded by MAX_NESTING, and products and powers by MAX_TERMS: a^n has at
+# most C(len(a) + n - 1, n) terms, a*b at most len(a)*len(b).
 
 
 class ParseError(ValueError):
@@ -436,9 +456,17 @@ class _Tokenizer:
         self.pos += len(token[1])
 
 
+def _check_terms(bound: int, col: int) -> None:
+    if bound > MAX_TERMS:
+        raise ParseError(
+            f"expansion may reach {bound} terms, above the limit {MAX_TERMS}", col
+        )
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tok = _Tokenizer(text)
+        self.depth = 0
 
     def parse(self) -> Expr:
         value = self.expr()
@@ -462,10 +490,14 @@ class _Parser:
 
     def term(self) -> Expr:
         value = self.factor()
-        while self.tok.peek()[0] == "*":
+        while True:
+            kind, _, col = self.tok.peek()
+            if kind != "*":
+                return value
             self._eat("*")
-            value = value * self.factor()
-        return value
+            rhs = self.factor()
+            _check_terms(len(value) * len(rhs), col)
+            value = value * rhs
 
     def factor(self) -> Expr:
         base = self.base()
@@ -480,6 +512,7 @@ class _Parser:
                 raise ParseError(
                     f"exponent {exponent} exceeds limit {MAX_EXPONENT}", col
                 )
+            _check_terms(math.comb(max(len(base), 1) + exponent - 1, exponent), col)
             return base**exponent
         return base
 
@@ -492,15 +525,20 @@ class _Parser:
             return Expr.constant(self.rational())
         if kind == "(":
             self._eat("(")
+            self._descend(col)
             inner = self.expr()
             k2, v2, c2 = self.tok.peek()
             if k2 != ")":
                 raise ParseError(f"expected ')', found {v2!r}" if v2 else "expected ')'", c2)
             self._eat(")")
+            self.depth -= 1
             return inner
         if kind == "-":
             self._eat("-")
-            return -self.factor()
+            self._descend(col)
+            negated = -self.factor()
+            self.depth -= 1
+            return negated
         raise ParseError(
             f"expected a variable, number or '(', found {value!r}" if value else "unexpected end of input",
             col,
@@ -523,6 +561,11 @@ class _Parser:
             return Fraction(numerator, denominator)
         return Fraction(numerator)
 
+    def _descend(self, col: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", col)
+
     def _eat(self, kind: str) -> None:
         token = self.tok.peek()
         if token[0] != kind:
@@ -533,8 +576,10 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse an expression string into canonical form.
 
-    Raises :class:`ParseError` (with a 1-based column) on malformed input
-    or on an integer exponent above ``MAX_EXPONENT``.
+    Raises :class:`ParseError` (with a 1-based column) on malformed input,
+    on an integer exponent above ``MAX_EXPONENT``, on nesting deeper than
+    ``MAX_NESTING``, and on a product or power that could expand to more than
+    ``MAX_TERMS`` terms.
     """
     if not isinstance(text, str):
         raise TypeError("parse expects a string")

@@ -15,6 +15,9 @@ Two normalizations of the recovered 2-form are reported:
   the two chart directions (the lexicographically last coordinate pair on
   which B acts nondegenerately), ordered so that the closed-form catalogue
   coefficients are reproduced sign for sign on the coordinate-Casimir models.
+
+numpy is imported only inside the functions that solve (see ``expr``); the
+RK4 flow runs on Python floats.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .expr import Expr, Point4
+from .expr import COORD_NAMES, Expr, Point4
 from .poisson import (
     Bivector,
     CasimirPair,
@@ -111,6 +112,8 @@ def solve_anchor(b: Bivector, p: Point4, u) -> Covector4:
     pairs to zero with tangent vectors.  Raises :class:`NotInImageError` when
     the residual exceeds 1e-9 (relative to ||u|| once ||u|| > 1).
     """
+    import numpy as np
+
     m = bivector_matrix_at(b, p)
     rhs = u.as_array() if isinstance(u, Vector4) else np.asarray(u, dtype=float)
     alpha, *_ = np.linalg.lstsq(m, rhs, rcond=None)
@@ -132,6 +135,8 @@ def leaf_tangent_frame(
     orthonormalized; when the generating Casimir pair is known the orientation
     is fixed by det(u, v, grad C1, grad C2) > 0.
     """
+    import numpy as np
+
     m = _matrix_and_rank(b, p)
     best, best_gram = None, -1.0
     for i, j in COORD_PAIRS:
@@ -170,6 +175,8 @@ def _select_chart_pair(m: np.ndarray) -> tuple[int, int]:
     picks (y, z) for the coordinate-Casimir charts and (z, t) for the
     wrinkling chart.
     """
+    import numpy as np
+
     scale = float(np.max(np.abs(m)))
     chosen = None
     for i, j in COORD_PAIRS:
@@ -188,6 +195,8 @@ def leaf_form_coefficient(b: Bivector, p: Point4) -> LeafFormResult:
     the chart normalization by pairing the tangent lifts of the selected
     coordinate directions.
     """
+    import numpy as np
+
     frame = leaf_tangent_frame(b, p)
     omega_frame = float(frame.alpha.pair(frame.v))
     cross = float(frame.beta.pair(frame.u))
@@ -203,8 +212,6 @@ def leaf_form_coefficient(b: Bivector, p: Point4) -> LeafFormResult:
     (a1, b1), (a2, b2) = lifts[:, 0], lifts[:, 1]
     # omega(lift_j, lift_i) with omega(u, v) = omega_frame
     coefficient = (a2 * b1 - b2 * a1) * omega_frame
-
-    from .poisson import COORD_NAMES
 
     return LeafFormResult(
         coefficient=float(coefficient),
@@ -330,6 +337,10 @@ def flow(
         key: max(abs(v - vals[0]) for v in vals)
         for key, vals in conserved.items()
     }
-    if not all(math.isfinite(d) for d in drift.values()):
+    # A NaN after the first value never wins max(), so every value is checked.
+    finite = all(map(isfinite, drift.values())) and all(
+        all(map(isfinite, vals)) for vals in conserved.values()
+    )
+    if not finite:
         raise NonFiniteError("conserved quantities left double precision")
     return Trajectory(points=tuple(points), dt=dt, conserved=conserved, drift=drift)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .expr import Expr, Point4, parse
-from .poisson import Bivector, CasimirPair, bivector_matrix_at, flaschka_ratiu
+from .poisson import Bivector, CasimirPair, flaschka_ratiu
 
 __all__ = [
     "MODEL_NAMES",
@@ -34,6 +34,7 @@ __all__ = [
     "leaf_closed_form",
     "leaf_chart_form",
     "critical_locus_indicator",
+    "on_critical_locus",
     "catalogue_json_dict",
     "catalogue_json",
 ]
@@ -283,6 +284,17 @@ def leaf_chart_form(name: str, s_value: Optional[Scalar] = None) -> RationalForm
     return spec.leaf_coefficient_chart
 
 
+def on_critical_locus(b: Bivector, p: Point4) -> bool:
+    """Do all unscaled components of b vanish at p (within 1e-9)?
+
+    The conformal factor is ignored: it scales every entry alike, and the
+    critical set is that of the Casimir pair.
+    """
+    return all(
+        abs(e.evaluate(p)) <= LOCUS_TOLERANCE for e in b.upper_entries().values()
+    )
+
+
 def critical_locus_indicator(
     name: str, s_value: Optional[Scalar] = None
 ) -> Callable[[Point4], bool]:
@@ -293,14 +305,8 @@ def critical_locus_indicator(
     constructed bivector rather than the catalogue locus equations, so the
     two descriptions can be cross-checked independently.
     """
-    spec = model(name, s_value)
-    b = flaschka_ratiu(spec.casimirs)
-
-    def indicator(p: Point4) -> bool:
-        m = bivector_matrix_at(b, p)
-        return bool((abs(m) <= LOCUS_TOLERANCE).all())
-
-    return indicator
+    b = flaschka_ratiu(model(name, s_value).casimirs)
+    return lambda p: on_critical_locus(b, p)
 
 
 def catalogue_json_dict() -> dict:

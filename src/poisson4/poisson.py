@@ -10,6 +10,8 @@ decomposable its rank is at most 2 everywhere, and any conformal rescaling
 by a non-vanishing function k stays Poisson; the Jacobiator here is always
 computed on the fully k-scaled components, which turns that statement into
 a checkable polynomial identity rather than an assumption.
+
+numpy is imported only inside the numeric functions (see ``expr``).
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .expr import Expr, Point4, VARS
+from .expr import COORD_NAMES, VARS, Expr, Point4, parse
 
 __all__ = [
     "CasimirPair",
@@ -45,8 +45,6 @@ __all__ = [
     "bivector_to_json",
     "bivector_matrix_at",
 ]
-
-COORD_NAMES = ("x", "y", "z", "t")
 
 # Index triples i < j < k over four coordinates.
 TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -79,6 +77,8 @@ class Covector4:
         return sum(a * b for a, b in zip(self.entries, vec.entries))
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(v) for v in self.entries])
 
 
@@ -95,6 +95,8 @@ class Vector4:
         return self.entries[i]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(v) for v in self.entries])
 
 
@@ -222,6 +224,8 @@ def _basis_column(i: int) -> tuple[Expr, ...]:
 
 
 def _sample_grid(per_axis: int = 10) -> np.ndarray:
+    import numpy as np
+
     axis = np.linspace(-2.0, 2.0, per_axis)
     grid = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1)
     return grid.reshape(-1, 4)
@@ -240,6 +244,8 @@ def flaschka_ratiu(
     if k is not None:
         if k.is_zero:
             raise ValueError("conformal factor k must not be the zero polynomial")
+        import numpy as np
+
         values = k.evaluate_batch(_sample_grid(), s=0.0)
         takes_both_signs = np.min(values) < 0.0 < np.max(values)
         nearly_zero = np.min(np.abs(values)) < 1e-9 * max(1.0, np.max(np.abs(values)))
@@ -327,6 +333,8 @@ def casimir_check(b: Bivector, c: Expr) -> bool:
 
 def bivector_matrix_at(b: Bivector, p: Point4) -> np.ndarray:
     """Evaluate the scaled component matrix at a point (absent k -> 1)."""
+    import numpy as np
+
     m = np.empty((4, 4))
     scale = 1.0 if b.conformal is None else b.conformal.evaluate(p)
     for i in range(4):
@@ -344,6 +352,8 @@ def rank_at(b: Bivector, p: Point4) -> int:
     Uses a singular-value cutoff of 1e-9 relative to the largest entry
     magnitude (floored at 1e-300 so the zero matrix is well-defined).
     """
+    import numpy as np
+
     if b.conformal is not None and abs(b.conformal.evaluate(p)) < 1e-12:
         warnings.warn(
             "conformal factor is ~0 at the query point; rank reflects the "
@@ -439,8 +449,6 @@ def bivector_to_json(b: Bivector) -> str:
 
 
 def bivector_from_json_dict(data: dict) -> Bivector:
-    from .expr import parse
-
     if data.get("coords") != list(COORD_NAMES):
         raise ValueError("unsupported coordinate chart in serialized bivector")
     k = data.get("k")

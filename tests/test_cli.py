@@ -4,13 +4,65 @@ import hashlib
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 from poisson4 import models
 from poisson4.cli import main
-from poisson4.models import expected_bivector
-from poisson4.poisson import bivector_to_json_dict
+from poisson4.expr import Point4, parse
+from poisson4.models import expected_bivector, model
+from poisson4.poisson import (
+    CasimirPair,
+    bivector_matrix_at,
+    bivector_to_json_dict,
+    flaschka_ratiu,
+)
+
+
+# (source flags, point): the origin with s = 0, points on each model's
+# critical locus and regular points, for every model and for --c1/--c2.
+LOCUS_INPUTS = [
+    (("--model", "lefschetz"), "0,0,0,0"),
+    (("--model", "lefschetz"), "1e-5,0,0,0"),  # 4*x^2 = 4e-10, inside 1e-9
+    (("--model", "lefschetz"), "2e-5,0,0,0"),
+    (("--model", "lefschetz"), "0.5,-0.25,0.75,1"),
+    (("--model", "fold"), "0,0,0,1.5"),
+    (("--model", "fold"), "0.5,-0.25,0.75,1"),
+    (("--model", "cusp"), "0,0,0,0"),
+    (("--model", "cusp"), "-1,0,0,1"),
+    (("--model", "cusp"), "1.4142135623730951,0,0,2"),
+    (("--model", "cusp"), "0.5,-0.25,0.75,1"),
+    (("--model", "birth", "--s", "0"), "0,0,0,0"),
+    (("--model", "birth", "--s", "0"), "-1,0,0,1"),
+    (("--model", "birth", "--s", "-1"), "1.4142135623730951,0,0,1"),
+    (("--model", "birth", "--s", "0"), "0.5,-0.25,0.75,1"),
+    (("--model", "merge", "--s", "0"), "0,0,0,0"),
+    (("--model", "merge", "--s", "1"), "0.6,0,0,0.8"),
+    (("--model", "merge", "--s", "0"), "0.5,-0.25,0.75,1"),
+    (("--model", "flip", "--s", "0"), "0,0,0,0"),
+    (("--model", "flip", "--s", "0"), "0.5,0,0,-0.5"),
+    (("--model", "flip", "--s", "0"), "0.5,-0.25,0.75,1"),
+    (("--model", "wrinkle", "--s", "0"), "0,0,0,0"),
+    (("--model", "wrinkle", "--s", "-1"), "0,0,0,0.5"),
+    (("--model", "wrinkle", "--s", "0"), "0.5,-0.25,0.75,1"),
+    (("--c1", "t", "--c2", "x^3 - 3*x*t + y^2 - z^2"), "1,0,0,1"),
+    (("--c1", "t", "--c2", "x^3 - 3*x*t + y^2 - z^2"), "1,1,0,1"),
+    (("--c1", "x^2", "--c2", "y^2"), "1e-5,1e-5,0,0"),
+    (("--c1", "x^2", "--c2", "y^2"), "1e-4,1e-5,0,0"),
+    (("--c1", "x", "--c2", "y"), "0,0,0,0"),
+]
+
+
+def _matrix_locus_verdict(source, point) -> bool:
+    """The locus test on the evaluated 4x4 matrix, as the CLI once wrote it."""
+    flags = dict(zip(source[::2], source[1::2]))
+    if "--model" in flags:
+        pair = model(flags["--model"], flags.get("--s")).casimirs
+    else:
+        pair = CasimirPair(parse(flags["--c1"]), parse(flags["--c2"]))
+    p = Point4(*map(float, point.split(",")))
+    return bool((abs(bivector_matrix_at(flaschka_ratiu(pair), p)) <= 1e-9).all())
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +148,13 @@ class TestRankAndLocus:
         assert out.strip() == "critical: true"
         code, out, _ = run_cli(capsys, "locus", "--model", "cusp", "--point", "0,1,0,0")
         assert out.strip() == "critical: false"
+        verdicts = set()
+        for source, point in LOCUS_INPUTS:
+            code, out, _ = run_cli(capsys, "locus", *source, "--point", point)
+            expected = _matrix_locus_verdict(source, point)
+            assert (code, out) == (0, f"critical: {str(expected).lower()}\n")
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_missing_s_for_parametric_model(self, capsys):
         code, _, err = run_cli(capsys, "rank", "--model", "birth", "--point", "0,1,0,0")
@@ -234,6 +293,14 @@ NON_FINITE_INPUTS = [
      "--dt"),
 ]
 
+# A --c1 nested 3000 levels deep (parentheses, then unary minus signs), and
+# one whose expansion has 20475 terms.
+PARSER_LIMIT_INPUTS = [
+    ("bivector", "--c1", "(" * 3000 + "x" + ")" * 3000, "--c2", "y"),
+    ("bivector", "--c1=" + "-" * 3000 + "x", "--c2", "y"),
+    ("bivector", "--c1", "(x+y+z+t+s)^24", "--c2", "y"),
+]
+
 NEGATIVE_POINTS = [
     ("rank", "--model", "cusp", "--point", "-1,0,0,1"),
     ("locus", "--model", "cusp", "--point", "-1,0,0,-1"),
@@ -249,6 +316,13 @@ class TestInputContract:
         assert code == 2
         assert out == ""
         assert flag in err and "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", PARSER_LIMIT_INPUTS)
+    def test_parser_limits_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "--c1" in err and "column" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", NEGATIVE_POINTS)
@@ -269,3 +343,40 @@ class TestInputContract:
         assert "Traceback" not in probe.stderr
         negative = run("rank", "--model", "cusp", "--point", "-1,0,0,1")
         assert (negative.returncode, negative.stdout) == (0, "rank: 0\n")
+
+    def test_numpy_loads_only_for_linear_algebra(self):
+        # One fresh interpreter runs the commands in turn and reports, after
+        # each, whether numpy has been imported so far.
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, sys
+            import poisson4, poisson4.cli
+            seen = [["import", 0, "numpy" in sys.modules]]
+            for argv in json.loads(sys.argv[1]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    code = poisson4.cli.main(argv)
+                seen.append([argv[0], code, "numpy" in sys.modules])
+            print(json.dumps(seen))
+            """
+        )
+        commands = [
+            ["list-models"],
+            ["list-models", "--format", "json"],
+            ["bivector", "--model", "wrinkle", "--format", "json"],
+            ["bivector", "--c1", "t", "--c2", "x^3 - 3*x*t + y^2 - z^2"],
+            ["casimir-check", "--model", "cusp", "--h", "x"],
+            ["locus", "--model", "cusp", "--point", "1,0,0,1"],
+            ["flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--steps", "10"],
+            ["rank", "--model", "cusp", "--point", "nan,0,0,1"],
+            ["rank", "--model", "cusp", "--point", "1,0,0,1"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True, text=True, check=True,
+        )
+        seen = json.loads(proc.stdout)
+        assert seen[:-2] == [["import", 0, False]] + [
+            [argv[0], 0, False] for argv in commands[:-2]
+        ]
+        assert seen[-2:] == [["rank", 2, False], ["rank", 0, True]]

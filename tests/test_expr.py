@@ -8,6 +8,8 @@ import pytest
 
 from poisson4.expr import (
     MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_TERMS,
     Expr,
     ParseError,
     Point4,
@@ -56,6 +58,39 @@ class TestParse:
         parse(f"x^{MAX_EXPONENT}")
         with pytest.raises(ParseError):
             parse(f"x^{MAX_EXPONENT + 1}")
+
+    def test_nesting_limit(self):
+        parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING)
+        parse("-" * MAX_NESTING + "x")
+        for text in (
+            "(" * 3000 + "x" + ")" * 3000,
+            "-" * 3000 + "x",
+            "-(" * 1500 + "x" + ")" * 1500,
+        ):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert info.value.column == MAX_NESTING + 1
+
+    def test_power_term_budget(self):
+        # (x+y+z+t+s)^24 has C(28, 24) = 20475 terms: refused unexpanded.
+        with pytest.raises(ParseError) as info:
+            parse("(x+y+z+t+s)^24")
+        assert info.value.column == 13
+        assert "20475" in str(info.value)
+        assert len(parse("(x+y+z+t+s)^8")) == math.comb(12, 8)
+        assert len(parse("(x + 1)^64")) == 65
+
+    def test_product_term_budget(self):
+        a = "(" + " + ".join(f"x^{i}" for i in range(40)) + ")"
+        b = "(" + " + ".join(f"y^{j}" for j in range(25)) + ")"
+        assert 40 * 25 == MAX_TERMS
+        assert len(parse(a + "*" + b)) == MAX_TERMS
+        wider = b[:-1] + " + z)"
+        with pytest.raises(ParseError) as info:
+            parse(a + "*" + wider)
+        assert info.value.column == len(a) + 1
+        # The budget is the parser's: Expr arithmetic itself is unbounded.
+        assert len(parse(a) * parse(wider)) == 40 * 26
 
     def test_division_only_in_rationals(self):
         with pytest.raises(ParseError):

@@ -197,6 +197,15 @@ class TestFlow:
         with pytest.raises(NonFiniteError):
             flow(b, parse("y"), Point4(1, 0, 0, 0), 0.05, 10000)
 
+    def test_nan_in_a_tracked_quantity_raises(self):
+        # The state stays finite, but C1 = z*(y - t) is inf - inf = nan
+        # after step 1, which max() alone never reports as the drift.
+        b = Bivector.from_upper({(0, 1): Expr.one(), (0, 3): Expr.one()})
+        pair = CasimirPair(parse("y*z - z*t"), parse("y - t"))
+        with pytest.raises(NonFiniteError) as info:
+            flow(b, parse("-x"), Point4(0, 1, 1e150, 1), 1e200, 2, casimirs=pair)
+        assert str(info.value) == "conserved quantities left double precision"
+
     def test_wrinkle_parameter_binding(self):
         spec = model("wrinkle")
         b = flaschka_ratiu(spec.casimirs)

@@ -15,8 +15,9 @@ from poisson4.models import (
     leaf_chart_form,
     leaf_closed_form,
     model,
+    on_critical_locus,
 )
-from poisson4.poisson import flaschka_ratiu, is_poisson, rank_at
+from poisson4.poisson import bivector_matrix_at, flaschka_ratiu, is_poisson, rank_at
 
 
 class TestCharts:
@@ -151,6 +152,22 @@ class TestCriticalLocus:
             for _ in range(40):
                 p = Point4(*rng.uniform(-2, 2, size=4))
                 assert indicator(p) == (rank_at(b, p) == 0)
+
+    def test_predicate_matches_matrix_test(self):
+        # The float predicate against the 4x4 matrix test it replaced: the
+        # origin, points on and near each chart's locus, and random points.
+        rng = np.random.default_rng(31)
+        for name in MODEL_NAMES:
+            for s in (-1, 0, 1) if model_uses_s(name) else (None,):
+                b = flaschka_ratiu(model(name, s).casimirs)
+                indicator = critical_locus_indicator(name, s)
+                points = [Point4(0, 0, 0, 0), Point4(1e-5, 0, 0, 0), Point4(1, 0, 0, 1)]
+                points += [Point4(*rng.uniform(-2, 2, size=4)) for _ in range(20)]
+                for p in points:
+                    m = bivector_matrix_at(b, p)
+                    expected = bool((abs(m) <= 1e-9).all())
+                    assert on_critical_locus(b, p) == expected
+                    assert indicator(p) == expected
 
     def test_indicator_matches_locus_equations(self):
         rng = np.random.default_rng(77)
