@@ -4,7 +4,8 @@ Every subcommand is a thin adapter over the library: it assembles a bivector
 from a built-in model or a user-supplied Casimir pair, calls one library
 operation, and prints the payload.  Exit codes: 0 success, 1 mathematical
 failure (singular point, anchor not in the image, non-Poisson verdict under
---expect-poisson, non-finite trajectory), 2 usage error.
+--expect-poisson, non-finite trajectory, an evaluation that overflows), 2
+usage error.
 """
 
 from __future__ import annotations
@@ -184,6 +185,14 @@ def _resolve_bivector(args, *, numeric: bool) -> tuple[Bivector, Optional[Fracti
         raise UsageError(f"--k: {err}") from err
 
 
+def _at_point(fn, b: Bivector, p: Point4):
+    """fn(b, p); a float power that overflows is a mathematical failure."""
+    try:
+        return fn(b, p)
+    except OverflowError as err:
+        raise MathError(f"evaluation at {p} left double precision") from err
+
+
 def _fmt(value: float) -> str:
     return format(value, ".17g")
 
@@ -227,7 +236,7 @@ def _cmd_casimir_check(args) -> None:
 def _cmd_rank(args) -> None:
     b, s = _resolve_bivector(args, numeric=True)
     p = _parse_point(args.point, s)
-    r = rank_at(b, p)
+    r = _at_point(rank_at, b, p)
     if args.format == "json":
         print(json.dumps({"point": list(p.coords()), "s": p.s, "rank": r}))
     else:
@@ -238,7 +247,7 @@ def _cmd_leaf_form(args) -> None:
     b, s = _resolve_bivector(args, numeric=True)
     p = _parse_point(args.point, s)
     try:
-        r = leaf_form_coefficient(b, p)
+        r = _at_point(leaf_form_coefficient, b, p)
     except (SingularPointError, NotInImageError) as err:
         raise MathError(str(err)) from err
     if args.format == "json":
@@ -284,7 +293,7 @@ def _cmd_flow(args) -> None:
                     "dt": traj.dt,
                     "steps": args.steps,
                     "drift": {k: traj.drift[k] for k in sorted(traj.drift)},
-                    "final": list(traj.points[-1].coords()),
+                    "final": [column[-1] for column in traj.columns],
                 }
             )
         )
@@ -297,7 +306,7 @@ def _cmd_flow(args) -> None:
 def _cmd_locus(args) -> None:
     pair, s = _resolve_pair(args, numeric=True)
     p = _parse_point(args.point, s)
-    on_locus = on_critical_locus(flaschka_ratiu(pair), p)
+    on_locus = _at_point(on_critical_locus, flaschka_ratiu(pair), p)
     if args.format == "json":
         print(json.dumps({"point": list(p.coords()), "s": p.s, "critical": on_locus}))
     else:

@@ -312,11 +312,8 @@ class Expr:
     def compiled(self):
         """A fast ``f(x, y, z, t, s) -> float`` closure (cached)."""
         if self._compiled is None:
-            if self.is_zero:
-                fn = lambda x, y, z, t, s: 0.0  # noqa: E731
-            else:
-                body = str(self).replace("^", "**")
-                fn = eval(f"lambda x, y, z, t, s: ({body})")  # noqa: S307
+            source = _python_source(self)
+            fn = eval(f"lambda x, y, z, t, s: ({source})")  # noqa: S307
             object.__setattr__(self, "_compiled", fn)
         return self._compiled
 
@@ -393,6 +390,21 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({self})"
+
+
+def _python_source(e: Expr) -> str:
+    """``e`` as a Python expression in x, y, z, t, s; "0.0" for zero.
+
+    Every compiled closure is built from this text, so a fused closure gives
+    bit for bit the values of the per-expression ones, signed zeros included.
+    """
+    return "0.0" if e.is_zero else str(e).replace("^", "**")
+
+
+def _fused_closure(exprs: Iterable[Expr]):
+    """``f(x, y, z, t, s) -> (e0, e1, ...)``: one call for several values."""
+    body = "".join(_python_source(e) + ", " for e in exprs)
+    return eval(f"lambda x, y, z, t, s: ({body})")  # noqa: S307
 
 
 def _format_rational(q: Fraction) -> str:
@@ -476,17 +488,24 @@ class _Parser:
         return value
 
     def expr(self) -> Expr:
+        # The terms are summed into one dict: rebuilding the running sum at
+        # every sign would make a flat sum of n terms cost O(n^2).
         value = self.term()
+        if self.tok.peek()[0] not in ("+", "-"):
+            return value
+        acc = dict(value._terms)
         while True:
             kind, _, _ = self.tok.peek()
-            if kind == "+":
-                self._eat("+")
-                value = value + self.term()
-            elif kind == "-":
-                self._eat("-")
-                value = value - self.term()
-            else:
-                return value
+            if kind not in ("+", "-"):
+                return Expr(acc)
+            self._eat(kind)
+            sign = 1 if kind == "+" else -1
+            for monomial, coeff in self.term()._terms.items():
+                total = acc.get(monomial, 0) + sign * coeff
+                if total:
+                    acc[monomial] = total
+                else:
+                    acc.pop(monomial, None)
 
     def term(self) -> Expr:
         value = self.factor()

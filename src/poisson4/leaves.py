@@ -17,16 +17,20 @@ Two normalizations of the recovered 2-form are reported:
   coefficients are reproduced sign for sign on the coordinate-Casimir models.
 
 numpy is imported only inside the functions that solve (see ``expr``); the
-RK4 flow runs on Python floats.
+RK4 flow runs on Python floats.  A :class:`Trajectory` keeps its coordinates
+as four float columns; ``Trajectory.points``, one :class:`Point4` per step,
+is built from them on first access.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .expr import COORD_NAMES, Expr, Point4
+from .expr import COORD_NAMES, Expr, Point4, _fused_closure
 from .poisson import (
     Bivector,
     CasimirPair,
@@ -225,12 +229,24 @@ def leaf_form_coefficient(b: Bivector, p: Point4) -> LeafFormResult:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A fixed-step integral curve with conservation diagnostics."""
+    """A fixed-step integral curve with conservation diagnostics.
 
-    points: tuple[Point4, ...]
+    ``columns`` holds the x, y, z and t values of every step, the start
+    point's included; ``points`` builds the :class:`Point4` tuple from them
+    on first access.
+    """
+
+    columns: tuple[tuple[float, ...], ...]
+    s: float
     dt: float
     conserved: dict[str, tuple[float, ...]]
     drift: dict[str, float]
+
+    @cached_property
+    def points(self) -> tuple[Point4, ...]:
+        return tuple(
+            Point4(x, y, z, t, s=self.s) for x, y, z, t in zip(*self.columns)
+        )
 
     def to_csv(self) -> str:
         """CSV export: step,x,y,z,t,C1,C2,H with 17 significant digits."""
@@ -242,11 +258,18 @@ class Trajectory:
         row = "%d" + ",%.17g" * 7 + "\n"
         c1, c2, h = (self.conserved[key] for key in ("C1", "C2", "H"))
         return "step,x,y,z,t,C1,C2,H\n" + "".join(
-            [
-                row % (idx, p.x, p.y, p.z, p.t, c1[idx], c2[idx], h[idx])
-                for idx, p in enumerate(self.points)
-            ]
+            map(row.__mod__, zip(itertools.count(), *self.columns, c1, c2, h))
         )
+
+
+def _drift(vals: tuple[float, ...]) -> float:
+    """max(abs(v - vals[0]) for v in vals), bit for bit, in one pass per side.
+
+    Rounded subtraction is monotone, so the largest |v - v0| comes from the
+    largest or the smallest v.
+    """
+    v0 = vals[0]
+    return max(max(vals) - v0, v0 - min(vals))
 
 
 def flow(
@@ -265,7 +288,9 @@ def flow(
 
     The state is four Python floats, each updated as ``x + (dt/2)*k``,
     ``x + dt*k3`` and ``x + (dt/6)*(k1 + 2*(k2 + k3) + k4)``; the exported
-    CSV digits depend on this order of operations.  A float power that
+    CSV digits depend on this order of operations.  Each RK4 stage is one call
+    to a closure returning all four field components, and each step one call
+    to a closure returning the tracked quantities.  A float power that
     overflows raises ``OverflowError`` instead of giving inf, so an overflow
     inside a step ends the flow as a non-finite coordinate does, and an
     overflowing tracked quantity is recorded as inf.
@@ -277,46 +302,41 @@ def flow(
     if steps < 1:
         raise ValueError("steps must be at least 1")
 
-    fx, fy, fz, ft = (e.compiled() for e in hamiltonian_field(b, h))
+    field = _fused_closure(hamiltonian_field(b, h))
     s = p0.s
 
     pair = casimirs if casimirs is not None else b.casimirs
-    trackers = {}
-    if pair is not None:
-        trackers["C1"] = pair.c1.compiled()
-        trackers["C2"] = pair.c2.compiled()
-    trackers["H"] = h.compiled()
-    values = {key: [] for key in trackers}
+    tracked = {"H": h} if pair is None else {"C1": pair.c1, "C2": pair.c2, "H": h}
+    track = _fused_closure(tracked.values())
 
-    def track(x: float, y: float, z: float, t: float) -> None:
-        for key, fn in trackers.items():
+    def track_each(x: float, y: float, z: float, t: float) -> tuple:
+        # Only the quantity whose power overflows is recorded as inf.
+        out = []
+        for e in tracked.values():
             try:
-                values[key].append(float(fn(x, y, z, t, s)))
+                out.append(e.compiled()(x, y, z, t, s))
             except OverflowError:
-                values[key].append(math.inf)
+                out.append(math.inf)
+        return tuple(out)
 
     isfinite = math.isfinite
     half, sixth = 0.5 * dt, dt / 6.0
     x, y, z, t = map(float, p0.coords())
-    points = [p0]
-    track(x, y, z, t)
+    states = [(x, y, z, t)]
+    rows = [track_each(x, y, z, t)]
 
     for n in range(1, steps + 1):
         try:
-            k1x, k1y = fx(x, y, z, t, s), fy(x, y, z, t, s)
-            k1z, k1t = fz(x, y, z, t, s), ft(x, y, z, t, s)
-            px, py = x + half * k1x, y + half * k1y
-            pz, pt = z + half * k1z, t + half * k1t
-            k2x, k2y = fx(px, py, pz, pt, s), fy(px, py, pz, pt, s)
-            k2z, k2t = fz(px, py, pz, pt, s), ft(px, py, pz, pt, s)
-            px, py = x + half * k2x, y + half * k2y
-            pz, pt = z + half * k2z, t + half * k2t
-            k3x, k3y = fx(px, py, pz, pt, s), fy(px, py, pz, pt, s)
-            k3z, k3t = fz(px, py, pz, pt, s), ft(px, py, pz, pt, s)
-            px, py = x + dt * k3x, y + dt * k3y
-            pz, pt = z + dt * k3z, t + dt * k3t
-            k4x, k4y = fx(px, py, pz, pt, s), fy(px, py, pz, pt, s)
-            k4z, k4t = fz(px, py, pz, pt, s), ft(px, py, pz, pt, s)
+            k1x, k1y, k1z, k1t = field(x, y, z, t, s)
+            k2x, k2y, k2z, k2t = field(
+                x + half * k1x, y + half * k1y, z + half * k1z, t + half * k1t, s
+            )
+            k3x, k3y, k3z, k3t = field(
+                x + half * k2x, y + half * k2y, z + half * k2z, t + half * k2t, s
+            )
+            k4x, k4y, k4z, k4t = field(
+                x + dt * k3x, y + dt * k3y, z + dt * k3z, t + dt * k3t, s
+            )
         except OverflowError:
             finite = False
         else:
@@ -329,18 +349,26 @@ def flow(
             raise NonFiniteError(
                 f"trajectory left double precision after {n} steps"
             )
-        points.append(Point4(x, y, z, t, s=s))
-        track(x, y, z, t)
+        states.append((x, y, z, t))
+        try:
+            rows.append(track(x, y, z, t, s))
+        except OverflowError:
+            rows.append(track_each(x, y, z, t))
 
-    conserved = {key: tuple(vals) for key, vals in values.items()}
-    drift = {
-        key: max(abs(v - vals[0]) for v in vals)
-        for key, vals in conserved.items()
-    }
+    lost = "conserved quantities left double precision"
+    try:
+        # A closure free of x, y, z, t may give an int; the CSV needs floats.
+        columns = [tuple(map(float, col)) for col in zip(*rows)]
+    except OverflowError:  # an int beyond the float range
+        raise NonFiniteError(lost) from None
+    conserved = dict(zip(tracked, columns))
+    drift = {key: _drift(col) for key, col in conserved.items()}
     # A NaN after the first value never wins max(), so every value is checked.
     finite = all(map(isfinite, drift.values())) and all(
-        all(map(isfinite, vals)) for vals in conserved.values()
+        all(map(isfinite, col)) for col in columns
     )
     if not finite:
-        raise NonFiniteError("conserved quantities left double precision")
-    return Trajectory(points=tuple(points), dt=dt, conserved=conserved, drift=drift)
+        raise NonFiniteError(lost)
+    return Trajectory(
+        columns=tuple(zip(*states)), s=s, dt=dt, conserved=conserved, drift=drift
+    )

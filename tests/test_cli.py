@@ -7,6 +7,7 @@ import sys
 import textwrap
 
 import pytest
+from test_leaves import _combo_flow_inputs, _reference_flow_csv
 
 from poisson4 import models
 from poisson4.cli import main
@@ -214,6 +215,32 @@ class TestFlow:
         assert code == 0
         assert out.count("max |") == 3
 
+    # h = 1: its closure gives the int 1, and the drift must still be 0.0.
+    @pytest.mark.parametrize(
+        "name,s,h_text",
+        [("cusp", None, "x"), ("flip", 1, "x + y*z"), ("cusp", None, "1")],
+    )
+    def test_json_and_text_match_the_reference(self, capsys, name, s, h_text):
+        b, h, p0 = _combo_flow_inputs(name, s, h_text)
+        _, drift, points = _reference_flow_csv(b, h, p0, 1e-3, 1000)
+        argv = ["flow", "--model", name, "--h", h_text, "--point", "0.1,0.5,0.5,0.5"]
+        if s is not None:
+            argv += ["--s", str(s)]
+        payload = {
+            "dt": 1e-3,
+            "steps": 1000,
+            "drift": {key: float(drift[key]) for key in sorted(drift)},
+            "final": list(points[-1].coords()),
+        }
+        assert run_cli(capsys, *argv, "--format", "json") == (
+            0, json.dumps(payload) + "\n", ""
+        )
+        text = "".join(
+            f"max |{key} - {key}(0)| = {format(float(drift[key]), '.17g')}\n"
+            for key in ("C1", "C2", "H")
+        )
+        assert run_cli(capsys, *argv, "--format", "text") == (0, text, "")
+
     def test_expression_error_names_flag(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -301,6 +328,13 @@ PARSER_LIMIT_INPUTS = [
     ("bivector", "--c1", "(x+y+z+t+s)^24", "--c2", "y"),
 ]
 
+# A power of a coordinate overflows in the first bivector entry evaluated.
+OVERFLOW_INPUTS = [
+    (command, *k)
+    for command in ("rank", "locus", "leaf-form")
+    for k in ((), ("--k", "1 + x^2 + y^2 + z^2 + t^2"))
+]
+
 NEGATIVE_POINTS = [
     ("rank", "--model", "cusp", "--point", "-1,0,0,1"),
     ("locus", "--model", "cusp", "--point", "-1,0,0,-1"),
@@ -324,6 +358,23 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert "--c1" in err and "column" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", OVERFLOW_INPUTS)
+    def test_overflow_is_math_error(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, *argv, "--model", "cusp", "--point", "1e200,0,0,1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("poisson4: evaluation at Point4(x=1e+200")
+        assert err.endswith("left double precision\n") and err.count("\n") == 1
+
+    def test_large_point_that_evaluates_finitely_keeps_its_verdict(self, capsys):
+        # The entry 2*y = 2 settles the verdict before -3*x^2 + 3*t, whose
+        # power would overflow, is evaluated; at x = 1e100 every power fits.
+        argv = ("locus", "--model", "cusp", "--point", "1e200,1,0,1")
+        assert run_cli(capsys, *argv) == (0, "critical: false\n", "")
+        argv = ("rank", "--model", "cusp", "--point", "1e100,1,0,1")
+        assert run_cli(capsys, *argv) == (0, "rank: 2\n", "")
 
     @pytest.mark.parametrize("argv", NEGATIVE_POINTS)
     def test_negative_point_after_a_space(self, capsys, argv):

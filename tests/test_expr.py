@@ -1,6 +1,7 @@
 """Tests for the exact polynomial engine."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,31 @@ class TestParse:
         assert info.value.column == len(a) + 1
         # The budget is the parser's: Expr arithmetic itself is unbounded.
         assert len(parse(a) * parse(wider)) == 40 * 26
+
+    def test_flat_sum_parses_in_linear_time(self):
+        # 2000 distinct monomials joined by signs: rebuilding the running sum
+        # at each sign took about 9 s; summing into one dict takes well
+        # under a second.
+        terms = [f"{i % 7 + 1}*x^{i // 45}*y^{i % 45}" for i in range(2000)]
+        signs = [" - " if i % 3 else " + " for i in range(2000)]
+        text = "".join(sign + t for sign, t in zip(signs, terms))[3:]
+        start = time.process_time()
+        value = parse(text)
+        assert time.process_time() - start < 1.0
+        parts = [parse(t) for t in terms]
+        parts = [-e if sign == " - " else e for sign, e in zip(signs, parts)]
+        while len(parts) > 1:  # pairwise, so the reference sum is quick too
+            pairs = zip(parts[::2], parts[1::2] + [Expr.zero()])
+            parts = [a + b for a, b in pairs]
+        assert value == parts[0]
+        assert len(value) == 2000
+
+    def test_sum_cancels_and_matches_expr_arithmetic(self):
+        assert parse("x + y - x - y").is_zero
+        assert parse("x - (x - 1/2) + y^2 - 2*y^2") == Expr.constant(
+            Fraction(1, 2)
+        ) - parse("y^2")
+        assert parse("-x + 3*x") == 2 * parse("x")
 
     def test_division_only_in_rationals(self):
         with pytest.raises(ParseError):

@@ -3,22 +3,23 @@
 import math
 import random
 import warnings
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import numpy as np
 import pytest
 
-from poisson4.expr import Expr, Point4, parse
+from poisson4.expr import Expr, Point4, _fused_closure, parse
 from poisson4.leaves import (
     NonFiniteError,
     NotInImageError,
     SingularPointError,
+    _drift,
     flow,
     leaf_form_coefficient,
     leaf_tangent_frame,
     solve_anchor,
 )
-from poisson4.models import model
+from poisson4.models import MODEL_NAMES, model
 from poisson4.poisson import (
     Bivector,
     CasimirPair,
@@ -206,6 +207,13 @@ class TestFlow:
             flow(b, parse("-x"), Point4(0, 1, 1e150, 1), 1e200, 2, casimirs=pair)
         assert str(info.value) == "conserved quantities left double precision"
 
+    def test_tracked_int_beyond_float_range_raises(self):
+        # The closure of the constant h = 10^400 gives an int no float holds.
+        h = parse("1" + "0" * 400)
+        with pytest.raises(NonFiniteError) as info:
+            flow(CUSP_BIVECTOR, h, Point4(0, 1, 1, 1), 1e-3, 2)
+        assert str(info.value) == "conserved quantities left double precision"
+
     def test_wrinkle_parameter_binding(self):
         spec = model("wrinkle")
         b = flaschka_ratiu(spec.casimirs)
@@ -236,8 +244,8 @@ class TestFlow:
 def _reference_flow_csv(b, h, p0, dt, steps, casimirs=None):
     """The RK4 loop on a (4,) ndarray state, kept as an independent reference.
 
-    Returns the CSV text and the drift, or raises NonFiniteError with the
-    message the float loop must reproduce.
+    Returns the CSV text, the drift and the points, or raises NonFiniteError
+    with the message the float loop must reproduce.
     """
     field = [e.compiled() for e in hamiltonian_field(b, h)]
     s = p0.s
@@ -278,7 +286,7 @@ def _reference_flow_csv(b, h, p0, dt, steps, casimirs=None):
         row = [str(idx)] + [format(c, ".17g") for c in p.coords()]
         row += [format(values[key][idx], ".17g") for key in ("C1", "C2", "H")]
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n", drift
+    return "\n".join(lines) + "\n", drift, points
 
 
 def _first_difference(text, expected):
@@ -335,10 +343,11 @@ class TestFlowMatchesNdarrayReference:
     @pytest.mark.parametrize("name,s,h_text", CONSERVING_COMBOS)
     def test_csv_bytes_on_conserving_combos(self, name, s, h_text):
         b, h, p0 = _combo_flow_inputs(name, s, h_text)
-        expected, _ = _reference_flow_csv(b, h, p0, 1e-3, 1000)
+        expected, _, points = _reference_flow_csv(b, h, p0, 1e-3, 1000)
         traj = flow(b, h, p0, 1e-3, 1000)
         assert _first_difference(traj.to_csv(), expected) is None
         assert all(type(d) is float for d in traj.drift.values())
+        assert list(traj.points) == points
 
     @pytest.mark.parametrize("seed", range(4))
     def test_csv_bytes_or_message_with_k_from_seeded_starts(self, seed):
@@ -351,11 +360,16 @@ class TestFlowMatchesNdarrayReference:
             try:
                 return run(b, h, p0, 1e-3, 1000)
             except NonFiniteError as err:
-                return str(err)
+                return str(err), None
 
-        expected = outcome(lambda *a: _reference_flow_csv(*a)[0])
-        found = outcome(lambda *a: flow(*a).to_csv())
-        assert _first_difference(found, expected) is None
+        def run_flow(*args):
+            traj = flow(*args)
+            return traj.to_csv(), list(traj.points)
+
+        expected = outcome(lambda *a: _reference_flow_csv(*a)[::2])
+        found = outcome(run_flow)
+        assert _first_difference(found[0], expected[0]) is None
+        assert found[1] == expected[1]
 
     @pytest.mark.parametrize("name,s,h_text", ESCAPING_COMBOS)
     def test_escape_message_matches(self, name, s, h_text):
@@ -394,3 +408,42 @@ class TestFlowMatchesNdarrayReference:
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValueError):
             flow(CUSP_BIVECTOR, parse("x"), Point4(0, 1, 1, 1), dt, 10)
+
+
+def test_fused_closure_matches_compiled_at_zero_coordinates():
+    # Every catalogue field and tracker triple, at points made of +-0.0 and
+    # 0.5, where a sum of signed zeros decides the sign of a value; repr
+    # tells 0.0 from -0.0 and from the int 0.
+    coords = (0.0, -0.0, 0.5)
+    points = list(product(coords, repeat=4))
+    for name in MODEL_NAMES:
+        for s in (-1, 0, 1) if model(name).uses_s else (None,):
+            pair = model(name, s).casimirs
+            b = flaschka_ratiu(pair)
+            for h in map(parse, ("x", "x + y*z", "-y")):
+                for exprs in (hamiltonian_field(b, h), (pair.c1, pair.c2, h)):
+                    fused = _fused_closure(exprs)
+                    single = [e.compiled() for e in exprs]
+                    for p in points:
+                        args = (*p, float(s or 0))
+                        want = [repr(f(*args)) for f in single]
+                        found = list(map(repr, fused(*args)))
+                        assert found == want, (name, s, h, p)
+
+
+def test_one_pass_drift_is_bitwise_the_generator_max():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    edge = st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+         1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e300]
+    )
+    finite = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(st.lists(finite, min_size=1, max_size=40))
+    def check(vals):
+        expected = max(abs(v - vals[0]) for v in vals)
+        assert repr(_drift(tuple(vals))) == repr(expected)
+
+    check()
