@@ -11,7 +11,6 @@ from .expr import (
     ParseError,
     Point4,
     Var,
-    equals,
     parse,
 )
 from .leaves import (
@@ -66,7 +65,6 @@ __all__ = [
     "ParseError",
     "Point4",
     "Var",
-    "equals",
     "parse",
     "Bivector",
     "CasimirPair",

@@ -10,6 +10,11 @@ x, y, z, t are coordinates and may be differentiated; s is a deformation
 parameter and is deliberately excluded from :class:`Var`, so no code path can
 ever request d/ds.
 
+Every float value runs one source text, ``_python_source`` (the printed
+polynomial, ``^`` as ``**``): terms summed left to right in graded-lex order,
+the sign of a zero following Python arithmetic.  ``evaluate``,
+``evaluate_batch``, ``compiled`` and the fused closures all use it.
+
 numpy is imported inside the functions that use it, here and in the other
 modules, so that a command doing no floating-point linear algebra starts
 without it.
@@ -29,7 +34,6 @@ __all__ = [
     "Point4",
     "ParseError",
     "parse",
-    "equals",
     "COORD_NAMES",
     "MAX_EXPONENT",
     "MAX_NESTING",
@@ -158,10 +162,6 @@ class Expr:
         exps[idx] = 1
         return Expr({tuple(exps): 1})
 
-    @staticmethod
-    def monomial(exponents: Iterable[int], coeff: Scalar = 1) -> "Expr":
-        return Expr({tuple(exponents): Fraction(coeff)})
-
     # -- ring structure -----------------------------------------------
 
     @property
@@ -280,34 +280,26 @@ class Expr:
         return Expr(out)
 
     def evaluate(self, point: Point4) -> float:
-        """Value at a point, summing terms in fixed graded-lex order."""
-        vals = point.values()
-        total = 0.0
-        for monomial, coeff in self.terms():
-            term = float(coeff)
-            for v, e in zip(vals, monomial):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        """Value at a point: the :meth:`compiled` closure, made a float.
+
+        The terms are summed left to right in graded-lex order, and the sign
+        of a zero value follows Python arithmetic.
+        """
+        return float(self.compiled()(*point.values()))
 
     def evaluate_batch(self, coords: np.ndarray, s: float = 0.0) -> np.ndarray:
-        """Vectorised evaluation on an (n, 4) array of (x, y, z, t) rows."""
+        """Float values on an (n, 4) array of (x, y, z, t) rows.
+
+        numpy's powers can differ from Python's in the last bit.
+        """
         import numpy as np
 
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 4:
             raise ValueError("coords must have shape (n, 4)")
-        total = np.zeros(coords.shape[0])
-        for monomial, coeff in self.terms():
-            term = np.full(coords.shape[0], float(coeff))
-            for i in range(4):
-                if monomial[i]:
-                    term = term * coords[:, i] ** monomial[i]
-            if monomial[4]:
-                term = term * s ** monomial[4]
-            total += term
-        return total
+        out = np.empty(coords.shape[0])
+        out[:] = self.compiled()(*coords.T, s)  # a constant fills each row
+        return out
 
     def compiled(self):
         """A fast ``f(x, y, z, t, s) -> float`` closure (cached)."""
@@ -333,12 +325,6 @@ class Expr:
         return Expr(out)
 
     # -- structure queries ----------------------------------------------
-
-    def degree_xyzt(self) -> int:
-        """Total degree counting x, y, z, t only (s is a constant); -1 for 0."""
-        if not self._terms:
-            return -1
-        return max(sum(m[:4]) for m in self._terms)
 
     def coordinate_degree_split(self) -> dict[int, "Expr"]:
         """Split into homogeneous parts by xyzt-degree (s kept symbolic)."""
@@ -395,8 +381,9 @@ class Expr:
 def _python_source(e: Expr) -> str:
     """``e`` as a Python expression in x, y, z, t, s; "0.0" for zero.
 
-    Every compiled closure is built from this text, so a fused closure gives
-    bit for bit the values of the per-expression ones, signed zeros included.
+    Every float value of an :class:`Expr` is computed from this text, so a
+    fused closure gives bit for bit the values of the per-expression ones,
+    signed zeros included.
     """
     return "0.0" if e.is_zero else str(e).replace("^", "**")
 
@@ -409,11 +396,6 @@ def _fused_closure(exprs: Iterable[Expr]):
 
 def _format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def equals(a: Expr, b: Expr) -> bool:
-    """True iff a - b is the zero polynomial (exact, not numeric)."""
-    return a == b
 
 
 # -- parsing ---------------------------------------------------------------
@@ -603,7 +585,3 @@ def parse(text: str) -> Expr:
     if not isinstance(text, str):
         raise TypeError("parse expects a string")
     return _Parser(text).parse()
-
-
-def is_finite_point(p: Point4) -> bool:
-    return all(math.isfinite(v) for v in p.values())

@@ -1,9 +1,12 @@
 """Numeric geometry on symplectic leaves: frames, anchors, coefficients, flow.
 
 A regular point of a rank-2 bivector sits on a two-dimensional leaf whose
-tangent plane is the image of the evaluated component matrix B.  The leaf
-symplectic form is recovered by solving the anchor equation B(alpha) = u and
-pairing: omega(u, v) = <alpha, v> = -<beta, u>.  Any two anchor solutions
+tangent plane is the image of the evaluated component matrix B.  B is
+evaluated once per point, from the one source text of ``expr`` (graded-lex
+sums, signed zeros as in Python), and the rank check, the frame, both anchor
+solves and the chart all read that matrix.  The leaf symplectic form is
+recovered by solving the anchor equation B(alpha) = u and pairing:
+omega(u, v) = <alpha, v> = -<beta, u>.  Any two anchor solutions
 differ by a combination of dC1, dC2, which annihilates tangent vectors, so
 the pairing is well defined.
 
@@ -36,10 +39,11 @@ from .poisson import (
     CasimirPair,
     Covector4,
     Vector4,
+    _rank,
+    _warn_if_k_vanishes,
     bivector_matrix_at,
     gradient,
     hamiltonian_field,
-    rank_at,
 )
 
 __all__ = [
@@ -101,12 +105,15 @@ class LeafFormResult:
         return abs(self.pairing_alpha_v + self.pairing_beta_u)
 
 
-def _matrix_and_rank(b: Bivector, p: Point4) -> np.ndarray:
-    if rank_at(b, p) < 2:
+def _regular_matrix(b: Bivector, p: Point4) -> np.ndarray:
+    """B_p, evaluated once; :class:`SingularPointError` where its rank is < 2."""
+    _warn_if_k_vanishes(b, p)
+    m = bivector_matrix_at(b, p)
+    if _rank(m) < 2:
         raise SingularPointError(
             f"bivector is singular at {p}; the leaf through it is a point"
         )
-    return bivector_matrix_at(b, p)
+    return m
 
 
 def solve_anchor(b: Bivector, p: Point4, u) -> Covector4:
@@ -116,9 +123,12 @@ def solve_anchor(b: Bivector, p: Point4, u) -> Covector4:
     pairs to zero with tangent vectors.  Raises :class:`NotInImageError` when
     the residual exceeds 1e-9 (relative to ||u|| once ||u|| > 1).
     """
+    return _anchor(bivector_matrix_at(b, p), p, u)
+
+
+def _anchor(m: np.ndarray, p: Point4, u) -> Covector4:
     import numpy as np
 
-    m = bivector_matrix_at(b, p)
     rhs = u.as_array() if isinstance(u, Vector4) else np.asarray(u, dtype=float)
     alpha, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     residual = float(np.linalg.norm(m @ alpha - rhs))
@@ -139,35 +149,43 @@ def leaf_tangent_frame(
     orthonormalized; when the generating Casimir pair is known the orientation
     is fixed by det(u, v, grad C1, grad C2) > 0.
     """
+    pair = casimirs if casimirs is not None else b.casimirs
+    return _frame(p, _regular_matrix(b, p), pair)
+
+
+def _frame(p: Point4, m: np.ndarray, pair: Optional[CasimirPair]) -> LeafFrame:
     import numpy as np
 
-    m = _matrix_and_rank(b, p)
     best, best_gram = None, -1.0
     for i, j in COORD_PAIRS:
         a, c = m[:, i], m[:, j]
         gram = float(np.dot(a, a) * np.dot(c, c) - np.dot(a, c) ** 2)
         if gram > best_gram:
             best, best_gram = (i, j), gram
+    if best is None:  # every Gram determinant is inf - inf
+        raise OverflowError(f"leaf frame at {p} left double precision")
     a, c = m[:, best[0]], m[:, best[1]]
-    u = a / np.linalg.norm(a)
+    norm_a = np.linalg.norm(a)
+    u = a / norm_a
     w = c - np.dot(c, u) * u
-    v = w / np.linalg.norm(w)
+    norm_w = np.linalg.norm(w)
+    if not np.isfinite([norm_a, norm_w]).all():
+        raise OverflowError(f"leaf frame at {p} left double precision")
+    v = w / norm_w
 
-    pair = casimirs if casimirs is not None else b.casimirs
     if pair is not None:
-        g1 = np.array([e.evaluate(p) for e in gradient(pair.c1)])
-        g2 = np.array([e.evaluate(p) for e in gradient(pair.c2)])
-        if np.linalg.det(np.column_stack([u, v, g1, g2])) < 0:
+        # Fresh polynomials on every call: one closure compiles all eight.
+        grads = gradient(pair.c1).entries + gradient(pair.c2).entries
+        g = np.array(_fused_closure(grads)(*p.values()), dtype=float)
+        if np.linalg.det(np.column_stack([u, v, g[:4], g[4:]])) < 0:
             v = -v
 
-    alpha = solve_anchor(b, p, u)
-    beta = solve_anchor(b, p, v)
     return LeafFrame(
         base=p,
         u=Vector4(tuple(map(float, u))),
         v=Vector4(tuple(map(float, v))),
-        alpha=alpha,
-        beta=beta,
+        alpha=_anchor(m, p, u),
+        beta=_anchor(m, p, v),
     )
 
 
@@ -194,18 +212,19 @@ def _select_chart_pair(m: np.ndarray) -> tuple[int, int]:
 def leaf_form_coefficient(b: Bivector, p: Point4) -> LeafFormResult:
     """Recover the leaf symplectic form at a regular point.
 
-    Solves the anchor equation on an orthonormal frame, verifies the
+    Evaluates B_p once and builds everything from it: the rank check, the
+    orthonormal frame, both anchor solves and the chart.  Verifies the
     antisymmetry <alpha, v> = -<beta, u>, and converts the frame value into
     the chart normalization by pairing the tangent lifts of the selected
     coordinate directions.
     """
     import numpy as np
 
-    frame = leaf_tangent_frame(b, p)
+    m = _regular_matrix(b, p)
+    frame = _frame(p, m, b.casimirs)
     omega_frame = float(frame.alpha.pair(frame.v))
     cross = float(frame.beta.pair(frame.u))
 
-    m = bivector_matrix_at(b, p)
     i, j = _select_chart_pair(m)
     u = frame.u.as_array()
     v = frame.v.as_array()

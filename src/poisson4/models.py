@@ -17,6 +17,7 @@ other four singular models agree with their quoted forms on the nose.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,10 +199,6 @@ class ModelSpec:
     critical_locus: tuple[Expr, ...]
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    return Fraction(value)
-
-
 def _entry(name: str) -> dict:
     try:
         return _CATALOGUE[name]
@@ -210,8 +207,27 @@ def _entry(name: str) -> dict:
         raise ValueError(f"unknown model {name!r} (known: {known})") from None
 
 
-def _maybe_substitute(e: Expr, s_value: Optional[Fraction]) -> Expr:
-    return e if s_value is None else e.substitute_s(s_value)
+@functools.cache
+def _parsed(name: str) -> dict:
+    """The polynomials of entry ``name``, parsed once (s symbolic) and shared."""
+    data = _entry(name)
+
+    def form(pair) -> Optional[RationalForm]:
+        return None if pair is None else RationalForm(parse(pair[0]), parse(pair[1]))
+
+    return {
+        "c1": parse(data["c1"]),
+        "c2": parse(data["c2"]),
+        "matrix": {ij: parse(text) for ij, text in data["matrix"].items()},
+        "leaf": form(data["leaf"]),
+        "leaf_chart": form(data["leaf_chart"]),
+        "locus": tuple(parse(eq) for eq in data["locus"]),
+    }
+
+
+def _maybe_substitute(e, s_value: Optional[Fraction]):
+    """``e`` (an Expr, a RationalForm or None) with s bound, if s is given."""
+    return e if s_value is None or e is None else e.substitute_s(s_value)
 
 
 def model(name: str, s_value: Optional[Scalar] = None) -> ModelSpec:
@@ -222,33 +238,19 @@ def model(name: str, s_value: Optional[Scalar] = None) -> ModelSpec:
     diagnostics and the family-wide regression comparisons want; numeric
     routines can instead bind s through :class:`poisson4.expr.Point4`.
     """
-    data = _entry(name)
-    if s_value is not None and not data["uses_s"]:
-        raise ValueError(f"model {name!r} does not take a parameter s")
-    s = None if s_value is None else _as_fraction(s_value)
-
-    c1 = _maybe_substitute(parse(data["c1"]), s)
-    c2 = _maybe_substitute(parse(data["c2"]), s)
-    cas = CasimirPair(c1, c2)
-
-    def form(pair) -> Optional[RationalForm]:
-        if pair is None:
-            return None
-        rf = RationalForm(parse(pair[0]), parse(pair[1]))
-        return rf if s is None else rf.substitute_s(s)
-
+    expected = expected_bivector(name, s_value)
+    data, parsed = _CATALOGUE[name], _parsed(name)
+    s = None if s_value is None else Fraction(s_value)
     return ModelSpec(
         name=name,
         uses_s=data["uses_s"],
         s_value=s,
-        casimirs=cas,
+        casimirs=expected.casimirs,
         coordinate_casimir=data["coordinate_casimir"],
-        expected_bivector=expected_bivector(name, s_value),
-        leaf_coefficient=form(data["leaf"]),
-        leaf_coefficient_chart=form(data["leaf_chart"]),
-        critical_locus=tuple(
-            _maybe_substitute(parse(eq), s) for eq in data["locus"]
-        ),
+        expected_bivector=expected,
+        leaf_coefficient=_maybe_substitute(parsed["leaf"], s),
+        leaf_coefficient_chart=_maybe_substitute(parsed["leaf_chart"], s),
+        critical_locus=tuple(_maybe_substitute(e, s) for e in parsed["locus"]),
     )
 
 
@@ -257,14 +259,11 @@ def expected_bivector(name: str, s_value: Optional[Scalar] = None) -> Bivector:
     data = _entry(name)
     if s_value is not None and not data["uses_s"]:
         raise ValueError(f"model {name!r} does not take a parameter s")
-    s = None if s_value is None else _as_fraction(s_value)
-    entries = {
-        ij: _maybe_substitute(parse(text), s)
-        for ij, text in data["matrix"].items()
-    }
+    s = None if s_value is None else Fraction(s_value)
+    parsed = _parsed(name)
+    entries = {ij: _maybe_substitute(e, s) for ij, e in parsed["matrix"].items()}
     cas = CasimirPair(
-        _maybe_substitute(parse(data["c1"]), s),
-        _maybe_substitute(parse(data["c2"]), s),
+        _maybe_substitute(parsed["c1"], s), _maybe_substitute(parsed["c2"], s)
     )
     return Bivector.from_upper(entries, casimirs=cas)
 
@@ -313,35 +312,32 @@ def catalogue_json_dict() -> dict:
     """The whole catalogue in a stable, serialisable layout."""
     models = []
     for name in MODEL_NAMES:
-        data = _CATALOGUE[name]
+        data, parsed = _CATALOGUE[name], _parsed(name)
         matrix = expected_bivector(name).components
         models.append(
             {
                 "name": name,
                 "uses_s": data["uses_s"],
                 "coordinate_casimir": data["coordinate_casimir"],
-                "c1": str(parse(data["c1"])),
-                "c2": str(parse(data["c2"])),
+                "c1": str(parsed["c1"]),
+                "c2": str(parsed["c2"]),
                 "bivector": {
                     "coords": ["x", "y", "z", "t"],
                     "k": None,
                     "matrix": [[str(entry) for entry in row] for row in matrix],
                 },
-                "leaf_coefficient": _form_json(data["leaf"]),
-                "leaf_coefficient_chart": _form_json(data["leaf_chart"]),
-                "critical_locus": [str(parse(eq)) for eq in data["locus"]],
+                "leaf_coefficient": _form_json(parsed["leaf"]),
+                "leaf_coefficient_chart": _form_json(parsed["leaf_chart"]),
+                "critical_locus": [str(eq) for eq in parsed["locus"]],
             }
         )
     return {"schema": 1, "models": models}
 
 
-def _form_json(pair) -> Optional[dict]:
-    if pair is None:
+def _form_json(rf: Optional[RationalForm]) -> Optional[dict]:
+    if rf is None:
         return None
-    return {
-        "numerator": str(parse(pair[0])),
-        "denominator": str(parse(pair[1])),
-    }
+    return {"numerator": str(rf.numerator), "denominator": str(rf.denominator)}
 
 
 def catalogue_json() -> str:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .expr import COORD_NAMES, VARS, Expr, Point4, parse
@@ -107,9 +106,6 @@ class CasimirPair:
     c1: Expr
     c2: Expr
 
-    def evaluate(self, p: Point4) -> tuple[float, float]:
-        return (self.c1.evaluate(p), self.c2.evaluate(p))
-
 
 class Bivector:
     """Antisymmetric 4x4 matrix of polynomials plus an optional factor k.
@@ -165,9 +161,6 @@ class Bivector:
             for i in range(4)
             for j in range(i + 1, 4)
         }
-
-    def components_equal(self, other: "Bivector") -> bool:
-        return self.components == other.components
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bivector):
@@ -332,7 +325,10 @@ def casimir_check(b: Bivector, c: Expr) -> bool:
 
 
 def bivector_matrix_at(b: Bivector, p: Point4) -> np.ndarray:
-    """Evaluate the scaled component matrix at a point (absent k -> 1)."""
+    """Evaluate the scaled component matrix at a point (absent k -> 1).
+
+    An entry that is not finite raises ``OverflowError``.
+    """
     import numpy as np
 
     m = np.empty((4, 4))
@@ -343,7 +339,29 @@ def bivector_matrix_at(b: Bivector, p: Point4) -> np.ndarray:
             v = b.components[i][j].evaluate(p) * scale
             m[i, j] = v
             m[j, i] = -v
+    if not np.isfinite(m).all():
+        raise OverflowError(f"bracket matrix at {p} is not finite")
     return m
+
+
+def _warn_if_k_vanishes(b: Bivector, p: Point4) -> None:
+    if b.conformal is not None and abs(b.conformal.evaluate(p)) < 1e-12:
+        warnings.warn(
+            "conformal factor is ~0 at the query point; rank reflects the "
+            "degenerate scaled matrix",
+            ConformalFactorWarning,
+            stacklevel=3,
+        )
+
+
+def _rank(m: np.ndarray) -> int:
+    """Numeric rank (0, 2 or 4) of an evaluated component matrix."""
+    import numpy as np
+
+    scale = max(float(np.max(np.abs(m))), 1e-300)
+    sv = np.linalg.svd(m, compute_uv=False)
+    rank = int(np.sum(sv > RANK_RELATIVE_THRESHOLD * scale))
+    return rank - (rank % 2)  # antisymmetric matrices have even rank
 
 
 def rank_at(b: Bivector, p: Point4) -> int:
@@ -352,20 +370,8 @@ def rank_at(b: Bivector, p: Point4) -> int:
     Uses a singular-value cutoff of 1e-9 relative to the largest entry
     magnitude (floored at 1e-300 so the zero matrix is well-defined).
     """
-    import numpy as np
-
-    if b.conformal is not None and abs(b.conformal.evaluate(p)) < 1e-12:
-        warnings.warn(
-            "conformal factor is ~0 at the query point; rank reflects the "
-            "degenerate scaled matrix",
-            ConformalFactorWarning,
-            stacklevel=2,
-        )
-    m = bivector_matrix_at(b, p)
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    sv = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.sum(sv > RANK_RELATIVE_THRESHOLD * scale))
-    return rank - (rank % 2)  # antisymmetric matrices have even rank
+    _warn_if_k_vanishes(b, p)
+    return _rank(bivector_matrix_at(b, p))
 
 
 def hamiltonian_field(b: Bivector, h: Expr) -> Vector4:

@@ -335,6 +335,16 @@ OVERFLOW_INPUTS = [
     for k in ((), ("--k", "1 + x^2 + y^2 + z^2 + t^2"))
 ]
 
+# Points where the leaf frame or the scaled matrix leaves double precision:
+# every Gram determinant is inf - inf; a column norm overflows; k = x*y is inf.
+NON_FINITE_MATRIX_INPUTS = [
+    ("leaf-form", "--model", "fold", "--point=1,1e200,1e200,1"),
+    ("leaf-form", "--model", "fold", "--point=1,1,1e200,1"),
+    ("rank", "--model", "fold", "--k", "x*y", "--point=1,1e200,1e200,1"),
+    ("leaf-form", "--model", "fold", "--k", "x*y", "--point=1,1e200,1e200,1"),
+    ("rank", "--model", "fold", "--k", "x*y", "--point=1e160,1,1,1"),
+]
+
 NEGATIVE_POINTS = [
     ("rank", "--model", "cusp", "--point", "-1,0,0,1"),
     ("locus", "--model", "cusp", "--point", "-1,0,0,-1"),
@@ -374,6 +384,20 @@ class TestInputContract:
         argv = ("locus", "--model", "cusp", "--point", "1e200,1,0,1")
         assert run_cli(capsys, *argv) == (0, "critical: false\n", "")
         argv = ("rank", "--model", "cusp", "--point", "1e100,1,0,1")
+        assert run_cli(capsys, *argv) == (0, "rank: 2\n", "")
+
+    # numpy reports the overflow it meets, and k = x*y vanishes on the grid.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    @pytest.mark.parametrize("argv", NON_FINITE_MATRIX_INPUTS)
+    def test_non_finite_matrix_or_frame_is_math_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("poisson4: evaluation at Point4(")
+        assert err.endswith("left double precision\n") and err.count("\n") == 1
+
+    def test_rank_of_a_finite_matrix_with_large_entries(self, capsys):
+        # The entries 2*y = 2*z = 2e200 are finite, and the rank is 2.
+        argv = ("rank", "--model", "fold", "--point=1,1e200,1e200,1")
         assert run_cli(capsys, *argv) == (0, "rank: 2\n", "")
 
     @pytest.mark.parametrize("argv", NEGATIVE_POINTS)

@@ -8,7 +8,7 @@ from itertools import product, zip_longest
 import numpy as np
 import pytest
 
-from poisson4.expr import Expr, Point4, _fused_closure, parse
+from poisson4.expr import COORD_NAMES, Expr, Point4, _fused_closure, parse
 from poisson4.leaves import (
     NonFiniteError,
     NotInImageError,
@@ -23,10 +23,12 @@ from poisson4.models import MODEL_NAMES, model
 from poisson4.poisson import (
     Bivector,
     CasimirPair,
+    ConformalFactorWarning,
     bivector_matrix_at,
     flaschka_ratiu,
     gradient,
     hamiltonian_field,
+    rank_at,
 )
 
 CUSP = model("cusp")
@@ -34,8 +36,6 @@ CUSP_BIVECTOR = flaschka_ratiu(CUSP.casimirs)
 
 
 def _random_regular_point(rng, bivector, spec, bound=2.0):
-    from poisson4.poisson import rank_at
-
     while True:
         p = Point4(*rng.uniform(-bound, bound, size=4))
         if rank_at(bivector, p) == 2:
@@ -447,3 +447,60 @@ def test_one_pass_drift_is_bitwise_the_generator_max():
         assert repr(_drift(tuple(vals))) == repr(expected)
 
     check()
+
+
+# (model, s) on which the chart coefficient is checked against its closed form.
+ORACLE_COMBOS = [("cusp", None), ("wrinkle", 1), ("lefschetz", None), ("flip", 1)]
+
+
+def _regular_points(b, s, seed, count):
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        p = Point4(*rng.uniform(-2, 2, size=4), s=float(s or 0))
+        if rank_at(b, p) == 2:
+            points.append(p)
+    return points
+
+
+class TestOneMatrixPerPoint:
+    @pytest.mark.parametrize("k", [None, K_FACTOR])
+    @pytest.mark.parametrize("name,s", ORACLE_COMBOS)
+    def test_chart_coefficient_is_minus_one_over_the_chart_entry(self, name, s, k):
+        # In the chart (x^i, x^j) the leaf form is -1/B[i, j] dx^i ^ dx^j; the
+        # error of the lstsq/solve pipeline grows with max|B| / |B[i, j]|.
+        b = flaschka_ratiu(model(name, s).casimirs, k=k)
+        for p in _regular_points(b, s, seed=len(name), count=30):
+            r = leaf_form_coefficient(b, p)
+            m = bivector_matrix_at(b, p)
+            i, j = map(COORD_NAMES.index, r.chart)
+            want = -1 / m[i, j]
+            ratio = np.max(np.abs(m)) / abs(m[i, j])
+            assert abs(r.coefficient - want) <= 1e-13 * ratio * abs(want), (p, r)
+
+    def test_bivector_matrix_is_evaluated_once_per_point(self, monkeypatch):
+        import poisson4.leaves
+        import poisson4.poisson
+
+        seen = []
+
+        def counting(b, p):
+            seen.append(p)
+            return bivector_matrix_at(b, p)
+
+        monkeypatch.setattr(poisson4.leaves, "bivector_matrix_at", counting)
+        monkeypatch.setattr(poisson4.poisson, "bivector_matrix_at", counting)
+        b = flaschka_ratiu(model("wrinkle", 1).casimirs, k=K_FACTOR)
+        points = _regular_points(b, 1, seed=5, count=10)
+        seen.clear()
+        for p in points:
+            leaf_form_coefficient(b, p)
+        assert seen == points
+
+    def test_vanishing_k_warns_then_the_point_is_singular(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConformalFactorWarning)
+            b = flaschka_ratiu(CUSP.casimirs, k=parse("x"))
+        with pytest.warns(ConformalFactorWarning, match="~0 at the query point"):
+            with pytest.raises(SingularPointError):
+                leaf_form_coefficient(b, Point4(0, 1, 1, 1))
