@@ -156,22 +156,23 @@ def leaf_tangent_frame(
 def _frame(p: Point4, m: np.ndarray, pair: Optional[CasimirPair]) -> LeafFrame:
     import numpy as np
 
+    # The Gram determinants are fourth powers of the entries and the column
+    # norms squares, so both are taken on m scaled by an exact power of two
+    # to max|m| in [1/2, 1).  The scale cannot overflow them, and the unit
+    # vectors u, v are those of the unscaled columns, bit for bit, wherever
+    # the unscaled computation stays finite.
+    _, exponent = math.frexp(float(np.max(np.abs(m))))
+    scaled = np.ldexp(m, -exponent)
     best, best_gram = None, -1.0
     for i, j in COORD_PAIRS:
-        a, c = m[:, i], m[:, j]
+        a, c = scaled[:, i], scaled[:, j]
         gram = float(np.dot(a, a) * np.dot(c, c) - np.dot(a, c) ** 2)
         if gram > best_gram:
             best, best_gram = (i, j), gram
-    if best is None:  # every Gram determinant is inf - inf
-        raise OverflowError(f"leaf frame at {p} left double precision")
-    a, c = m[:, best[0]], m[:, best[1]]
-    norm_a = np.linalg.norm(a)
-    u = a / norm_a
+    a, c = scaled[:, best[0]], scaled[:, best[1]]
+    u = a / np.linalg.norm(a)
     w = c - np.dot(c, u) * u
-    norm_w = np.linalg.norm(w)
-    if not np.isfinite([norm_a, norm_w]).all():
-        raise OverflowError(f"leaf frame at {p} left double precision")
-    v = w / norm_w
+    v = w / np.linalg.norm(w)
 
     if pair is not None:
         # Fresh polynomials on every call: one closure compiles all eight.

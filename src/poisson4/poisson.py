@@ -7,16 +7,23 @@ The central operation builds the antisymmetric component matrix
 as an exact polynomial determinant (columns in that order), so that both
 Casimirs are annihilated identically.  Because the resulting bivector is
 decomposable its rank is at most 2 everywhere, and any conformal rescaling
-by a non-vanishing function k stays Poisson; the Jacobiator here is always
-computed on the fully k-scaled components, which turns that statement into
-a checkable polynomial identity rather than an assumption.
+by a non-vanishing function k stays Poisson.  The Jacobiator of k*pi is
+still computed, never assumed: when the Pfaffian
+pi01*pi23 - pi02*pi13 + pi03*pi12 is exactly zero, pi ^ pi = 0 and
+J(k*pi) = k^2 * J(pi) triple by triple (Vaisman, *Lectures on the Geometry
+of Poisson Manifolds*, 1994), so the unscaled Jacobiator is expanded and
+multiplied by k^2; any other input is expanded on the fully k-scaled
+components.
 
-numpy is imported only inside the numeric functions (see ``expr``).
+numpy is imported only inside the numeric functions (see ``expr``); the sign
+probe of k runs on Python floats.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -49,6 +56,11 @@ __all__ = [
 TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 RANK_RELATIVE_THRESHOLD = 1e-9
+
+# The probe grid's axis, bit-equal to numpy.linspace(-2, 2, 10).
+_PROBE_AXIS = tuple(i * (4.0 / 9) - 2.0 for i in range(9)) + (2.0,)
+# Distinct factors k whose probe verdict is remembered.
+_PROBE_MEMO_SIZE = 64
 
 
 class ConformalFactorWarning(UserWarning):
@@ -216,12 +228,28 @@ def _basis_column(i: int) -> tuple[Expr, ...]:
     return tuple(Expr.one() if r == i else Expr.zero() for r in range(4))
 
 
-def _sample_grid(per_axis: int = 10) -> np.ndarray:
-    import numpy as np
+@functools.lru_cache(maxsize=_PROBE_MEMO_SIZE)
+def _k_vanishes_on_probe(k: Expr) -> bool:
+    """True iff k looks like it vanishes on the 10^4-point grid of [-2, 2]^4.
 
-    axis = np.linspace(-2.0, 2.0, per_axis)
-    grid = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1)
-    return grid.reshape(-1, 4)
+    k is evaluated at s = 0 on every point of ``_PROBE_AXIS``^4.  It vanishes
+    there if it takes both signs, if min|k| < 1e-9 * max(1, max|k|), or if a
+    value overflows or is not finite.
+    """
+    f = k.compiled()
+    axis = _PROBE_AXIS
+    try:
+        values = [
+            f(x, y, z, t, 0.0)
+            for x in axis for y in axis for z in axis for t in axis
+        ]
+        # A constant k gives an int, which may exceed the float range.
+        if not all(map(math.isfinite, values)):
+            return True
+    except OverflowError:
+        return True
+    lo, hi = min(values), max(values)
+    return lo < 0.0 < hi or min(map(abs, values)) < 1e-9 * max(1.0, -lo, hi)
 
 
 def flaschka_ratiu(
@@ -230,19 +258,16 @@ def flaschka_ratiu(
     """Bivector with prescribed Casimirs C1, C2 and conformal factor k.
 
     Rejects an exactly-zero k.  A supplied k is additionally probed on a
-    deterministic 10^4-point grid in [-2, 2]^4 (s = 0); vanishing there only
-    raises :class:`ConformalFactorWarning`, since non-vanishing on the whole
-    chart is the caller's responsibility.
+    deterministic 10^4-point grid in [-2, 2]^4 (s = 0, Python floats); a sign
+    change, a near-zero value or a value that overflows there only raises
+    :class:`ConformalFactorWarning`, since non-vanishing on the whole chart
+    is the caller's responsibility.  The verdict is remembered per k; the
+    warning is raised on every call.
     """
     if k is not None:
         if k.is_zero:
             raise ValueError("conformal factor k must not be the zero polynomial")
-        import numpy as np
-
-        values = k.evaluate_batch(_sample_grid(), s=0.0)
-        takes_both_signs = np.min(values) < 0.0 < np.max(values)
-        nearly_zero = np.min(np.abs(values)) < 1e-9 * max(1.0, np.max(np.abs(values)))
-        if takes_both_signs or nearly_zero:
+        if _k_vanishes_on_probe(k):
             warnings.warn(
                 "conformal factor vanishes somewhere on [-2, 2]^4 (detected on "
                 "a 10^4-point sample grid); the scaled bracket degenerates there",
@@ -262,13 +287,35 @@ def flaschka_ratiu(
 
 
 def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
-    """The four obstruction polynomials J^{ijk}, computed on scaled components.
+    """The four obstruction polynomials J^{ijk} of the k-scaled bivector.
 
     J^{ijk} = sum_l ( pi^{il} d_l pi^{jk} + pi^{jl} d_l pi^{ki}
                       + pi^{kl} d_l pi^{ij} );
-    the bivector is Poisson iff all four vanish identically.
+    the bivector is Poisson iff all four vanish identically.  With a factor
+    k and an exactly-zero Pfaffian (every :func:`flaschka_ratiu` output),
+    J(k*pi) = k^2 * J(pi): the unscaled sums are expanded and each nonzero
+    one is multiplied by k^2.  Otherwise the sums run on the scaled
+    components.
     """
-    m = b.scaled_components()
+    k = b.conformal
+    if k is None:
+        return _jacobiator_of(b.components)
+    m = b.components
+    pfaffian = m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+    if not pfaffian.is_zero:
+        return _jacobiator_of(b.scaled_components())
+    out = _jacobiator_of(m)
+    k2 = None
+    for triple, poly in out.items():
+        if not poly.is_zero:
+            if k2 is None:
+                k2 = k * k
+            out[triple] = k2 * poly
+    return out
+
+
+def _jacobiator_of(m) -> dict[tuple[int, int, int], Expr]:
+    """J^{ijk} of a component matrix, expanded as :func:`jacobiator` states."""
     partials = [
         [tuple(m[i][j].differentiate(v) for v in VARS) for j in range(4)]
         for i in range(4)

@@ -335,14 +335,18 @@ OVERFLOW_INPUTS = [
     for k in ((), ("--k", "1 + x^2 + y^2 + z^2 + t^2"))
 ]
 
-# Points where the leaf frame or the scaled matrix leaves double precision:
-# every Gram determinant is inf - inf; a column norm overflows; k = x*y is inf.
+# Points where the scaled matrix leaves double precision: k = x*y is inf.
 NON_FINITE_MATRIX_INPUTS = [
-    ("leaf-form", "--model", "fold", "--point=1,1e200,1e200,1"),
-    ("leaf-form", "--model", "fold", "--point=1,1,1e200,1"),
     ("rank", "--model", "fold", "--k", "x*y", "--point=1,1e200,1e200,1"),
     ("leaf-form", "--model", "fold", "--k", "x*y", "--point=1,1e200,1e200,1"),
     ("rank", "--model", "fold", "--k", "x*y", "--point=1e160,1,1,1"),
+]
+
+# Factors k whose sign probe meets an int beyond the float range, or a float
+# power that overflows (x^1088, under the parser's exponent limit of 64).
+PROBE_OVERFLOW_FACTORS = [
+    "1" + "0" * 400 + "*x + 1",
+    "*".join(["x^64"] * 17) + " + 1",
 ]
 
 NEGATIVE_POINTS = [
@@ -386,14 +390,53 @@ class TestInputContract:
         argv = ("rank", "--model", "cusp", "--point", "1e100,1,0,1")
         assert run_cli(capsys, *argv) == (0, "rank: 2\n", "")
 
-    # numpy reports the overflow it meets, and k = x*y vanishes on the grid.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    # k = x*y vanishes on the probe grid.
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("argv", NON_FINITE_MATRIX_INPUTS)
     def test_non_finite_matrix_or_frame_is_math_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("poisson4: evaluation at Point4(")
         assert err.endswith("left double precision\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", PROBE_OVERFLOW_FACTORS, ids=["int", "power"])
+    @pytest.mark.parametrize("command", ["jacobi", "bivector"])
+    def test_probe_overflow_is_a_warning(self, command, k):
+        # A fresh interpreter, so that stderr shows every warning printed.
+        argv = [command, "--model", "cusp", "--k", k]
+        proc = subprocess.run(
+            [sys.executable, "-m", "poisson4", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        if command == "jacobi":
+            assert proc.stdout == "Poisson: true\n"
+        else:
+            assert f"\nk: {parse(k)}\n" in proc.stdout
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2, proc.stderr
+        assert "ConformalFactorWarning: conformal factor vanishes" in lines[0]
+
+    # Finite matrices whose column norms, squared, or Gram determinants are
+    # beyond double precision: the frame is built on the matrix scaled by a
+    # power of two.
+    @pytest.mark.parametrize(
+        "name,point",
+        [
+            ("fold", "1,1e200,1e200,1"),
+            ("fold", "1,1,1e200,1"),
+            ("lefschetz", "1,1e80,1,1"),
+            ("lefschetz", "1e80,1e79,1,1"),
+        ],
+    )
+    def test_leaf_form_of_a_finite_matrix_with_large_entries(self, capsys, name, point):
+        argv = ("leaf-form", "--model", name, "--point=" + point, "--format", "json")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        m = bivector_matrix_at(flaschka_ratiu(model(name).casimirs), Point4(*data["point"]))
+        i, j = ("xyzt".index(c) for c in data["chart"])
+        want = -1 / m[i, j]
+        assert abs(data["coefficient"] - want) <= 1e-13 * abs(want)
 
     def test_rank_of_a_finite_matrix_with_large_entries(self, capsys):
         # The entries 2*y = 2*z = 2e200 are finite, and the rank is 2.
@@ -443,6 +486,10 @@ class TestInputContract:
             ["casimir-check", "--model", "cusp", "--h", "x"],
             ["locus", "--model", "cusp", "--point", "1,0,0,1"],
             ["flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--steps", "10"],
+            ["jacobi", "--model", "wrinkle", "--k", "1 + x^2 + y^2 + z^2 + t^2"],
+            ["bivector", "--model", "cusp", "--k", "x*y", "--format", "json"],
+            ["flow", "--model", "fold", "--k", "2 + t^2", "--h", "x",
+             "--point", "0,1,1,1", "--steps", "10"],
             ["rank", "--model", "cusp", "--point", "nan,0,0,1"],
             ["rank", "--model", "cusp", "--point", "1,0,0,1"],
         ]

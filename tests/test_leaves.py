@@ -3,7 +3,8 @@
 import math
 import random
 import warnings
-from itertools import product, zip_longest
+from fractions import Fraction
+from itertools import combinations, product, zip_longest
 
 import numpy as np
 import pytest
@@ -496,6 +497,36 @@ class TestOneMatrixPerPoint:
         for p in points:
             leaf_form_coefficient(b, p)
         assert seen == points
+
+    # Entries of 2e80: each Gram determinant there is about 1e321 or more.
+    @pytest.mark.parametrize("k", [None, parse("3")])
+    @pytest.mark.parametrize("point", [(1, 1e80, 1, 1), (1e80, 1e79, 1, 1)])
+    def test_gram_determinants_that_overflow_as_floats(self, point, k):
+        b = flaschka_ratiu(model("fold").casimirs, k=k)
+        p = Point4(*point)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = leaf_form_coefficient(b, p)
+        m = bivector_matrix_at(b, p)
+        cols = [[Fraction(float(v)) for v in m[:, i]] for i in range(4)]
+
+        def dot(a, c):
+            return sum(x * y for x, y in zip(a, c))
+
+        def gram(i, j):
+            a, c = cols[i], cols[j]
+            return dot(a, a) * dot(c, c) - dot(a, c) ** 2
+
+        # The frame starts from the first column of the largest exact Gram
+        # pair, normalised as it would be without scaling.
+        i, _ = max(combinations(range(4), 2), key=lambda ij: gram(*ij))
+        u = m[:, i] / np.linalg.norm(m[:, i])
+        assert np.array_equal(r.frame.u.as_array(), u)
+        # The chart coefficient is the closed form -1/(k*pi^{ij}).
+        i, j = map(COORD_NAMES.index, r.chart)
+        scale = 1.0 if k is None else k.evaluate(p)
+        want = -1 / (scale * b.components[i][j].evaluate(p))
+        assert math.isclose(r.coefficient, want, rel_tol=1e-13)
 
     def test_vanishing_k_warns_then_the_point_is_singular(self):
         with warnings.catch_warnings():

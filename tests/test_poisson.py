@@ -7,8 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poisson4.expr import Expr, Point4, parse
+from poisson4.expr import COORD_NAMES, VARS, Expr, Point4, parse
+from poisson4.models import MODEL_NAMES, model
 from poisson4.poisson import (
+    TRIPLES,
+    _PROBE_AXIS,
     Bivector,
     CasimirPair,
     ConformalFactorWarning,
@@ -139,6 +142,222 @@ class TestJacobiator:
     def test_flip_is_poisson(self):
         flip = CasimirPair(parse("t"), parse("x^4 - x^2*s + x*t + y^2 - z^2"))
         assert is_poisson(flaschka_ratiu(flip))
+
+
+def _reference_jacobiator(b: Bivector) -> dict:
+    """The Jacobiator expanded on the fully k-scaled components."""
+    m = b.scaled_components()
+    partials = [
+        [tuple(m[i][j].differentiate(v) for v in VARS) for j in range(4)]
+        for i in range(4)
+    ]
+    out = {}
+    for (i, j, k) in TRIPLES:
+        total = Expr.zero()
+        for l in range(4):
+            total = (
+                total
+                + m[i][l] * partials[j][k][l]
+                + m[j][l] * partials[k][i][l]
+                + m[k][l] * partials[i][j][l]
+            )
+        out[(i, j, k)] = total
+    return out
+
+
+def _reference_verdict(b: Bivector):
+    for triple, poly in _reference_jacobiator(b).items():
+        if not poly.is_zero:
+            return triple, poly
+    return None
+
+
+# Conformal factors: non-vanishing, vanishing, constant, s-dependent.
+K_VALUES = [
+    "1 + x^2 + y^2 + z^2 + t^2",
+    "x",
+    "x*y",
+    "y*z - 1",
+    "-3",
+    "1/2",
+    "1 + s*x",
+    "x^3 - y + 7",
+    "2 + t^4 + x*y*z",
+]
+
+
+def _catalogue_cases():
+    for name in MODEL_NAMES:
+        for s in (None, -1, 0, 1) if model(name).uses_s else (None,):
+            yield name, s
+
+
+class TestPfaffianRoute:
+    @pytest.mark.filterwarnings("ignore::poisson4.poisson.ConformalFactorWarning")
+    @pytest.mark.parametrize("name,s", list(_catalogue_cases()))
+    def test_catalogue_matches_the_scaled_expansion(self, name, s):
+        for text in K_VALUES:
+            k = parse(text) if s is None else parse(text).substitute_s(s)
+            b = flaschka_ratiu(model(name, s).casimirs, k=k)
+            assert jacobiator(b) == _reference_jacobiator(b), (name, s, text)
+
+    def test_random_decomposable_bivectors(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monomial = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1))
+        coeff = st.integers(-3, 3)
+        poly = st.dictionaries(monomial, coeff, max_size=2).map(Expr)
+        vector = st.tuples(*[poly] * 4)
+        k = st.dictionaries(monomial, coeff, min_size=1, max_size=3).map(Expr)
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(vector, vector, k.filter(lambda e: not e.is_zero))
+        def check(xs, ys, k):
+            # X ^ Y has zero Pfaffian, and is rarely Poisson.
+            entries = {
+                (i, j): xs[i] * ys[j] - xs[j] * ys[i]
+                for i in range(4)
+                for j in range(i + 1, 4)
+            }
+            b = Bivector.from_upper(entries, conformal=k)
+            assert jacobiator(b) == _reference_jacobiator(b)
+            verdict = is_poisson(b)
+            want = _reference_verdict(b)
+            if want is None:
+                assert verdict.holds
+            else:
+                triple, poly = want
+                names = tuple(COORD_NAMES[i] for i in triple)
+                assert (verdict.witness_triple, verdict.witness) == (names, poly)
+
+        check()
+
+    def test_non_decomposable_bivector_takes_the_full_path(self):
+        # dx^dy + x dz^dt has Pfaffian x: J(k*pi) is not k^2 * J(pi).
+        k = parse("1 + y^2")
+        b = Bivector.from_upper(
+            {(0, 1): Expr.one(), (2, 3): parse("x")}, conformal=k
+        )
+        got = jacobiator(b)
+        assert got == _reference_jacobiator(b)
+        # J^{xzt} is zero without k and nonzero with it.
+        assert jacobiator(non_poisson_example())[(0, 2, 3)].is_zero
+        verdict = is_poisson(b)
+        assert verdict.witness_triple == ("x", "z", "t")
+        assert verdict.witness == parse("2*x*y^3 + 2*x*y")
+
+    def test_scaled_jacobiator_is_k_squared_times_the_unscaled_one(self):
+        # pi = dx ^ (dy + x dz) is decomposable and not Poisson.
+        entries = {(0, 1): Expr.one(), (0, 2): parse("x")}
+        k = parse("2 + y")
+        got = jacobiator(Bivector.from_upper(entries, conformal=k))
+        unscaled = jacobiator(Bivector.from_upper(entries))
+        assert got == {t: k * k * e for t, e in unscaled.items()}
+        assert [t for t, e in got.items() if not e.is_zero] == [(0, 1, 2)]
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        names = sympy.symbols("x y z t s")
+        x = names[:4]
+
+        def to_sympy(e: Expr):
+            return sympy.sympify(str(e).replace("^", "**"), locals=dict(
+                zip("xyzts", names)
+            ))
+
+        cases = [
+            flaschka_ratiu(model("wrinkle").casimirs, k=parse("1 + x^2 + s*t")),
+            flaschka_ratiu(model("cusp").casimirs, k=parse("x*y + 5")),
+            Bivector.from_upper(
+                {(0, 1): parse("z"), (2, 3): parse("x + t")},
+                conformal=parse("1 + y^2"),
+            ),
+            Bivector.from_upper(
+                {(0, 1): parse("y*z"), (1, 3): parse("x")}, conformal=parse("t - 3")
+            ),
+        ]
+        for b in cases:
+            k = to_sympy(b.conformal)
+            pi = [[k * to_sympy(e) for e in row] for row in b.components]
+            got = jacobiator(b)
+            for (i, j, l) in TRIPLES:
+                want = sum(
+                    pi[i][m] * sympy.diff(pi[j][l], x[m])
+                    + pi[j][m] * sympy.diff(pi[l][i], x[m])
+                    + pi[l][m] * sympy.diff(pi[i][j], x[m])
+                    for m in range(4)
+                )
+                assert sympy.expand(want - to_sympy(got[(i, j, l)])) == 0
+
+
+def _numpy_probe(k: Expr) -> bool:
+    """The grid probe as numpy runs it: (n, 4) batch, numpy's min and max."""
+    axis = np.linspace(-2.0, 2.0, 10)
+    grid = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1)
+    values = k.evaluate_batch(grid.reshape(-1, 4), s=0.0)
+    takes_both_signs = np.min(values) < 0.0 < np.max(values)
+    nearly_zero = np.min(np.abs(values)) < 1e-9 * max(1.0, np.max(np.abs(values)))
+    return bool(takes_both_signs or nearly_zero)
+
+
+def _probe_warns(k: Expr) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        flaschka_ratiu(CUSP, k=k)
+    assert all(w.category is ConformalFactorWarning for w in caught), caught
+    return len(caught) == 1
+
+
+def _power_product(var: str, n: int) -> str:
+    """var^n as factors under the parser's exponent limit."""
+    return "*".join([f"{var}^64"] * (n // 64) + [f"{var}^{n % 64}"])
+
+
+class TestProbe:
+    def test_axis_is_numpy_linspace_bit_for_bit(self):
+        axis = np.linspace(-2.0, 2.0, 10)
+        assert np.array(_PROBE_AXIS).tobytes() == axis.tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        K_VALUES + ["1", "x^2 + y^2 + z^2 + t^2", "t", "t - 2", "x + 5/2", "s - 1"],
+    )
+    def test_verdict_matches_numpy(self, text):
+        k = parse(text)
+        assert _probe_warns(k) == _numpy_probe(k)
+
+    def test_verdict_matches_numpy_on_random_factors(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monomial = st.tuples(*[st.integers(0, 3)] * 4, st.just(0))
+        coeff = st.fractions(-100, 100, max_denominator=12)
+        poly = st.dictionaries(monomial, coeff, min_size=1, max_size=5).map(Expr)
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(poly.filter(lambda e: not e.is_zero))
+        def check(k):
+            assert _probe_warns(k) == _numpy_probe(k)
+
+        check()
+
+    def test_every_call_warns(self):
+        k = parse("x + 1/3")
+        assert _probe_warns(k) and _probe_warns(k)
+        assert _probe_warns(parse("x + 1/3"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" + "0" * 400 + "*x + 1",  # an int beyond the float range
+            "1" + "0" * 400,
+            _power_product("x", 1088) + " + 1",  # a float power that overflows
+            # x^520*y^520 is inf, so this is inf - inf = NaN where x = y = z = 2
+            f"{_power_product('x', 520)}*{_power_product('y', 520)}"
+            f" - {_power_product('x', 520)}*{_power_product('z', 520)} + 1",
+        ],
+    )
+    def test_overflow_or_nan_warns(self, text):
+        assert _probe_warns(parse(text))
 
 
 class TestCasimirCheck:
