@@ -160,7 +160,8 @@ def _frame(p: Point4, m: np.ndarray, pair: Optional[CasimirPair]) -> LeafFrame:
     # norms squares, so both are taken on m scaled by an exact power of two
     # to max|m| in [1/2, 1).  The scale cannot overflow them, and the unit
     # vectors u, v are those of the unscaled columns, bit for bit, wherever
-    # the unscaled computation stays finite.
+    # the unscaled computation stays finite and the scaled entries and their
+    # products do not underflow.
     _, exponent = math.frexp(float(np.max(np.abs(m))))
     scaled = np.ldexp(m, -exponent)
     best, best_gram = None, -1.0

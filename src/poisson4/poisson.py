@@ -8,12 +8,15 @@ as an exact polynomial determinant (columns in that order), so that both
 Casimirs are annihilated identically.  Because the resulting bivector is
 decomposable its rank is at most 2 everywhere, and any conformal rescaling
 by a non-vanishing function k stays Poisson.  The Jacobiator of k*pi is
-still computed, never assumed: when the Pfaffian
-pi01*pi23 - pi02*pi13 + pi03*pi12 is exactly zero, pi ^ pi = 0 and
-J(k*pi) = k^2 * J(pi) triple by triple (Vaisman, *Lectures on the Geometry
-of Poisson Manifolds*, 1994), so the unscaled Jacobiator is expanded and
-multiplied by k^2; any other input is expanded on the fully k-scaled
-components.
+still computed, never assumed, from the identity
+
+    J(k*pi)^{ijk} = k^2 * J(pi)^{ijk} +/- k * Pf(pi) * d_l k,
+
+where l is the index missing from ijk and
+Pf(pi) = pi01*pi23 - pi02*pi13 + pi03*pi12.  It holds for every 4x4
+bivector; for a decomposable one (every Casimir-pair bivector) Pf = 0,
+pi ^ pi = 0 and J(k*pi) = k^2 * J(pi) (Vaisman, *Lectures on the Geometry of
+Poisson Manifolds*, 1994).  So only the unscaled Jacobiator is expanded.
 
 numpy is imported only inside the numeric functions (see ``expr``); the sign
 probe of k runs on Python floats.
@@ -54,12 +57,21 @@ __all__ = [
 
 # Index triples i < j < k over four coordinates.
 TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+# Per triple ijk: the missing index l, and the sign s with
+# pi^{il} pi^{jk} + pi^{jl} pi^{ki} + pi^{kl} pi^{ij} = s * Pf(pi).
+_PFAFFIAN_SIGNS = {
+    (0, 1, 2): (3, 1),
+    (0, 1, 3): (2, -1),
+    (0, 2, 3): (1, 1),
+    (1, 2, 3): (0, -1),
+}
 
 RANK_RELATIVE_THRESHOLD = 1e-9
 
 # The probe grid's axis, bit-equal to numpy.linspace(-2, 2, 10).
 _PROBE_AXIS = tuple(i * (4.0 / 9) - 2.0 for i in range(9)) + (2.0,)
-# Distinct factors k whose probe verdict is remembered.
+# Distinct factors k whose probe verdict is remembered.  The probe takes
+# about 5 ms of pure Python; a caller that reuses one k pays it once.
 _PROBE_MEMO_SIZE = 64
 
 
@@ -292,30 +304,12 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     J^{ijk} = sum_l ( pi^{il} d_l pi^{jk} + pi^{jl} d_l pi^{ki}
                       + pi^{kl} d_l pi^{ij} );
     the bivector is Poisson iff all four vanish identically.  With a factor
-    k and an exactly-zero Pfaffian (every :func:`flaschka_ratiu` output),
-    J(k*pi) = k^2 * J(pi): the unscaled sums are expanded and each nonzero
-    one is multiplied by k^2.  Otherwise the sums run on the scaled
-    components.
+    k, the product rule turns the sums over k*pi into
+    k^2 * J(pi)^{ijk} + s * k * Pf(pi) * d_l k, with l and s from
+    ``_PFAFFIAN_SIGNS``; the second term is zero for every
+    :func:`flaschka_ratiu` output.
     """
-    k = b.conformal
-    if k is None:
-        return _jacobiator_of(b.components)
     m = b.components
-    pfaffian = m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
-    if not pfaffian.is_zero:
-        return _jacobiator_of(b.scaled_components())
-    out = _jacobiator_of(m)
-    k2 = None
-    for triple, poly in out.items():
-        if not poly.is_zero:
-            if k2 is None:
-                k2 = k * k
-            out[triple] = k2 * poly
-    return out
-
-
-def _jacobiator_of(m) -> dict[tuple[int, int, int], Expr]:
-    """J^{ijk} of a component matrix, expanded as :func:`jacobiator` states."""
     partials = [
         [tuple(m[i][j].differentiate(v) for v in VARS) for j in range(4)]
         for i in range(4)
@@ -331,6 +325,16 @@ def _jacobiator_of(m) -> dict[tuple[int, int, int], Expr]:
                 + m[k][l] * partials[i][j][l]
             )
         out[(i, j, k)] = total
+    factor = b.conformal
+    if factor is None:
+        return out
+    k2 = factor * factor
+    k_pfaffian = factor * (
+        m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+    )
+    for triple, (l, sign) in _PFAFFIAN_SIGNS.items():
+        dk = factor.differentiate(VARS[l])
+        out[triple] = k2 * out[triple] + sign * k_pfaffian * dk
     return out
 
 

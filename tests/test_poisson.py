@@ -201,25 +201,26 @@ class TestPfaffianRoute:
             b = flaschka_ratiu(model(name, s).casimirs, k=k)
             assert jacobiator(b) == _reference_jacobiator(b), (name, s, text)
 
-    def test_random_decomposable_bivectors(self):
+    def test_random_bivectors(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         monomial = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1))
         coeff = st.integers(-3, 3)
         poly = st.dictionaries(monomial, coeff, max_size=2).map(Expr)
         vector = st.tuples(*[poly] * 4)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        # X ^ Y has zero Pfaffian and is rarely Poisson; six free entries
+        # usually have a nonzero Pfaffian.
+        wedge = st.tuples(vector, vector).map(
+            lambda xy: [xy[0][i] * xy[1][j] - xy[0][j] * xy[1][i] for i, j in pairs]
+        )
+        upper = st.one_of(wedge, st.tuples(*[poly] * 6))
         k = st.dictionaries(monomial, coeff, min_size=1, max_size=3).map(Expr)
 
-        @hypothesis.settings(max_examples=60, deadline=None, database=None)
-        @hypothesis.given(vector, vector, k.filter(lambda e: not e.is_zero))
-        def check(xs, ys, k):
-            # X ^ Y has zero Pfaffian, and is rarely Poisson.
-            entries = {
-                (i, j): xs[i] * ys[j] - xs[j] * ys[i]
-                for i in range(4)
-                for j in range(i + 1, 4)
-            }
-            b = Bivector.from_upper(entries, conformal=k)
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(upper, k.filter(lambda e: not e.is_zero))
+        def check(upper, k):
+            b = Bivector.from_upper(dict(zip(pairs, upper)), conformal=k)
             assert jacobiator(b) == _reference_jacobiator(b)
             verdict = is_poisson(b)
             want = _reference_verdict(b)
@@ -232,7 +233,21 @@ class TestPfaffianRoute:
 
         check()
 
-    def test_non_decomposable_bivector_takes_the_full_path(self):
+    def test_pfaffian_term_in_every_triple(self):
+        # Pf = x*t - 2 and k depends on every coordinate, so each of the
+        # four triples carries a nonzero Pfaffian term.
+        b = Bivector.from_upper(
+            {(0, 1): Expr.one(), (0, 2): parse("z"), (1, 3): parse("y"),
+             (2, 3): parse("x*t - 2 + y*z")},
+            conformal=parse("3 + x + y^2 - z + t^3"),
+        )
+        got = jacobiator(b)
+        assert got == _reference_jacobiator(b)
+        unscaled = jacobiator(Bivector.from_upper(dict(b.upper_entries())))
+        k = b.conformal
+        assert all(got[t] != k * k * unscaled[t] for t in TRIPLES)
+
+    def test_non_decomposable_bivector_gets_the_pfaffian_term(self):
         # dx^dy + x dz^dt has Pfaffian x: J(k*pi) is not k^2 * J(pi).
         k = parse("1 + y^2")
         b = Bivector.from_upper(
@@ -274,6 +289,10 @@ class TestPfaffianRoute:
             ),
             Bivector.from_upper(
                 {(0, 1): parse("y*z"), (1, 3): parse("x")}, conformal=parse("t - 3")
+            ),
+            Bivector.from_upper(
+                {(0, 1): parse("y*z"), (0, 2): parse("t"), (1, 3): parse("x")},
+                conformal=parse("t - 3 + x*y + z^2"),
             ),
         ]
         for b in cases:
