@@ -4,6 +4,9 @@ Construct the antisymmetric bracket matrix pi^{ij} = det(e_i, e_j, dC1, dC2)
 for a pair of Casimir functions, verify the Poisson axioms by exact
 polynomial identities, and recover the symplectic form on the leaves
 numerically (frames, anchor solves, coefficients, Hamiltonian flow).
+
+The names of the leaf module (``poisson4.leaves``) are loaded on first use,
+so that a command that needs no leaf geometry starts without compiling it.
 """
 
 from .expr import (
@@ -12,18 +15,6 @@ from .expr import (
     Point4,
     Var,
     parse,
-)
-from .leaves import (
-    LeafFormResult,
-    LeafFrame,
-    NonFiniteError,
-    NotInImageError,
-    SingularPointError,
-    Trajectory,
-    flow,
-    leaf_form_coefficient,
-    leaf_tangent_frame,
-    solve_anchor,
 )
 from .models import (
     MODEL_NAMES,
@@ -60,6 +51,19 @@ from .poisson import (
 __version__ = "0.1.0"
 SCHEMA_VERSION = 1
 
+_LEAF_NAMES = (
+    "LeafFrame",
+    "LeafFormResult",
+    "Trajectory",
+    "SingularPointError",
+    "NotInImageError",
+    "NonFiniteError",
+    "leaf_tangent_frame",
+    "solve_anchor",
+    "leaf_form_coefficient",
+    "flow",
+)
+
 __all__ = [
     "Expr",
     "ParseError",
@@ -93,16 +97,19 @@ __all__ = [
     "leaf_chart_form",
     "critical_locus_indicator",
     "catalogue_json",
-    "LeafFrame",
-    "LeafFormResult",
-    "Trajectory",
-    "SingularPointError",
-    "NotInImageError",
-    "NonFiniteError",
-    "leaf_tangent_frame",
-    "solve_anchor",
-    "leaf_form_coefficient",
-    "flow",
+    *_LEAF_NAMES,
     "__version__",
     "SCHEMA_VERSION",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LEAF_NAMES:
+        from . import leaves
+
+        return getattr(leaves, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,10 @@ operation, and prints the payload.  Exit codes: 0 success, 1 mathematical
 failure (singular point, anchor not in the image, non-Poisson verdict under
 --expect-poisson, non-finite trajectory, an evaluation that overflows), 2
 usage error.
+
+``leaves`` is imported inside ``flow`` and ``leaf-form``, the two commands
+that use it, as numpy is imported where linear algebra runs: the other
+commands start without either.
 """
 
 from __future__ import annotations
@@ -19,13 +23,6 @@ from typing import Optional
 
 from . import SCHEMA_VERSION, __version__
 from .expr import Expr, ParseError, Point4, parse
-from .leaves import (
-    NonFiniteError,
-    NotInImageError,
-    SingularPointError,
-    flow,
-    leaf_form_coefficient,
-)
 from .models import MODEL_NAMES, catalogue_json, model, on_critical_locus
 from .poisson import (
     Bivector,
@@ -244,6 +241,8 @@ def _cmd_rank(args) -> None:
 
 
 def _cmd_leaf_form(args) -> None:
+    from .leaves import NotInImageError, SingularPointError, leaf_form_coefficient
+
     b, s = _resolve_bivector(args, numeric=True)
     p = _parse_point(args.point, s)
     try:
@@ -269,6 +268,8 @@ def _cmd_leaf_form(args) -> None:
 
 
 def _cmd_flow(args) -> None:
+    from .leaves import NonFiniteError, flow
+
     b, s = _resolve_bivector(args, numeric=True)
     p0 = _parse_point(args.point, s)
     h = _parse_expr(args.h, "--h")

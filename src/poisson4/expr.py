@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -32,6 +31,7 @@ __all__ = [
     "Expr",
     "Var",
     "Point4",
+    "Record",
     "ParseError",
     "parse",
     "COORD_NAMES",
@@ -83,8 +83,88 @@ class Var(enum.Enum):
 VARS = (Var.X, Var.Y, Var.Z, Var.T)
 
 
-@dataclass(frozen=True)
-class Point4:
+class Record:
+    """Base of the package's small immutable value types.
+
+    A subclass lists its fields as class annotations, in order; a class
+    attribute of the same name is that field's default.  Construction takes
+    the fields positionally or by keyword, and the instance then refuses
+    assignment and deletion.  Equality compares the fields of two instances
+    of one class; the hash is that of the field tuple; ``repr`` shows
+    ``Name(field=value, ...)``.  Instances keep a ``__dict__``, so a
+    ``functools.cached_property`` can store its value there.  Pickling and
+    copying rebuild a record from its fields and leave such cached values
+    behind.
+
+    It stands in for frozen dataclasses: importing ``dataclasses`` (and with
+    it ``inspect``) and decorating the classes took about a sixth of the CPU
+    time of a command-line call that needs no numpy.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        # Every field by position, as Trajectory.points passes them for each
+        # step, needs no binding.
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        set_field = object.__setattr__
+        for field, value in zip(fields, args):
+            set_field(self, field, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """One value per field from the arguments and the defaults."""
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing required argument {field!r}")
+        for key in kwargs:
+            problem = "multiple values for" if key in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {problem} argument {key!r}")
+        return values
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to {key!r} of {type(self).__qualname__}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete {key!r} of {type(self).__qualname__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class Point4(Record):
     """A point of R^4 together with a bound value for the parameter s."""
 
     x: float

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .expr import COORD_NAMES, Expr, Point4, _fused_closure
+from .expr import COORD_NAMES, Expr, Point4, Record, _fused_closure
 from .poisson import (
     Bivector,
     CasimirPair,
@@ -42,7 +41,6 @@ from .poisson import (
     _rank,
     _warn_if_k_vanishes,
     bivector_matrix_at,
-    gradient,
     hamiltonian_field,
 )
 
@@ -77,8 +75,7 @@ class NonFiniteError(ArithmeticError):
     """A trajectory coordinate left the double-precision range."""
 
 
-@dataclass(frozen=True)
-class LeafFrame:
+class LeafFrame(Record):
     """Orthonormal oriented tangent frame with anchor covectors at a point."""
 
     base: Point4
@@ -88,8 +85,7 @@ class LeafFrame:
     beta: Covector4
 
 
-@dataclass(frozen=True)
-class LeafFormResult:
+class LeafFormResult(Record):
     """Recovered leaf symplectic form at a point, in both normalizations."""
 
     coefficient: float
@@ -176,9 +172,7 @@ def _frame(p: Point4, m: np.ndarray, pair: Optional[CasimirPair]) -> LeafFrame:
     v = w / np.linalg.norm(w)
 
     if pair is not None:
-        # Fresh polynomials on every call: one closure compiles all eight.
-        grads = gradient(pair.c1).entries + gradient(pair.c2).entries
-        g = np.array(_fused_closure(grads)(*p.values()), dtype=float)
+        g = np.array(pair._gradient_closure(*p.values()), dtype=float)
         if np.linalg.det(np.column_stack([u, v, g[:4], g[4:]])) < 0:
             v = -v
 
@@ -248,8 +242,7 @@ def leaf_form_coefficient(b: Bivector, p: Point4) -> LeafFormResult:
     )
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """A fixed-step integral curve with conservation diagnostics.
 
     ``columns`` holds the x, y, z and t values of every step, the start
@@ -266,7 +259,7 @@ class Trajectory:
     @cached_property
     def points(self) -> tuple[Point4, ...]:
         return tuple(
-            Point4(x, y, z, t, s=self.s) for x, y, z, t in zip(*self.columns)
+            Point4(x, y, z, t, self.s) for x, y, z, t in zip(*self.columns)
         )
 
     def to_csv(self) -> str:

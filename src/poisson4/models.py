@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .expr import Expr, Point4, parse
+from .expr import Expr, Point4, Record, parse
 from .poisson import Bivector, CasimirPair, flaschka_ratiu
 
 __all__ = [
@@ -45,8 +44,7 @@ Scalar = Union[int, float, Fraction]
 LOCUS_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class RationalForm:
+class RationalForm(Record):
     """A closed-form coefficient numerator/denominator pair of polynomials."""
 
     numerator: Expr
@@ -184,8 +182,7 @@ MODEL_NAMES = tuple(_CATALOGUE)
 SINGULAR_MODELS = ("cusp", "birth", "merge", "flip", "wrinkle")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """A fully populated catalogue entry (s substituted when a value is set)."""
 
     name: str

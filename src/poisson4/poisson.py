@@ -28,10 +28,9 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .expr import COORD_NAMES, VARS, Expr, Point4, parse
+from .expr import COORD_NAMES, VARS, Expr, Point4, Record, _fused_closure, parse
 
 __all__ = [
     "CasimirPair",
@@ -83,8 +82,7 @@ class DroppedConstantWarning(UserWarning):
     """Linear-part extraction discarded a nonzero constant term."""
 
 
-@dataclass(frozen=True)
-class Covector4:
+class Covector4(Record):
     """Four covariant entries (Expr for symbolic use, floats for numeric)."""
 
     entries: tuple
@@ -105,8 +103,7 @@ class Covector4:
         return np.array([float(v) for v in self.entries])
 
 
-@dataclass(frozen=True)
-class Vector4:
+class Vector4(Record):
     """Four contravariant entries (Expr or floats)."""
 
     entries: tuple
@@ -123,12 +120,19 @@ class Vector4:
         return np.array([float(v) for v in self.entries])
 
 
-@dataclass(frozen=True)
-class CasimirPair:
+class CasimirPair(Record):
     """Two functions R^4 -> R defining a fibration chart (C1, C2)."""
 
     c1: Expr
     c2: Expr
+
+    @functools.cached_property
+    def _gradient_closure(self):
+        """``f(x, y, z, t, s) -> (dC1/dx, ..., dC1/dt, dC2/dx, ..., dC2/dt)``.
+
+        Compiled on first use and kept with the pair.
+        """
+        return _fused_closure(gradient(self.c1).entries + gradient(self.c2).entries)
 
 
 class Bivector:
@@ -241,12 +245,12 @@ def _basis_column(i: int) -> tuple[Expr, ...]:
 
 
 @functools.lru_cache(maxsize=_PROBE_MEMO_SIZE)
-def _k_vanishes_on_probe(k: Expr) -> bool:
-    """True iff k looks like it vanishes on the 10^4-point grid of [-2, 2]^4.
+def _k_probe_warning(k: Expr) -> Optional[str]:
+    """Why k looks degenerate on the 10^4-point grid of [-2, 2]^4, or None.
 
-    k is evaluated at s = 0 on every point of ``_PROBE_AXIS``^4.  It vanishes
-    there if it takes both signs, if min|k| < 1e-9 * max(1, max|k|), or if a
-    value overflows or is not finite.
+    k is evaluated at s = 0 on every point of ``_PROBE_AXIS``^4.  It looks
+    degenerate if a value overflows or is not finite, if it takes both signs,
+    or if min|k| < 1e-9 * max(1, max|k|).
     """
     f = k.compiled()
     axis = _PROBE_AXIS
@@ -256,12 +260,22 @@ def _k_vanishes_on_probe(k: Expr) -> bool:
             for x in axis for y in axis for z in axis for t in axis
         ]
         # A constant k gives an int, which may exceed the float range.
-        if not all(map(math.isfinite, values)):
-            return True
+        finite = all(map(math.isfinite, values))
     except OverflowError:
-        return True
+        finite = False
+    if not finite:
+        return (
+            "conformal factor overflows or is not finite somewhere on "
+            "[-2, 2]^4 (detected on a 10^4-point sample grid); whether it "
+            "vanishes there was not checked"
+        )
     lo, hi = min(values), max(values)
-    return lo < 0.0 < hi or min(map(abs, values)) < 1e-9 * max(1.0, -lo, hi)
+    if lo < 0.0 < hi or min(map(abs, values)) < 1e-9 * max(1.0, -lo, hi):
+        return (
+            "conformal factor vanishes somewhere on [-2, 2]^4 (detected on "
+            "a 10^4-point sample grid); the scaled bracket degenerates there"
+        )
+    return None
 
 
 def flaschka_ratiu(
@@ -272,20 +286,17 @@ def flaschka_ratiu(
     Rejects an exactly-zero k.  A supplied k is additionally probed on a
     deterministic 10^4-point grid in [-2, 2]^4 (s = 0, Python floats); a sign
     change, a near-zero value or a value that overflows there only raises
-    :class:`ConformalFactorWarning`, since non-vanishing on the whole chart
-    is the caller's responsibility.  The verdict is remembered per k; the
-    warning is raised on every call.
+    :class:`ConformalFactorWarning`, worded for the overflow apart from the
+    other two, since non-vanishing on the whole chart is the caller's
+    responsibility.  The verdict is remembered per k; the warning is raised
+    on every call.
     """
     if k is not None:
         if k.is_zero:
             raise ValueError("conformal factor k must not be the zero polynomial")
-        if _k_vanishes_on_probe(k):
-            warnings.warn(
-                "conformal factor vanishes somewhere on [-2, 2]^4 (detected on "
-                "a 10^4-point sample grid); the scaled bracket degenerates there",
-                ConformalFactorWarning,
-                stacklevel=2,
-            )
+        message = _k_probe_warning(k)
+        if message is not None:
+            warnings.warn(message, ConformalFactorWarning, stacklevel=2)
     dc1 = gradient(cas.c1)
     dc2 = gradient(cas.c2)
     grad_cols = (tuple(dc1.entries), tuple(dc2.entries))
@@ -338,8 +349,7 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     return out
 
 
-@dataclass(frozen=True)
-class PoissonVerdict:
+class PoissonVerdict(Record):
     """Outcome of the Jacobi-identity check, with a witness on failure."""
 
     holds: bool
@@ -438,8 +448,7 @@ def hamiltonian_field(b: Bivector, h: Expr) -> Vector4:
     return Vector4(tuple(comps))
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(Record):
     """Degree-one truncation of the brackets, as a Lie-algebra table.
 
     ``linear[(i, j)]`` is the degree-one part (in x, y, z, t) of pi^{ij} for

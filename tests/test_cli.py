@@ -9,6 +9,7 @@ import textwrap
 import pytest
 from test_leaves import _combo_flow_inputs, _reference_flow_csv
 
+import poisson4
 from poisson4 import models
 from poisson4.cli import main
 from poisson4.expr import Point4, parse
@@ -347,6 +348,7 @@ NON_FINITE_MATRIX_INPUTS = [
 PROBE_OVERFLOW_FACTORS = [
     "1" + "0" * 400 + "*x + 1",
     "*".join(["x^64"] * 17) + " + 1",
+    "1" + "0" * 400,
 ]
 
 NEGATIVE_POINTS = [
@@ -399,7 +401,7 @@ class TestInputContract:
         assert err.startswith("poisson4: evaluation at Point4(")
         assert err.endswith("left double precision\n") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("k", PROBE_OVERFLOW_FACTORS, ids=["int", "power"])
+    @pytest.mark.parametrize("k", PROBE_OVERFLOW_FACTORS, ids=["int", "power", "constant"])
     @pytest.mark.parametrize("command", ["jacobi", "bivector"])
     def test_probe_overflow_is_a_warning(self, command, k):
         # A fresh interpreter, so that stderr shows every warning printed.
@@ -414,7 +416,10 @@ class TestInputContract:
             assert f"\nk: {parse(k)}\n" in proc.stdout
         lines = proc.stderr.splitlines()
         assert len(lines) == 2, proc.stderr
-        assert "ConformalFactorWarning: conformal factor vanishes" in lines[0]
+        # An overflow says nothing about zeros, so the message does not
+        # claim one: a constant of 10^400 never vanishes.
+        assert "ConformalFactorWarning: conformal factor overflows or is not finite" in lines[0]
+        assert "vanishes there was not checked" in lines[0]
 
     # Finite matrices whose column norms, squared, or Gram determinants are
     # beyond double precision: the frame is built on the matrix scaled by a
@@ -502,3 +507,76 @@ class TestInputContract:
             [argv[0], 0, False] for argv in commands[:-2]
         ]
         assert seen[-2:] == [["rank", 2, False], ["rank", 0, True]]
+
+    def test_cold_start_leaves_out_dataclasses_and_leaves(self):
+        # One fresh interpreter reports, after the imports and after each
+        # command, which of the costly modules have been imported so far.
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, sys
+            costly = ("dataclasses", "inspect", "poisson4.leaves", "numpy")
+            loaded = lambda: [name for name in costly if name in sys.modules]
+            import poisson4, poisson4.cli
+            seen = [["import", 0, loaded()]]
+            for argv in json.loads(sys.argv[1]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    code = poisson4.cli.main(argv)
+                seen.append([argv[0], code, loaded()])
+            print(json.dumps(seen))
+            """
+        )
+        commands = [
+            ["list-models"],
+            ["bivector", "--model", "wrinkle", "--s", "1", "--format", "json"],
+            ["jacobi", "--model", "cusp", "--k", "1 + x^2 + y^2 + z^2 + t^2"],
+            ["casimir-check", "--model", "cusp", "--h", "x"],
+            ["locus", "--model", "cusp", "--point", "1,0,0,1"],
+            ["bivector", "--c1", "t"],
+            ["flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--steps", "10"],
+            ["leaf-form", "--model", "cusp", "--point", "0,1,1,1"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True, text=True, check=True,
+        )
+        seen = json.loads(proc.stdout)
+        assert seen[:-1] == [
+            ["import", 0, []],
+            ["list-models", 0, []],
+            ["bivector", 0, []],
+            ["jacobi", 0, []],
+            ["casimir-check", 0, []],
+            ["locus", 0, []],
+            ["bivector", 2, []],
+            ["flow", 0, ["poisson4.leaves"]],
+        ]
+        # numpy may import inspect itself.
+        assert seen[-1][:2] == ["leaf-form", 0]
+        assert {"poisson4.leaves", "numpy"} <= set(seen[-1][2])
+
+    def test_package_names_resolve_lazily(self):
+        script = textwrap.dedent(
+            """
+            import json, sys
+            import poisson4
+            before = "poisson4.leaves" in sys.modules
+            listed = set(dir(poisson4))
+            namespace = {}
+            exec("from poisson4 import *", namespace)
+            print(json.dumps({
+                "before": before,
+                "dir": sorted(set(poisson4.__all__) - listed),
+                "star": sorted(set(poisson4.__all__) - set(namespace)),
+                "flow": poisson4.flow is sys.modules["poisson4.leaves"].flow,
+            }))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        )
+        assert json.loads(proc.stdout) == {
+            "before": False, "dir": [], "star": [], "flow": True
+        }
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            poisson4.no_such_name

@@ -82,8 +82,15 @@ class TestFlaschkaRatiu:
             flaschka_ratiu(CUSP, k=Expr.zero())
 
     def test_vanishing_k_warns(self):
-        with pytest.warns(ConformalFactorWarning):
+        with pytest.warns(ConformalFactorWarning, match="factor vanishes somewhere"):
             flaschka_ratiu(CUSP, k=parse("x"))
+
+    def test_overflowing_k_warns_without_claiming_a_zero(self):
+        with pytest.warns(ConformalFactorWarning) as caught:
+            flaschka_ratiu(CUSP, k=parse("1" + "0" * 400))
+        (message,) = [str(w.message) for w in caught]
+        assert message.startswith("conformal factor overflows or is not finite")
+        assert "factor vanishes" not in message
 
     def test_positive_k_does_not_warn(self):
         with warnings.catch_warnings():
