@@ -34,6 +34,7 @@ from typing import Optional
 
 from .expr import COORD_NAMES, Expr, Point4, Record, _fused_closure
 from .poisson import (
+    COORD_PAIRS,
     Bivector,
     CasimirPair,
     Covector4,
@@ -59,8 +60,6 @@ __all__ = [
 
 ANCHOR_TOLERANCE = 1e-9
 PAIR_SELECTION_RTOL = 1e-9
-
-COORD_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class SingularPointError(ValueError):
@@ -136,17 +135,14 @@ def _anchor(m: np.ndarray, p: Point4, u) -> Covector4:
     return Covector4(tuple(float(a) for a in alpha))
 
 
-def leaf_tangent_frame(
-    b: Bivector, p: Point4, casimirs: Optional[CasimirPair] = None
-) -> LeafFrame:
+def leaf_tangent_frame(b: Bivector, p: Point4) -> LeafFrame:
     """Orthonormal oriented basis of the leaf tangent plane at a regular point.
 
     The two columns of B_p with the largest Gram determinant are selected and
-    orthonormalized; when the generating Casimir pair is known the orientation
-    is fixed by det(u, v, grad C1, grad C2) > 0.
+    orthonormalized; when ``b.casimirs`` records the generating pair the
+    orientation is fixed by det(u, v, grad C1, grad C2) > 0.
     """
-    pair = casimirs if casimirs is not None else b.casimirs
-    return _frame(p, _regular_matrix(b, p), pair)
+    return _frame(p, _regular_matrix(b, p), b.casimirs)
 
 
 def _frame(p: Point4, m: np.ndarray, pair: Optional[CasimirPair]) -> LeafFrame:
@@ -292,11 +288,10 @@ def flow(
     p0: Point4,
     dt: float,
     steps: int,
-    casimirs: Optional[CasimirPair] = None,
 ) -> Trajectory:
     """Classical fixed-step RK4 integration of the Hamiltonian field of h.
 
-    Records C1, C2 (when the Casimir pair is known) and h at every step,
+    Records C1, C2 (when ``b.casimirs`` records the pair) and h at every step,
     plus the maximum drift of each from its initial value.  Raises
     :class:`NonFiniteError` if a coordinate leaves double precision.
 
@@ -319,7 +314,7 @@ def flow(
     field = _fused_closure(hamiltonian_field(b, h))
     s = p0.s
 
-    pair = casimirs if casimirs is not None else b.casimirs
+    pair = b.casimirs
     tracked = {"H": h} if pair is None else {"C1": pair.c1, "C2": pair.c2, "H": h}
     track = _fused_closure(tracked.values())
 

@@ -5,10 +5,12 @@ The central operation builds the antisymmetric component matrix
     pi[i][j] = det(e_i, e_j, dC1, dC2)
 
 as an exact polynomial determinant (columns in that order), so that both
-Casimirs are annihilated identically.  Because the resulting bivector is
-decomposable its rank is at most 2 everywhere, and any conformal rescaling
-by a non-vanishing function k stays Poisson.  The Jacobiator of k*pi is
-still computed, never assumed, from the identity
+Casimirs are annihilated identically.  ``det4`` expands by complementary 2x2
+minors and skips a term whose first minor is zero, so each entry is +/- the
+one minor of (dC1, dC2) on the rows other than i and j.  Because the
+resulting bivector is decomposable its rank is at most 2 everywhere, and
+any conformal rescaling by a non-vanishing function k stays Poisson.  The
+Jacobiator of k*pi is still computed, never assumed, from the identity
 
     J(k*pi)^{ijk} = k^2 * J(pi)^{ijk} +/- k * Pf(pi) * d_l k,
 
@@ -54,9 +56,7 @@ __all__ = [
     "bivector_matrix_at",
 ]
 
-# Index triples i < j < k over four coordinates.
-TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-# Per triple ijk: the missing index l, and the sign s with
+# Per index triple i < j < k: the missing index l, and the sign s with
 # pi^{il} pi^{jk} + pi^{jl} pi^{ki} + pi^{kl} pi^{ij} = s * Pf(pi).
 _PFAFFIAN_SIGNS = {
     (0, 1, 2): (3, 1),
@@ -64,6 +64,15 @@ _PFAFFIAN_SIGNS = {
     (0, 2, 3): (1, 1),
     (1, 2, 3): (0, -1),
 }
+TRIPLES = tuple(_PFAFFIAN_SIGNS)
+# Row pairs (r, s) of a 4x4 matrix, each with its complement (u, v) and the
+# sign of the permutation (r, s, u, v).
+_LAPLACE = (
+    ((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
+    ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1),
+)
+# Index pairs i < j, in the order of the upper triangle.
+COORD_PAIRS = tuple(pair for pair, _, _ in _LAPLACE)
 
 RANK_RELATIVE_THRESHOLD = 1e-9
 
@@ -184,11 +193,7 @@ class Bivector:
         return tuple(tuple(k * e for e in row) for row in self.components)
 
     def upper_entries(self) -> dict[tuple[int, int], Expr]:
-        return {
-            (i, j): self.components[i][j]
-            for i in range(4)
-            for j in range(i + 1, 4)
-        }
+        return {(i, j): self.components[i][j] for i, j in COORD_PAIRS}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bivector):
@@ -212,31 +217,20 @@ def gradient(c: Expr) -> Covector4:
     return Covector4(tuple(c.differentiate(v) for v in VARS))
 
 
-def _det2(m) -> Expr:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _det3(m) -> Expr:
-    out = Expr.zero()
-    sign = 1
-    for col in range(3):
-        minor = [
-            [m[r][c] for c in range(3) if c != col] for r in (1, 2)
-        ]
-        out = out + sign * m[0][col] * _det2(minor)
-        sign = -sign
-    return out
-
-
 def det4(columns: Sequence[Sequence[Expr]]) -> Expr:
-    """Determinant of a 4x4 matrix given by its four columns of Expr."""
-    m = [[columns[c][r] for c in range(4)] for r in range(4)]
+    """Determinant of a 4x4 matrix given by its four columns a, b, c, d.
+
+    Laplace expansion by complementary minors: the sum over ``_LAPLACE`` of
+    sign * (a[r]*b[s] - a[s]*b[r]) * (c[u]*d[v] - c[v]*d[u]), skipping a term
+    whose first minor is zero.  With basis columns a = e_i, b = e_j only the
+    minor of c, d on the rows other than i and j is formed.
+    """
+    a, b, c, d = columns
     out = Expr.zero()
-    sign = 1
-    for col in range(4):
-        minor = [[m[r][c] for c in range(4) if c != col] for r in (1, 2, 3)]
-        out = out + sign * m[0][col] * _det3(minor)
-        sign = -sign
+    for (r, s), (u, v), sign in _LAPLACE:
+        first = a[r] * b[s] - a[s] * b[r]
+        if not first.is_zero:
+            out = out + sign * first * (c[u] * d[v] - c[v] * d[u])
     return out
 
 
@@ -297,15 +291,11 @@ def flaschka_ratiu(
         message = _k_probe_warning(k)
         if message is not None:
             warnings.warn(message, ConformalFactorWarning, stacklevel=2)
-    dc1 = gradient(cas.c1)
-    dc2 = gradient(cas.c2)
-    grad_cols = (tuple(dc1.entries), tuple(dc2.entries))
-    entries: dict[tuple[int, int], Expr] = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            entries[(i, j)] = det4(
-                (_basis_column(i), _basis_column(j)) + grad_cols
-            )
+    grads = (gradient(cas.c1).entries, gradient(cas.c2).entries)
+    entries = {
+        (i, j): det4((_basis_column(i), _basis_column(j)) + grads)
+        for i, j in COORD_PAIRS
+    }
     return Bivector.from_upper(entries, conformal=k, casimirs=cas)
 
 
@@ -375,14 +365,12 @@ def casimir_check(b: Bivector, c: Expr) -> bool:
     Runs on the unscaled components: k never changes the answer because the
     factor multiplies every entry of the product.
     """
-    dc = gradient(c)
-    for i in range(4):
-        total = Expr.zero()
-        for j in range(4):
-            total = total + b.components[i][j] * dc[j]
-        if not total.is_zero:
-            return False
-    return True
+    return all(e.is_zero for e in _contract(b.components, gradient(c)))
+
+
+def _contract(m, dh: Covector4) -> tuple[Expr, ...]:
+    """The four sums sum_j m[i][j] * dh[j]."""
+    return tuple(sum((e * d for e, d in zip(row, dh)), Expr.zero()) for row in m)
 
 
 def bivector_matrix_at(b: Bivector, p: Point4) -> np.ndarray:
@@ -392,14 +380,12 @@ def bivector_matrix_at(b: Bivector, p: Point4) -> np.ndarray:
     """
     import numpy as np
 
-    m = np.empty((4, 4))
+    m = np.zeros((4, 4))
     scale = 1.0 if b.conformal is None else b.conformal.evaluate(p)
-    for i in range(4):
-        m[i, i] = 0.0
-        for j in range(i + 1, 4):
-            v = b.components[i][j].evaluate(p) * scale
-            m[i, j] = v
-            m[j, i] = -v
+    for i, j in COORD_PAIRS:
+        v = b.components[i][j].evaluate(p) * scale
+        m[i, j] = v
+        m[j, i] = -v
     if not np.isfinite(m).all():
         raise OverflowError(f"bracket matrix at {p} is not finite")
     return m
@@ -437,15 +423,7 @@ def rank_at(b: Bivector, p: Point4) -> int:
 
 def hamiltonian_field(b: Bivector, h: Expr) -> Vector4:
     """The vector field X_h with components sum_j pi^{ij} d_j h (k folded in)."""
-    m = b.scaled_components()
-    dh = gradient(h)
-    comps = []
-    for i in range(4):
-        total = Expr.zero()
-        for j in range(4):
-            total = total + m[i][j] * dh[j]
-        comps.append(total)
-    return Vector4(tuple(comps))
+    return Vector4(_contract(b.scaled_components(), gradient(h)))
 
 
 class StructureConstants(Record):

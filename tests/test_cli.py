@@ -102,6 +102,12 @@ class TestBivector:
         code, _, _ = run_cli(capsys, "bivector")
         assert code == 2
 
+    def test_parse_work_budget_is_a_usage_error(self, capsys):
+        heavy = "(x+y+z)^43 + (x+y+z)^43"
+        code, out, err = run_cli(capsys, "bivector", "--c1", heavy, "--c2", "t")
+        assert (code, out) == (2, "")
+        assert "--c1:" in err and "term products" in err
+
 
 class TestJacobi:
     def test_constant_bivector_is_poisson(self, capsys):

@@ -11,11 +11,13 @@ import pytest
 from poisson4.expr import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERM_PRODUCTS,
     MAX_TERMS,
     Expr,
     ParseError,
     Point4,
     Var,
+    _Parser,
     parse,
 )
 
@@ -92,6 +94,20 @@ class TestParse:
         assert info.value.column == len(a) + 1
         # The budget is the parser's: Expr arithmetic itself is unbounded.
         assert len(parse(a) * parse(wider)) == 40 * 26
+
+    def test_parse_work_budget(self):
+        # (x+y+z)^43 has 990 terms, within MAX_TERMS, and takes 69,933 term
+        # products, the most of any power of x+y+z that MAX_TERMS admits.  A
+        # second copy in the same parse crosses MAX_TERM_PRODUCTS at its own
+        # exponent; each copy took about 0.4 s.
+        one = "(x+y+z)^43"
+        parser = _Parser(one)
+        assert len(parser.parse()) == 990
+        assert parser.products == 69_933 <= MAX_TERM_PRODUCTS
+        with pytest.raises(ParseError) as info:
+            parse(one + " + " + one)
+        assert info.value.column == len(one + " + (x+y+z)^") + 1
+        assert f"more than {MAX_TERM_PRODUCTS} term products" in str(info.value)
 
     def test_flat_sum_parses_in_linear_time(self):
         # 2000 distinct monomials joined by signs: rebuilding the running sum

@@ -202,10 +202,10 @@ class TestFlow:
     def test_nan_in_a_tracked_quantity_raises(self):
         # The state stays finite, but C1 = z*(y - t) is inf - inf = nan
         # after step 1, which max() alone never reports as the drift.
-        b = Bivector.from_upper({(0, 1): Expr.one(), (0, 3): Expr.one()})
         pair = CasimirPair(parse("y*z - z*t"), parse("y - t"))
+        b = Bivector.from_upper({(0, 1): Expr.one(), (0, 3): Expr.one()}, casimirs=pair)
         with pytest.raises(NonFiniteError) as info:
-            flow(b, parse("-x"), Point4(0, 1, 1e150, 1), 1e200, 2, casimirs=pair)
+            flow(b, parse("-x"), Point4(0, 1, 1e150, 1), 1e200, 2)
         assert str(info.value) == "conserved quantities left double precision"
 
     def test_tracked_int_beyond_float_range_raises(self):
@@ -242,7 +242,7 @@ class TestFlow:
             traj.to_csv()
 
 
-def _reference_flow_csv(b, h, p0, dt, steps, casimirs=None):
+def _reference_flow_csv(b, h, p0, dt, steps):
     """The RK4 loop on a (4,) ndarray state, kept as an independent reference.
 
     Returns the CSV text, the drift and the points, or raises NonFiniteError
@@ -255,7 +255,7 @@ def _reference_flow_csv(b, h, p0, dt, steps, casimirs=None):
         x, y, z, t = state
         return np.array([f(x, y, z, t, s) for f in field])
 
-    pair = casimirs if casimirs is not None else b.casimirs
+    pair = b.casimirs
     trackers = {"C1": pair.c1.compiled(), "C2": pair.c2.compiled()}
     trackers["H"] = h.compiled()
     with warnings.catch_warnings():
@@ -384,25 +384,25 @@ class TestFlowMatchesNdarrayReference:
 
     def test_overflow_in_a_step_matches(self):
         # dx/dt = x^3: the power overflows within a step from a large start.
-        b = Bivector.from_upper({(0, 1): parse("x^3")})
         pair = CasimirPair(parse("z"), parse("t"))
+        b = Bivector.from_upper({(0, 1): parse("x^3")}, casimirs=pair)
         p0 = Point4(1e100, 0, 0, 0)
         with pytest.raises(NonFiniteError) as ref:
-            _reference_flow_csv(b, parse("y"), p0, 1e-3, 10, casimirs=pair)
+            _reference_flow_csv(b, parse("y"), p0, 1e-3, 10)
         with pytest.raises(NonFiniteError) as new:
-            flow(b, parse("y"), p0, 1e-3, 10, casimirs=pair)
+            flow(b, parse("y"), p0, 1e-3, 10)
         assert str(new.value) == str(ref.value)
 
     def test_overflow_in_a_tracker_matches(self):
         # The state stays finite while C1 = t^60 overflows at t = 1e6.
-        b = Bivector.from_upper({(0, 1): Expr.one()})
         pair = CasimirPair(parse("t^60"), parse("y"))
+        b = Bivector.from_upper({(0, 1): Expr.one()}, casimirs=pair)
         p0 = Point4(1e6, 1e6, 0, 1e6)
         with pytest.raises(NonFiniteError) as ref:
-            _reference_flow_csv(b, parse("x^3"), p0, 1e-3, 50, casimirs=pair)
+            _reference_flow_csv(b, parse("x^3"), p0, 1e-3, 50)
         assert str(ref.value) == "conserved quantities left double precision"
         with pytest.raises(NonFiniteError) as new:
-            flow(b, parse("x^3"), p0, 1e-3, 50, casimirs=pair)
+            flow(b, parse("x^3"), p0, 1e-3, 50)
         assert str(new.value) == str(ref.value)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])

@@ -20,6 +20,7 @@ from poisson4.poisson import (
     bivector_matrix_at,
     bivector_to_json_dict,
     casimir_check,
+    det4,
     flaschka_ratiu,
     gradient,
     hamiltonian_field,
@@ -337,6 +338,115 @@ def _probe_warns(k: Expr) -> bool:
 def _power_product(var: str, n: int) -> str:
     """var^n as factors under the parser's exponent limit."""
     return "*".join([f"{var}^64"] * (n // 64) + [f"{var}^{n % 64}"])
+
+
+class TestDet4Oracle:
+    """det4 and flaschka_ratiu against sympy's determinant, expanded."""
+
+    def setup_method(self):
+        self.sympy = sympy = pytest.importorskip("sympy")
+        hypothesis = pytest.importorskip("hypothesis")
+        self.hypothesis, self.st = hypothesis, hypothesis.strategies
+        self.names = sympy.symbols("x y z t s")
+
+    def poly(self, e: Expr):
+        """e as a sympy Poly, built from its terms rather than its string."""
+        sympy = self.sympy
+        terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in e.terms()}
+        return sympy.Poly.from_dict(terms, *self.names, domain=sympy.QQ)
+
+    def exprs(self, min_size=0, max_size=1, top=2):
+        st = self.st
+        monomial = st.tuples(*[st.integers(0, top)] * 4, st.integers(0, 1))
+        coeff = st.fractions(-5, 5, max_denominator=4).filter(bool)
+        terms = st.dictionaries(monomial, coeff, min_size=min_size, max_size=max_size)
+        return terms.map(Expr)
+
+    def det(self, rows):
+        """sympy's determinant of a 4x4 matrix given by rows, expanded.
+
+        It is taken over the entries' polynomial ring (``to_DM``): the
+        default ``Matrix.det`` took over 30 s on one matrix of two-term
+        entries, and Berkowitz about 0.3 s on one of monomials.
+        """
+        m = self.sympy.Matrix(rows).to_DM()
+        det = m.domain.to_sympy(m.det())
+        return self.sympy.Poly(det, *self.names, domain=self.sympy.QQ)
+
+    def given(self, examples, *strategies):
+        # No shrink phase: each example costs a sympy determinant, and
+        # shrinking a failure ran into hypothesis's 5-minute cap.
+        phases = (self.hypothesis.Phase.explicit, self.hypothesis.Phase.generate)
+        settings = self.hypothesis.settings(
+            max_examples=examples, deadline=None, database=None, phases=phases
+        )
+        return lambda test: settings(self.hypothesis.given(*strategies)(test))
+
+    def check_columns(self, columns, examples):
+        @self.given(examples, columns)
+        def check(columns):
+            rows = [[self.poly(col[r]).as_expr() for col in columns] for r in range(4)]
+            assert self.det(rows) == self.poly(det4(columns))
+
+        check()
+
+    def columns(self, min_size=0, max_size=1, top=2):
+        return self.st.tuples(*[self.exprs(min_size, max_size, top)] * 4)
+
+    def test_dense(self):
+        # Monomials of degree at most one in each variable, so that products
+        # in the expansion coincide and cancel.
+        self.check_columns(self.st.tuples(*[self.columns(1, 1, top=1)] * 4), 20)
+
+    def test_zero_entries(self):
+        self.check_columns(self.st.tuples(*[self.columns()] * 4), 30)
+
+    def test_zero_first_minors(self):
+        # b[r] = q * a[r] on at least two rows, so the first minor vanishes on
+        # each pair of them and det4 skips those terms.
+        column = self.columns(1, 1)
+
+        def build(a, q, rows, other, c, d):
+            b = tuple(q * a[r] if r in rows else other[r] for r in range(4))
+            return (a, b, c, d)
+
+        rows = self.st.sets(self.st.integers(0, 3), min_size=2)
+        columns = self.st.builds(build, column, self.exprs(1), rows, column, column, column)
+        self.check_columns(columns, 15)
+
+    def test_basis_first_columns(self):
+        def basis(i):
+            return tuple(Expr.one() if r == i else Expr.zero() for r in range(4))
+
+        def build(order, c, d):
+            return (basis(order[0]), basis(order[1]), c, d)
+
+        column = self.columns(0, 3)
+        self.check_columns(
+            self.st.builds(build, self.st.permutations(range(4)), column, column), 30
+        )
+
+    def test_flaschka_ratiu(self):
+        sympy = self.sympy
+        coords = self.names[:4]
+
+        def leading_negative(e: Expr) -> Expr:
+            return e if next(e.terms())[1] < 0 else -e
+
+        casimir = self.exprs(1, 3).map(leading_negative)
+
+        @self.given(15, casimir, casimir)
+        def check(c1, c2):
+            b = flaschka_ratiu(CasimirPair(c1, c2))
+            grads = [
+                [sympy.diff(self.poly(c).as_expr(), v) for v in coords] for c in (c1, c2)
+            ]
+            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+                e_i, e_j = ([int(r == n) for r in range(4)] for n in (i, j))
+                rows = [list(row) for row in zip(e_i, e_j, *grads)]
+                assert self.det(rows) == self.poly(b.components[i][j])
+
+        check()
 
 
 class TestProbe:
