@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Every subcommand is a thin adapter over the library: it assembles a bivector
-from a built-in model or a user-supplied Casimir pair, calls one library
-operation, and prints the payload.  Exit codes: 0 success, 1 mathematical
-failure (singular point, anchor not in the image, non-Poisson verdict under
---expect-poisson, non-finite trajectory, an evaluation that overflows), 2
-usage error.
+Every math subcommand is a thin adapter over the library.  Its inputs are
+resolved in one place, :func:`_source`: the parameter ``--s``, exactly one of
+``--model`` or both ``--c1`` and ``--c2``, and the conformal factor ``--k``,
+each expression parsed with s substituted, give the bivector.  The command
+then calls one library operation and prints the payload; the commands that
+take ``--point`` evaluate there through :func:`_at_point`.  Exit codes: 0
+success, 1 mathematical failure (singular point, anchor not in the image,
+non-Poisson verdict under --expect-poisson, non-finite trajectory, an
+evaluation that overflows), 2 usage error.
 
 ``leaves`` is imported inside ``flow`` and ``leaf-form``, the two commands
 that use it, as numpy is imported where linear algebra runs: the other
@@ -33,17 +36,6 @@ from .poisson import (
     is_poisson,
     rank_at,
 )
-
-MATH_SUBCOMMANDS = (
-    "bivector",
-    "jacobi",
-    "casimir-check",
-    "rank",
-    "leaf-form",
-    "flow",
-    "locus",
-)
-
 
 class UsageError(Exception):
     """Invalid invocation; reported on stderr with exit status 2."""
@@ -116,13 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_expr(text: str, flag: str) -> Expr:
-    try:
-        return parse(text)
-    except ParseError as err:
-        raise UsageError(f"{flag}: {err}") from err
-
-
 def _parse_s(text: Optional[str]) -> Optional[Fraction]:
     if text is None:
         return None
@@ -145,47 +130,49 @@ def _parse_point(text: str, s: Optional[Fraction]) -> Point4:
     return Point4(*coords, s=0.0 if s is None else float(s))
 
 
-def _resolve_pair(args, *, numeric: bool) -> tuple[CasimirPair, Optional[Fraction]]:
-    """The Casimir pair named by --model or --c1/--c2, with s substituted."""
+def _expr(args, flag: str, s: Optional[Fraction]) -> Optional[Expr]:
+    """The expression option ``flag`` with s substituted; None when absent."""
+    text = getattr(args, flag[2:])
+    if text is None:
+        return None
+    try:
+        e = parse(text)
+    except ParseError as err:
+        raise UsageError(f"{flag}: {err}") from err
+    return e if s is None else e.substitute_s(s)
+
+
+def _source(args) -> tuple[Bivector, Optional[Fraction]]:
+    """The bivector of --model or --c1/--c2 with --k, and the value of --s.
+
+    A command that takes --point evaluates at a value of s, so a parametric
+    model needs --s there.
+    """
     s = _parse_s(args.s)
-    has_model = args.model is not None
-    has_pair = args.c1 is not None and args.c2 is not None
-    if has_model == has_pair:
+    given = sum(text is not None for text in (args.c1, args.c2))
+    if given != (0 if args.model is not None else 2):
         raise UsageError("provide exactly one of --model or both --c1 and --c2")
-    if has_model:
-        if numeric and s is None and model(args.model).uses_s:
+    if args.model is not None:
+        if s is None and "point" in vars(args) and model(args.model).uses_s:
             raise UsageError(f"--s: required for model {args.model!r} here")
         try:
-            spec = model(args.model, s)
+            pair = model(args.model, s).casimirs
         except ValueError as err:
             raise UsageError(str(err)) from err
-        return spec.casimirs, s
-    if args.c1 is None or args.c2 is None:
-        raise UsageError("--c1 and --c2 must be given together")
-    c1 = _parse_expr(args.c1, "--c1")
-    c2 = _parse_expr(args.c2, "--c2")
-    if s is not None:
-        c1, c2 = c1.substitute_s(s), c2.substitute_s(s)
-    return CasimirPair(c1, c2), s
-
-
-def _resolve_bivector(args, *, numeric: bool) -> tuple[Bivector, Optional[Fraction]]:
-    pair, s = _resolve_pair(args, numeric=numeric)
-    k = None
-    if getattr(args, "k", None) is not None:
-        k = _parse_expr(args.k, "--k")
-        if s is not None:
-            k = k.substitute_s(s)
+    else:
+        pair = CasimirPair(_expr(args, "--c1", s), _expr(args, "--c2", s))
+    k = _expr(args, "--k", s)
     try:
-        return flaschka_ratiu(pair, k=k), s
+        return flaschka_ratiu(pair, k), s
     except ValueError as err:
         raise UsageError(f"--k: {err}") from err
 
 
-def _at_point(fn, b: Bivector, p: Point4):
-    """fn(b, p); a float power that overflows is a mathematical failure."""
+def _at_point(fn, b: Bivector, text: str, s: Optional[Fraction]):
+    """The parsed --point p and fn(b, p); an overflow is a mathematical failure."""
+    p = _parse_point(text, s)
     try:
-        return fn(b, p)
+        return p, fn(b, p)
     except OverflowError as err:
         raise MathError(f"evaluation at {p} left double precision") from err
 
@@ -195,7 +182,7 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_bivector(args) -> None:
-    b, _ = _resolve_bivector(args, numeric=False)
+    b, _ = _source(args)
     data = bivector_to_json_dict(b)
     if args.format == "json":
         print(json.dumps(data, indent=2))
@@ -207,7 +194,7 @@ def _cmd_bivector(args) -> None:
 
 
 def _cmd_jacobi(args) -> None:
-    b, _ = _resolve_bivector(args, numeric=False)
+    b, _ = _source(args)
     verdict = is_poisson(b)
     if verdict:
         print("Poisson: true")
@@ -219,21 +206,17 @@ def _cmd_jacobi(args) -> None:
 
 
 def _cmd_casimir_check(args) -> None:
-    pair, s = _resolve_pair(args, numeric=False)
-    b = flaschka_ratiu(pair)
-    print(f"C1: {str(casimir_check(b, pair.c1)).lower()}")
-    print(f"C2: {str(casimir_check(b, pair.c2)).lower()}")
-    if args.h is not None:
-        h = _parse_expr(args.h, "--h")
-        if s is not None:
-            h = h.substitute_s(s)
+    b, s = _source(args)
+    print(f"C1: {str(casimir_check(b, b.casimirs.c1)).lower()}")
+    print(f"C2: {str(casimir_check(b, b.casimirs.c2)).lower()}")
+    h = _expr(args, "--h", s)
+    if h is not None:
         print(f"h: {str(casimir_check(b, h)).lower()}")
 
 
 def _cmd_rank(args) -> None:
-    b, s = _resolve_bivector(args, numeric=True)
-    p = _parse_point(args.point, s)
-    r = _at_point(rank_at, b, p)
+    b, s = _source(args)
+    p, r = _at_point(rank_at, b, args.point, s)
     if args.format == "json":
         print(json.dumps({"point": list(p.coords()), "s": p.s, "rank": r}))
     else:
@@ -243,10 +226,9 @@ def _cmd_rank(args) -> None:
 def _cmd_leaf_form(args) -> None:
     from .leaves import NotInImageError, SingularPointError, leaf_form_coefficient
 
-    b, s = _resolve_bivector(args, numeric=True)
-    p = _parse_point(args.point, s)
+    b, s = _source(args)
     try:
-        r = _at_point(leaf_form_coefficient, b, p)
+        p, r = _at_point(leaf_form_coefficient, b, args.point, s)
     except (SingularPointError, NotInImageError) as err:
         raise MathError(str(err)) from err
     if args.format == "json":
@@ -270,11 +252,9 @@ def _cmd_leaf_form(args) -> None:
 def _cmd_flow(args) -> None:
     from .leaves import NonFiniteError, flow
 
-    b, s = _resolve_bivector(args, numeric=True)
+    b, s = _source(args)
     p0 = _parse_point(args.point, s)
-    h = _parse_expr(args.h, "--h")
-    if s is not None:
-        h = h.substitute_s(s)
+    h = _expr(args, "--h", s)
     if not math.isfinite(args.dt):
         raise UsageError("--dt: must be finite")
     if args.dt < 0:
@@ -305,9 +285,8 @@ def _cmd_flow(args) -> None:
 
 
 def _cmd_locus(args) -> None:
-    pair, s = _resolve_pair(args, numeric=True)
-    p = _parse_point(args.point, s)
-    on_locus = _at_point(on_critical_locus, flaschka_ratiu(pair), p)
+    b, s = _source(args)
+    p, on_locus = _at_point(on_critical_locus, b, args.point, s)
     if args.format == "json":
         print(json.dumps({"point": list(p.coords()), "s": p.s, "critical": on_locus}))
     else:

@@ -301,8 +301,9 @@ def flow(
     to a closure returning all four field components, and each step one call
     to a closure returning the tracked quantities.  A float power that
     overflows raises ``OverflowError`` instead of giving inf, so an overflow
-    inside a step ends the flow as a non-finite coordinate does, and an
-    overflowing tracked quantity is recorded as inf.
+    inside a step ends the flow as a non-finite coordinate does, and one in
+    the tracked quantities records a row of inf, which ends it after the
+    last step as any non-finite tracked value does.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
@@ -317,22 +318,16 @@ def flow(
     pair = b.casimirs
     tracked = {"H": h} if pair is None else {"C1": pair.c1, "C2": pair.c2, "H": h}
     track = _fused_closure(tracked.values())
-
-    def track_each(x: float, y: float, z: float, t: float) -> tuple:
-        # Only the quantity whose power overflows is recorded as inf.
-        out = []
-        for e in tracked.values():
-            try:
-                out.append(e.compiled()(x, y, z, t, s))
-            except OverflowError:
-                out.append(math.inf)
-        return tuple(out)
+    lost_row = (math.inf,) * len(tracked)
 
     isfinite = math.isfinite
     half, sixth = 0.5 * dt, dt / 6.0
     x, y, z, t = map(float, p0.coords())
     states = [(x, y, z, t)]
-    rows = [track_each(x, y, z, t)]
+    try:
+        rows = [track(x, y, z, t, s)]
+    except OverflowError:
+        rows = [lost_row]
 
     for n in range(1, steps + 1):
         try:
@@ -362,7 +357,7 @@ def flow(
         try:
             rows.append(track(x, y, z, t, s))
         except OverflowError:
-            rows.append(track_each(x, y, z, t))
+            rows.append(lost_row)
 
     lost = "conserved quantities left double precision"
     try:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .expr import Expr, Point4, Record, parse
-from .poisson import Bivector, CasimirPair, flaschka_ratiu
+from .poisson import Bivector, CasimirPair, bivector_to_json_dict, flaschka_ratiu
 
 __all__ = [
     "MODEL_NAMES",
@@ -310,7 +310,6 @@ def catalogue_json_dict() -> dict:
     models = []
     for name in MODEL_NAMES:
         data, parsed = _CATALOGUE[name], _parsed(name)
-        matrix = expected_bivector(name).components
         models.append(
             {
                 "name": name,
@@ -318,11 +317,7 @@ def catalogue_json_dict() -> dict:
                 "coordinate_casimir": data["coordinate_casimir"],
                 "c1": str(parsed["c1"]),
                 "c2": str(parsed["c2"]),
-                "bivector": {
-                    "coords": ["x", "y", "z", "t"],
-                    "k": None,
-                    "matrix": [[str(entry) for entry in row] for row in matrix],
-                },
+                "bivector": bivector_to_json_dict(expected_bivector(name)),
                 "leaf_coefficient": _form_json(parsed["leaf"]),
                 "leaf_coefficient_chart": _form_json(parsed["leaf_chart"]),
                 "critical_locus": [str(eq) for eq in parsed["locus"]],

@@ -258,6 +258,49 @@ class TestFlow:
         assert "--h" in err and "column" in err
 
 
+# The options each math subcommand needs besides its source.
+REQUIRED_OPTIONS = {
+    "bivector": (),
+    "jacobi": (),
+    "casimir-check": ("--h", "x"),
+    "rank": ("--point", "1,0,0,1"),
+    "leaf-form": ("--point", "0,1,1,1"),
+    "flow": ("--h", "x", "--point", "0,1,1,1", "--steps", "3"),
+    "locus": ("--point", "1,0,0,1"),
+}
+
+
+class TestOneSource:
+    """Every math subcommand reads --model, --c1, --c2, --s and --k alike."""
+
+    @pytest.mark.parametrize("lone", [("--c1", "x"), ("--c2", "y")])
+    @pytest.mark.parametrize("command", list(REQUIRED_OPTIONS))
+    def test_lone_casimir_beside_model_is_usage_error(self, capsys, command, lone):
+        argv = (command, "--model", "cusp", *lone, *REQUIRED_OPTIONS[command])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("poisson4: error: provide exactly one of --model")
+
+    @pytest.mark.parametrize("k", ["x+", ")(", "0"])
+    @pytest.mark.parametrize("command", ["casimir-check", "locus"])
+    def test_bad_factor_is_usage_error(self, capsys, command, k):
+        argv = (command, "--model", "cusp", "--k", k, *REQUIRED_OPTIONS[command])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("poisson4: error: --k: ")
+
+    # k = x vanishes on the probe grid, and the probe warns.
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("k", ["1 + x^2 + y^2 + z^2 + t^2", "x"])
+    @pytest.mark.parametrize("command", ["casimir-check", "locus"])
+    def test_valid_factor_leaves_stdout_alone(self, capsys, command, k):
+        argv = (command, "--model", "cusp", *REQUIRED_OPTIONS[command])
+        plain = run_cli(capsys, *argv)
+        scaled = run_cli(capsys, *argv, "--k", k)
+        assert plain[0] == 0
+        assert scaled[:2] == plain[:2]
+
+
 # sha256 of `list-models --format json`: the catalogue export is pinned
 # byte for byte.
 CATALOGUE_JSON_SHA256 = (

@@ -1,0 +1,318 @@
+"""Output parity of the ``poisson4`` command line across two source trees.
+
+The corpus is a fixed, ordered list of invocations: every subcommand on
+every model and value of s, and on user-supplied Casimir pairs; the factor k
+absent, valid, malformed and zero; every ``--format``; a lone ``--c1`` or
+``--c2`` beside ``--model``; non-finite and overflowing points; bad ``--dt``
+and ``--steps``; and the README's "Command line" block.
+
+Each command runs in-process through ``poisson4.cli.main`` with warnings set
+to "always", so a repeated warning is reported every time and the result of
+a command does not depend on the ones before it.  A result is the exit code
+(or the exception that escaped ``main``), stdout, stderr, and the warnings
+raised: their category and message, with the ``file:line`` they cite kept
+apart, since it moves with any edit above it.
+
+Usage::
+
+    python tools/cli_parity.py OLD_TREE NEW_TREE
+    python tools/cli_parity.py --pins TREE > tests/cli_corpus_pins.json
+
+The first form runs the corpus in both trees (each a checkout holding
+``src/poisson4``), sorts every difference into "exit/stdout" or "stderr
+only", counts the warnings whose location moved, and prints the table and
+each differing command.  It exits 1 if a command in either tree exits
+outside {0, 1, 2}, and a difference alone never fails it.  The second form prints the exit code and the sha256 of stdout of every
+command, the pins that ``tests/test_cli_corpus.py`` checks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# (name, takes s); the catalogue is fixed, and the corpus must not depend on
+# the tree it runs in.
+MODELS = (
+    ("lefschetz", False),
+    ("fold", False),
+    ("cusp", False),
+    ("birth", True),
+    ("merge", True),
+    ("flip", True),
+    ("wrinkle", True),
+)
+S_VALUES = ("-1", "0", "1/2")
+
+# Absent; valid and positive; valid but vanishing on the probe grid (it
+# warns); malformed twice; zero.
+K_FACTORS = (None, "1+x^2+y^2+z^2+t^2", "x", "x+", ")(", "0")
+
+# A regular point, then critical, negative (after a space) and overflowing
+# ones.
+POINTS = (
+    "0.5,-0.25,0.75,1",
+    "0,0,0,0",
+    "1,0,0,1",
+    "-1,0,0,1",
+    "1e200,0,0,1",
+    "1,1e200,1e200,1",
+)
+# Points that are usage errors on any source.
+BAD_POINTS = ("nan,0,0,1", "1,-inf,0,0", "1,2,3", "1,a,0,0")
+
+USER_PAIRS = (
+    ("--c1", "t", "--c2", "x^3 - 3*x*t + y^2 - z^2"),
+    ("--c1", "x*s + y", "--c2", "z*t", "--s", "2"),
+    ("--c1", "x^2", "--c2", "y^2"),
+)
+
+# Sources that are usage errors however the rest of the command reads.
+BAD_SOURCES = (
+    (),
+    ("--model", "cusp", "--c1", "x"),
+    ("--model", "cusp", "--c2", "y"),
+    ("--model", "cusp", "--c1", "x", "--c2", "y"),
+    ("--c1", "x"),
+    ("--c2", "y"),
+    ("--c1", "x +", "--c2", "y"),
+    ("--c1", "x", "--c2", "w"),
+    ("--c1", "x^65", "--c2", "y"),
+    ("--model", "birth", "--s", "abc"),
+    ("--model", "birth", "--s", "1/0"),
+) + tuple(("--model", name, "--s", "1") for name, uses_s in MODELS if not uses_s)
+
+POINT_COMMANDS = ("rank", "leaf-form", "locus")
+
+
+def _by_factor(source: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Every math subcommand on a source with each factor; options rotate."""
+    out = []
+    for i, k in enumerate(K_FACTORS):
+        h = (None, "x +", "x", "x*y + s")[i % 4]
+        fmt = ("text", "json")[i % 2]
+        commands = [
+            ("bivector", *source, "--format", fmt),
+            ("jacobi", *source) + (("--expect-poisson",) if i % 2 else ()),
+            ("casimir-check", *source) + (() if h is None else ("--h", h)),
+            ("flow", *source, "--h", "x", "--point", "0,1,1,1", "--steps", "20",
+             "--format", ("csv", "text", "json")[i % 3]),
+        ]
+        commands += [
+            (command, *source, "--point", POINTS[0], "--format", fmt)
+            for command in POINT_COMMANDS
+        ]
+        out += [argv if k is None else argv + ("--k", k) for argv in commands]
+    return out
+
+
+def _by_point(source: tuple[str, ...], points) -> list[tuple[str, ...]]:
+    return [
+        (command, *source, "--point", point, "--format", ("text", "json")[i % 2])
+        for command in POINT_COMMANDS
+        for i, point in enumerate(points)
+    ]
+
+
+def _source_commands() -> list[tuple[str, ...]]:
+    out = []
+    for name, uses_s in MODELS:
+        for s in S_VALUES if uses_s else (None,):
+            source = ("--model", name) + (() if s is None else ("--s", s))
+            out += _by_factor(source) + _by_point(source, POINTS[1:])
+        if uses_s:
+            # s stays symbolic; the commands that take --point need it.
+            out += _by_factor(("--model", name))
+    for source in USER_PAIRS:
+        out += _by_factor(source) + _by_point(source, POINTS[1:])
+    for source in BAD_SOURCES:
+        out += _by_factor(source)[:7]  # each subcommand once, without k
+    return out + _by_point(("--model", "cusp"), BAD_POINTS)
+
+
+def _flow_commands() -> list[tuple[str, ...]]:
+    base = ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1")
+    out = [base + ("--dt", dt, "--steps", "5") for dt in ("nan", "inf", "-1", "abc", "0")]
+    out += [base + ("--steps", steps) for steps in ("0", "-3", "x", "1")]
+    out += [
+        base[:3] + ("--point", "0,1,1,1"),  # no --h
+        base[:4] + ("x +", "--point", "0,1,1,1"),
+        ("flow", "--model", "cusp", "--h", "x^4", "--point", "10,10,10,10",
+         "--dt", "1", "--steps", "5"),
+        ("flow", "--model", "fold", "--h", "x", "--point", "1e200,1,1,1", "--steps", "3"),
+        ("flow", "--model", "cusp", "--h", "1" + "0" * 400, "--point", "0,1,1,1",
+         "--steps", "2"),
+    ]
+    return out
+
+
+def _other_commands() -> list[tuple[str, ...]]:
+    return [
+        ("list-models",),
+        ("list-models", "--format", "text"),
+        ("list-models", "--format", "json"),
+        ("list-models", "--format", "csv"),
+        ("--version",),
+        (),
+        ("no-such-command",),
+        ("bivector", "--model", "cusp", "--format", "csv"),
+        ("rank", "--model", "cusp"),
+        ("rank", "--model", "fold", "--k", "x*y", "--point=1,1e200,1e200,1"),
+        ("leaf-form", "--model", "fold", "--k", "x*y", "--point=1,1e200,1e200,1"),
+        ("rank", "--model", "fold", "--k", "x*y", "--point=1e160,1,1,1"),
+        ("jacobi", "--model", "cusp", "--k", "1" + "0" * 400 + "*x + 1"),
+    ]
+
+
+def readme_commands() -> list[tuple[str, ...]]:
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        tuple(shlex.split(line)[1:])
+        for line in block.splitlines()
+        if line.startswith("poisson4 ")
+    ]
+
+
+def corpus() -> list[tuple[str, ...]]:
+    """The ordered corpus, each command once."""
+    commands = _source_commands() + _flow_commands() + _other_commands()
+    commands += readme_commands()
+    return list(dict.fromkeys(commands))
+
+
+def run_command(main, argv) -> dict:
+    """One command in-process: exit, stdout, stderr, warnings and their sites."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except Exception as exc:  # recorded: the contract allows none
+                code = f"exception: {type(exc).__name__}: {exc}"
+    return {
+        "exit": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue(),
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+        "sites": [f"{w.filename}:{w.lineno}" for w in caught],
+    }
+
+
+def _worker(tree: Path) -> None:
+    """Run the corpus against ``tree/src`` and print the results as JSON."""
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    from poisson4 import cli
+
+    if not cli.__file__.startswith(str(src)):
+        raise SystemExit(f"imported {cli.__file__}, not the tree's")
+    results = [run_command(cli.main, argv) for argv in corpus()]
+    for result in results:
+        result["sites"] = [
+            os.path.relpath(site, src) if site.startswith(str(src)) else site
+            for site in result["sites"]
+        ]
+    json.dump(results, sys.stdout)
+
+
+def run_tree(tree: Path) -> list[dict]:
+    """The corpus results of one tree, from a fresh interpreter."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", str(tree)],
+        capture_output=True, text=True, env=env,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"corpus run in {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def pins(tree: Path) -> dict[str, list]:
+    """[exit, sha256 of stdout] per command.
+
+    ``leaf-form`` prints the digits of LAPACK solves, whose last bits may
+    differ with the BLAS build, so only its exit code is pinned.
+    """
+    return {
+        shlex.join(argv): [
+            result["exit"],
+            None
+            if argv[:1] == ("leaf-form",)
+            else hashlib.sha256(result["stdout"].encode()).hexdigest(),
+        ]
+        for argv, result in zip(corpus(), run_tree(tree))
+    }
+
+
+def compare(old_tree: Path, new_tree: Path) -> int:
+    commands = corpus()
+    old, new = run_tree(old_tree), run_tree(new_tree)
+    groups: collections.Counter = collections.Counter()
+    moved: collections.Counter = collections.Counter()
+    listed = []
+    bad = 0
+    for argv, a, b in zip(commands, old, new):
+        bad += sum(r["exit"] not in (0, 1, 2) for r in (a, b))
+        if (a["exit"], a["stdout"]) != (b["exit"], b["stdout"]):
+            kind = "exit/stdout"
+        elif (a["stderr"], a["warnings"]) != (b["stderr"], b["warnings"]):
+            kind = "stderr only"
+        else:
+            kind = None
+        if a["warnings"] == b["warnings"]:
+            for site_a, site_b in zip(a["sites"], b["sites"]):
+                if site_a != site_b:
+                    moved[(site_a, site_b)] += 1
+        if kind is not None:
+            command = argv[0] if argv else "(none)"
+            groups[(kind, command, a["exit"], b["exit"])] += 1
+            listed.append(f"{kind:<12} {a['exit']} -> {b['exit']}  {shlex.join(argv)}")
+
+    print(f"commands: {len(commands)}")
+    print(f"identical exit, stdout, stderr and warnings: {len(commands) - len(listed)}")
+    print(f"{'difference':<12} {'subcommand':<14} {'exit old -> new':<16} count")
+    for (kind, command, code_a, code_b), count in sorted(groups.items(), key=str):
+        print(f"{kind:<12} {command:<14} {f'{code_a} -> {code_b}':<16} {count}")
+    for (site_a, site_b), count in sorted(moved.items()):
+        print(f"warning site {site_a} -> {site_b}: {count}")
+    print(f"exits outside {{0, 1, 2}}: {bad}")
+    if listed:
+        print("\ndiffering commands:\n" + "\n".join(listed))
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
+    parser.add_argument("--pins", type=Path, metavar="TREE", help="print TREE's pins")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker is not None:
+        _worker(args.worker)
+        return 0
+    if args.pins is not None:
+        lines = [f"{json.dumps(c)}: {json.dumps(v)}" for c, v in pins(args.pins).items()]
+        print("{\n" + ",\n".join(lines) + "\n}")
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give OLD_TREE and NEW_TREE, or --pins TREE")
+    return compare(*args.trees)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
