@@ -3,16 +3,19 @@
 Every math subcommand is a thin adapter over the library.  Its inputs are
 resolved in one place, :func:`_source`: the parameter ``--s``, exactly one of
 ``--model`` or both ``--c1`` and ``--c2``, and the conformal factor ``--k``,
-each expression parsed with s substituted, give the bivector.  The command
-then calls one library operation and prints the payload; the commands that
-take ``--point`` evaluate there through :func:`_at_point`.  Exit codes: 0
-success, 1 mathematical failure (singular point, anchor not in the image,
-non-Poisson verdict under --expect-poisson, non-finite trajectory, an
-evaluation that overflows), 2 usage error.
+each expression parsed with s substituted, give the bivector; ``--point``,
+``--h``, ``--dt`` and ``--steps`` are checked there too, before the bivector
+is built, so a usage error prints nothing else.  The command then calls one
+library operation and prints the payload; the commands that take ``--point``
+evaluate there through :func:`_at_point`.  Exit codes: 0 success, 1
+mathematical failure (singular point, anchor not in the image, non-Poisson
+verdict under --expect-poisson, non-finite trajectory, an evaluation that
+overflows), 2 usage error.
 
 ``leaves`` is imported inside ``flow`` and ``leaf-form``, the two commands
-that use it, as numpy is imported where linear algebra runs: the other
-commands start without either.
+that use it.  numpy is imported only by ``leaf-form``, for its least-squares
+and linear solves; ``rank`` takes its singular values in closed form on
+Python floats, so every other command starts without numpy.
 """
 
 from __future__ import annotations
@@ -142,18 +145,22 @@ def _expr(args, flag: str, s: Optional[Fraction]) -> Optional[Expr]:
     return e if s is None else e.substitute_s(s)
 
 
-def _source(args) -> tuple[Bivector, Optional[Fraction]]:
-    """The bivector of --model or --c1/--c2 with --k, and the value of --s.
+def _source(args) -> tuple[Bivector, Optional[Point4], Optional[Expr]]:
+    """The bivector of --model or --c1/--c2 with --k, --point and --h.
 
-    A command that takes --point evaluates at a value of s, so a parametric
-    model needs --s there.
+    Every option the command takes (--s, the source, --k, --point, --h, --dt
+    and --steps) is checked before the bivector is built, so a usage error is
+    never preceded by the probe's warning about k.  A command that takes
+    --point evaluates at a value of s, so a parametric model needs --s there.
+    The point and h are None for a command without them.
     """
     s = _parse_s(args.s)
+    options = vars(args)
     given = sum(text is not None for text in (args.c1, args.c2))
     if given != (0 if args.model is not None else 2):
         raise UsageError("provide exactly one of --model or both --c1 and --c2")
     if args.model is not None:
-        if s is None and "point" in vars(args) and model(args.model).uses_s:
+        if s is None and "point" in options and model(args.model).uses_s:
             raise UsageError(f"--s: required for model {args.model!r} here")
         try:
             pair = model(args.model, s).casimirs
@@ -162,17 +169,25 @@ def _source(args) -> tuple[Bivector, Optional[Fraction]]:
     else:
         pair = CasimirPair(_expr(args, "--c1", s), _expr(args, "--c2", s))
     k = _expr(args, "--k", s)
+    p = _parse_point(args.point, s) if "point" in options else None
+    h = _expr(args, "--h", s) if "h" in options else None
+    if "dt" in options:
+        if not math.isfinite(args.dt):
+            raise UsageError("--dt: must be finite")
+        if args.dt < 0:
+            raise UsageError("--dt: must be non-negative")
+        if args.steps < 1:
+            raise UsageError("--steps: must be at least 1")
     try:
-        return flaschka_ratiu(pair, k), s
+        return flaschka_ratiu(pair, k), p, h
     except ValueError as err:
         raise UsageError(f"--k: {err}") from err
 
 
-def _at_point(fn, b: Bivector, text: str, s: Optional[Fraction]):
-    """The parsed --point p and fn(b, p); an overflow is a mathematical failure."""
-    p = _parse_point(text, s)
+def _at_point(fn, b: Bivector, p: Point4):
+    """fn(b, p); an overflow is a mathematical failure."""
     try:
-        return p, fn(b, p)
+        return fn(b, p)
     except OverflowError as err:
         raise MathError(f"evaluation at {p} left double precision") from err
 
@@ -182,7 +197,7 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_bivector(args) -> None:
-    b, _ = _source(args)
+    b, _, _ = _source(args)
     data = bivector_to_json_dict(b)
     if args.format == "json":
         print(json.dumps(data, indent=2))
@@ -194,7 +209,7 @@ def _cmd_bivector(args) -> None:
 
 
 def _cmd_jacobi(args) -> None:
-    b, _ = _source(args)
+    b, _, _ = _source(args)
     verdict = is_poisson(b)
     if verdict:
         print("Poisson: true")
@@ -206,17 +221,16 @@ def _cmd_jacobi(args) -> None:
 
 
 def _cmd_casimir_check(args) -> None:
-    b, s = _source(args)
+    b, _, h = _source(args)
     print(f"C1: {str(casimir_check(b, b.casimirs.c1)).lower()}")
     print(f"C2: {str(casimir_check(b, b.casimirs.c2)).lower()}")
-    h = _expr(args, "--h", s)
     if h is not None:
         print(f"h: {str(casimir_check(b, h)).lower()}")
 
 
 def _cmd_rank(args) -> None:
-    b, s = _source(args)
-    p, r = _at_point(rank_at, b, args.point, s)
+    b, p, _ = _source(args)
+    r = _at_point(rank_at, b, p)
     if args.format == "json":
         print(json.dumps({"point": list(p.coords()), "s": p.s, "rank": r}))
     else:
@@ -226,9 +240,9 @@ def _cmd_rank(args) -> None:
 def _cmd_leaf_form(args) -> None:
     from .leaves import NotInImageError, SingularPointError, leaf_form_coefficient
 
-    b, s = _source(args)
+    b, p, _ = _source(args)
     try:
-        p, r = _at_point(leaf_form_coefficient, b, args.point, s)
+        r = _at_point(leaf_form_coefficient, b, p)
     except (SingularPointError, NotInImageError) as err:
         raise MathError(str(err)) from err
     if args.format == "json":
@@ -252,15 +266,7 @@ def _cmd_leaf_form(args) -> None:
 def _cmd_flow(args) -> None:
     from .leaves import NonFiniteError, flow
 
-    b, s = _source(args)
-    p0 = _parse_point(args.point, s)
-    h = _expr(args, "--h", s)
-    if not math.isfinite(args.dt):
-        raise UsageError("--dt: must be finite")
-    if args.dt < 0:
-        raise UsageError("--dt: must be non-negative")
-    if args.steps < 1:
-        raise UsageError("--steps: must be at least 1")
+    b, p0, h = _source(args)
     try:
         traj = flow(b, h, p0, args.dt, args.steps)
     except NonFiniteError as err:
@@ -285,8 +291,8 @@ def _cmd_flow(args) -> None:
 
 
 def _cmd_locus(args) -> None:
-    b, s = _source(args)
-    p, on_locus = _at_point(on_critical_locus, b, args.point, s)
+    b, p, _ = _source(args)
+    on_locus = _at_point(on_critical_locus, b, p)
     if args.format == "json":
         print(json.dumps({"point": list(p.coords()), "s": p.s, "critical": on_locus}))
     else:

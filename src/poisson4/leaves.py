@@ -4,9 +4,11 @@ A regular point of a rank-2 bivector sits on a two-dimensional leaf whose
 tangent plane is the image of the evaluated component matrix B.  B is
 evaluated once per point, from the one source text of ``expr`` (graded-lex
 sums, signed zeros as in Python), and the rank check, the frame, both anchor
-solves and the chart all read that matrix.  The leaf symplectic form is
-recovered by solving the anchor equation B(alpha) = u and pairing:
-omega(u, v) = <alpha, v> = -<beta, u>.  Any two anchor solutions
+solves and the chart all read that matrix.  The rank check is the closed form
+of ``poisson.rank_at`` on the matrix's six upper entries; numpy runs only the
+frame, the least-squares anchor solves and the chart-lift solve.  The leaf
+symplectic form is recovered by solving the anchor equation B(alpha) = u and
+pairing: omega(u, v) = <alpha, v> = -<beta, u>.  Any two anchor solutions
 differ by a combination of dC1, dC2, which annihilates tangent vectors, so
 the pairing is well defined.
 
@@ -101,10 +103,13 @@ class LeafFormResult(Record):
 
 
 def _regular_matrix(b: Bivector, p: Point4) -> np.ndarray:
-    """B_p, evaluated once; :class:`SingularPointError` where its rank is < 2."""
+    """B_p, evaluated once; :class:`SingularPointError` where its rank is < 2.
+
+    The rank is that of ``rank_at``, taken on the entries of this matrix.
+    """
     _warn_if_k_vanishes(b, p)
     m = bivector_matrix_at(b, p)
-    if _rank(m) < 2:
+    if _rank([float(m[i, j]) for i, j in COORD_PAIRS]) < 2:
         raise SingularPointError(
             f"bivector is singular at {p}; the leaf through it is a point"
         )

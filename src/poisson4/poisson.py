@@ -20,8 +20,9 @@ bivector; for a decomposable one (every Casimir-pair bivector) Pf = 0,
 pi ^ pi = 0 and J(k*pi) = k^2 * J(pi) (Vaisman, *Lectures on the Geometry of
 Poisson Manifolds*, 1994).  So only the unscaled Jacobiator is expanded.
 
-numpy is imported only inside the numeric functions (see ``expr``); the sign
-probe of k runs on Python floats.
+numpy is imported only inside ``bivector_matrix_at`` and the ``as_array``
+helpers (see ``expr``); the sign probe of k and the rank at a point run on
+Python floats.
 """
 
 from __future__ import annotations
@@ -373,21 +374,31 @@ def _contract(m, dh: Covector4) -> tuple[Expr, ...]:
     return tuple(sum((e * d for e, d in zip(row, dh)), Expr.zero()) for row in m)
 
 
+def _upper_at(b: Bivector, p: Point4) -> tuple[float, ...]:
+    """The six k-scaled entries above the diagonal at p, in ``COORD_PAIRS`` order.
+
+    Python floats (absent k -> 1); an entry that is not finite raises
+    ``OverflowError``.
+    """
+    scale = 1.0 if b.conformal is None else b.conformal.evaluate(p)
+    upper = tuple(b.components[i][j].evaluate(p) * scale for i, j in COORD_PAIRS)
+    if not all(map(math.isfinite, upper)):
+        raise OverflowError(f"bracket matrix at {p} is not finite")
+    return upper
+
+
 def bivector_matrix_at(b: Bivector, p: Point4) -> np.ndarray:
     """Evaluate the scaled component matrix at a point (absent k -> 1).
 
-    An entry that is not finite raises ``OverflowError``.
+    The entries are those of :func:`_upper_at`; one that is not finite raises
+    ``OverflowError``.
     """
     import numpy as np
 
     m = np.zeros((4, 4))
-    scale = 1.0 if b.conformal is None else b.conformal.evaluate(p)
-    for i, j in COORD_PAIRS:
-        v = b.components[i][j].evaluate(p) * scale
+    for (i, j), v in zip(COORD_PAIRS, _upper_at(b, p)):
         m[i, j] = v
         m[j, i] = -v
-    if not np.isfinite(m).all():
-        raise OverflowError(f"bracket matrix at {p} is not finite")
     return m
 
 
@@ -401,24 +412,41 @@ def _warn_if_k_vanishes(b: Bivector, p: Point4) -> None:
         )
 
 
-def _rank(m: np.ndarray) -> int:
-    """Numeric rank (0, 2 or 4) of an evaluated component matrix."""
-    import numpy as np
+def _rank(upper: Sequence[float]) -> int:
+    """Numeric rank (0, 2 or 4) of an antisymmetric 4x4 matrix B.
 
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    sv = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.sum(sv > RANK_RELATIVE_THRESHOLD * scale))
-    return rank - (rank % 2)  # antisymmetric matrices have even rank
+    ``upper`` holds the six finite entries of B above the diagonal, in
+    ``COORD_PAIRS`` order.  B has singular values s1, s1, s2, s2 with s1^2 + s2^2 = F, the sum of the
+    squared entries, and s1 * s2 = |Pf B|, since det B = Pf(B)^2 (Horn &
+    Johnson, *Matrix Analysis*).  Both are taken on B scaled by an exact power
+    of two to max|entry| in [1/2, 1), where F cannot overflow:
+    s1 = sqrt((F + sqrt(F^2 - 4 Pf^2)) / 2) and s2 = |Pf| / s1, which does not
+    cancel.  A pair of singular values counts where it exceeds
+    ``RANK_RELATIVE_THRESHOLD`` times max|entry|, floored at 1e-300, under
+    the same power of two.
+    """
+    big = max(map(abs, upper))
+    if big == 0.0:
+        return 0
+    _, exponent = math.frexp(big)
+    b01, b02, b03, b12, b13, b23 = (math.ldexp(v, -exponent) for v in upper)
+    f = b01 * b01 + b02 * b02 + b03 * b03 + b12 * b12 + b13 * b13 + b23 * b23
+    pf = b01 * b23 - b02 * b13 + b03 * b12
+    s1 = math.sqrt((f + math.sqrt(max(f * f - 4.0 * pf * pf, 0.0))) / 2.0)
+    s2 = abs(pf) / s1
+    cut = RANK_RELATIVE_THRESHOLD * math.ldexp(max(big, 1e-300), -exponent)
+    return 2 * (s1 > cut) + 2 * (s2 > cut)
 
 
 def rank_at(b: Bivector, p: Point4) -> int:
     """Numeric rank (0, 2 or 4) of the evaluated component matrix.
 
-    Uses a singular-value cutoff of 1e-9 relative to the largest entry
+    Runs :func:`_rank` on the six entries of :func:`_upper_at`, on Python
+    floats: a singular-value cutoff of 1e-9 relative to the largest entry
     magnitude (floored at 1e-300 so the zero matrix is well-defined).
     """
     _warn_if_k_vanishes(b, p)
-    return _rank(bivector_matrix_at(b, p))
+    return _rank(_upper_at(b, p))
 
 
 def hamiltonian_field(b: Bivector, h: Expr) -> Vector4:

@@ -5,9 +5,11 @@ import json
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 from test_leaves import _combo_flow_inputs, _reference_flow_csv
+from test_poisson import _reference_rank
 
 import poisson4
 from poisson4 import models
@@ -56,15 +58,19 @@ LOCUS_INPUTS = [
 ]
 
 
-def _matrix_locus_verdict(source, point) -> bool:
-    """The locus test on the evaluated 4x4 matrix, as the CLI once wrote it."""
+def _matrix_at(source, point):
+    """The evaluated 4x4 matrix of a LOCUS_INPUTS source at a point."""
     flags = dict(zip(source[::2], source[1::2]))
     if "--model" in flags:
         pair = model(flags["--model"], flags.get("--s")).casimirs
     else:
         pair = CasimirPair(parse(flags["--c1"]), parse(flags["--c2"]))
-    p = Point4(*map(float, point.split(",")))
-    return bool((abs(bivector_matrix_at(flaschka_ratiu(pair), p)) <= 1e-9).all())
+    return bivector_matrix_at(flaschka_ratiu(pair), Point4(*map(float, point.split(","))))
+
+
+def _matrix_locus_verdict(source, point) -> bool:
+    """The locus test on the evaluated 4x4 matrix, as the CLI once wrote it."""
+    return bool((abs(_matrix_at(source, point)) <= 1e-9).all())
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +145,11 @@ class TestCasimirCheck:
         code, out, _ = run_cli(capsys, "casimir-check", "--model", "cusp", "--h", "x")
         assert out.splitlines()[-1] == "h: false"
 
+    def test_bad_extra_function_prints_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "casimir-check", "--model", "cusp", "--h", "x +")
+        assert (code, out) == (2, "")
+        assert err.startswith("poisson4: error: --h: ")
+
 
 class TestRankAndLocus:
     def test_rank_values(self, capsys):
@@ -163,6 +174,17 @@ class TestRankAndLocus:
             assert (code, out) == (0, f"critical: {str(expected).lower()}\n")
             verdicts.add(expected)
         assert verdicts == {True, False}
+
+    def test_rank_matches_the_svd(self, capsys):
+        # The closed form against the SVD it replaced, on and off each
+        # model's critical locus.
+        ranks = set()
+        for source, point in LOCUS_INPUTS:
+            code, out, _ = run_cli(capsys, "rank", *source, "--point", point)
+            want = _reference_rank(_matrix_at(source, point))
+            assert (code, out) == (0, f"rank: {want}\n"), (source, point)
+            ranks.add(want)
+        assert ranks == {0, 2}
 
     def test_missing_s_for_parametric_model(self, capsys):
         code, _, err = run_cli(capsys, "rank", "--model", "birth", "--point", "0,1,0,0")
@@ -288,6 +310,27 @@ class TestOneSource:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("poisson4: error: --k: ")
+
+    # k = x vanishes on the probe grid, so the probe would warn; every option
+    # is checked before it runs.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rank", "--point", "0,1,1"),
+            ("leaf-form", "--point", "nan,0,0,1"),
+            ("locus", "--point", "1,a,0,0"),
+            ("casimir-check", "--h", "x +"),
+            ("flow", "--h", "x", "--point", "0,1,1,1", "--dt", "nan"),
+            ("flow", "--h", "x", "--point", "0,1,1,1", "--steps", "0"),
+            ("flow", "--h", "x +", "--point", "0,1,1,1"),
+        ],
+    )
+    def test_usage_error_comes_before_the_factor_probe(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv[0], "--model", "cusp", "--k", "x", *argv[1:])
+        assert (code, out, caught) == (2, "", [])
+        assert err.startswith("poisson4: error: --") and err.count("\n") == 1
 
     # k = x vanishes on the probe grid, and the probe warns.
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -546,16 +589,18 @@ class TestInputContract:
              "--point", "0,1,1,1", "--steps", "10"],
             ["rank", "--model", "cusp", "--point", "nan,0,0,1"],
             ["rank", "--model", "cusp", "--point", "1,0,0,1"],
+            ["leaf-form", "--model", "cusp", "--point", "0,1,1,1"],
         ]
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(commands)],
             capture_output=True, text=True, check=True,
         )
         seen = json.loads(proc.stdout)
-        assert seen[:-2] == [["import", 0, False]] + [
-            [argv[0], 0, False] for argv in commands[:-2]
+        assert seen[:-3] == [["import", 0, False]] + [
+            [argv[0], 0, False] for argv in commands[:-3]
         ]
-        assert seen[-2:] == [["rank", 2, False], ["rank", 0, True]]
+        # rank takes its singular values in closed form; leaf-form solves.
+        assert seen[-3:] == [["rank", 2, False], ["rank", 0, False], ["leaf-form", 0, True]]
 
     def test_cold_start_leaves_out_dataclasses_and_leaves(self):
         # One fresh interpreter reports, after the imports and after each
@@ -581,6 +626,7 @@ class TestInputContract:
             ["jacobi", "--model", "cusp", "--k", "1 + x^2 + y^2 + z^2 + t^2"],
             ["casimir-check", "--model", "cusp", "--h", "x"],
             ["locus", "--model", "cusp", "--point", "1,0,0,1"],
+            ["rank", "--model", "cusp", "--point", "1,0,0,1"],
             ["bivector", "--c1", "t"],
             ["flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--steps", "10"],
             ["leaf-form", "--model", "cusp", "--point", "0,1,1,1"],
@@ -597,6 +643,7 @@ class TestInputContract:
             ["jacobi", 0, []],
             ["casimir-check", 0, []],
             ["locus", 0, []],
+            ["rank", 0, []],
             ["bivector", 2, []],
             ["flow", 0, ["poisson4.leaves"]],
         ]

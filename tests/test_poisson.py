@@ -10,6 +10,8 @@ import pytest
 from poisson4.expr import COORD_NAMES, VARS, Expr, Point4, parse
 from poisson4.models import MODEL_NAMES, model
 from poisson4.poisson import (
+    COORD_PAIRS,
+    RANK_RELATIVE_THRESHOLD,
     TRIPLES,
     _PROBE_AXIS,
     Bivector,
@@ -28,6 +30,8 @@ from poisson4.poisson import (
     jacobiator,
     linear_part,
     rank_at,
+    _rank,
+    _upper_at,
 )
 
 CUSP = CasimirPair(parse("t"), parse("x^3 - 3*x*t + y^2 - z^2"))
@@ -549,6 +553,126 @@ class TestRank:
             b = flaschka_ratiu(CUSP, k=parse("x"))
         with pytest.warns(ConformalFactorWarning):
             rank_at(b, Point4(0, 1, 1, 1))
+
+
+def _reference_rank(m: np.ndarray) -> int:
+    """The numeric rank by numpy's SVD, as ``rank_at`` once computed it."""
+    scale = max(float(np.max(np.abs(m))), 1e-300)
+    sv = np.linalg.svd(m, compute_uv=False)
+    rank = int(np.sum(sv > RANK_RELATIVE_THRESHOLD * scale))
+    return rank - (rank % 2)  # antisymmetric matrices have even rank
+
+
+def _exact_rank(upper) -> int:
+    """The rank at the cutoff tau, decided on the float entries as rationals.
+
+    s1^2 and s2^2 are the roots of q(l) = l^2 - F*l + Pf^2, so s2 > tau iff
+    q(tau^2) > 0 and tau^2 < F/2, and s1 > tau iff tau^2 < F/2 or
+    q(tau^2) < 0.  tau is the threshold times max|entry| floored at 1e-300.
+    """
+    e = [Fraction(v) for v in upper]
+    tau2 = (Fraction(RANK_RELATIVE_THRESHOLD) * max(*map(abs, e), Fraction(1e-300))) ** 2
+    f = sum(v * v for v in e)
+    pf = e[0] * e[5] - e[1] * e[4] + e[2] * e[3]
+    q = tau2 * tau2 - f * tau2 + pf * pf
+    return 2 * (tau2 < f / 2 or q < 0) + 2 * (q > 0 and tau2 < f / 2)
+
+
+def _matrix(upper) -> np.ndarray:
+    m = np.zeros((4, 4))
+    for (i, j), v in zip(COORD_PAIRS, upper):
+        m[i, j], m[j, i] = v, -v
+    return m
+
+
+def _two_plane_upper(rng, s1: float, s2: float) -> tuple[float, ...]:
+    """Upper entries of s1*(u^v) + s2*(w^x) for a random orthonormal u, v, w, x.
+
+    Its singular values are s1, s1, s2, s2; the entries are the floats
+    nearest those products, so the exact matrix is within rounding of that.
+    """
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    u, v, w, x = q.T
+    return tuple(
+        float(s1 * (u[i] * v[j] - u[j] * v[i]) + s2 * (w[i] * x[j] - w[j] * x[i]))
+        for i, j in COORD_PAIRS
+    )
+
+
+class TestClosedFormRank:
+    """``_rank`` against the SVD it replaced and an exact verdict."""
+
+    SCALES = (1e-305, 1e-300, 1e-290, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300)
+    # s2 as a multiple of the cutoff tau; 0 is an exact rank-2 construction.
+    RATIOS = (0.0, 1e-7, 0.5, 1 - 1e-4, 1 - 1e-5 * 1.01, 1 + 1e-5 * 1.01,
+              1 + 1e-4, 2.0, 1e3, 1e9)
+
+    def _agree(self, upper, s2_over_tau=None):
+        want = _exact_rank(upper)
+        assert _rank(upper) == want, (upper, s2_over_tau)
+        assert _reference_rank(_matrix(upper)) == want, (upper, s2_over_tau)
+        return want
+
+    def test_zero_matrix(self):
+        assert self._agree((0.0,) * 6) == 0
+        assert self._agree((-0.0, 0.0, -0.0, 0.0, 0.0, -0.0)) == 0
+
+    def test_subnormal_entries(self):
+        # Below the 1e-300 floor every entry is negligible.
+        for upper in [(5e-324, 0, 0, 0, 0, 0), (1e-310, -3e-315, 0, 2e-320, 0, 1e-310)]:
+            assert self._agree(upper) == 0
+        # A subnormal part beside normal entries: rank 2 or 4 by the cutoff.
+        assert self._agree((1e-300, 0, 0, 0, 0, 1e-310)) == 2
+        assert self._agree((1e-300, 0, 0, 0, 0, 2e-308)) == 4
+
+    def test_exact_rank_two(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            a, c = rng.integers(-9, 10, size=(2, 4))
+            scale = 2.0 ** int(rng.integers(-1000, 1000))
+            upper = tuple(
+                float(a[i] * c[j] - a[j] * c[i]) * scale for i, j in COORD_PAIRS
+            )
+            assert self._agree(upper) == (2 if any(upper) else 0)
+
+    def test_two_planes_across_scales(self):
+        # Wherever s2 lies outside tau * (1 +/- 1e-5), the closed form, the
+        # SVD and the exact verdict agree.  Inside that band both float
+        # methods carry a relative error of about 1e-7 and may differ.
+        rng = np.random.default_rng(43)
+        checked = 0
+        for scale in self.SCALES:
+            for ratio in self.RATIOS:
+                for _ in range(12):
+                    # tau = 1e-9 * max(max|entry|, 1e-300); max|entry| is at
+                    # most s1 and rarely far below it.
+                    probe = _two_plane_upper(rng, scale, 0.0)
+                    tau = RANK_RELATIVE_THRESHOLD * max(max(map(abs, probe)), 1e-300)
+                    upper = _two_plane_upper(rng, scale, ratio * tau)
+                    big = max(max(map(abs, upper)), 1e-300)
+                    s2_over_tau = ratio * tau / (RANK_RELATIVE_THRESHOLD * big)
+                    if abs(s2_over_tau - 1) <= 1e-5:
+                        continue
+                    self._agree(upper, s2_over_tau)
+                    checked += 1
+        assert checked > 800
+
+    def test_non_finite_entry_raises(self):
+        # At x = 1e10, k = 1e300 and k * 2z = 2e310 is inf; at x = 1e11 the
+        # power x^30 itself overflows.
+        b = flaschka_ratiu(CUSP, k=parse("3 + x^30"))
+        for p in (Point4(1e10, 1, 1e10, 1), Point4(1e11, 1, 1, 1)):
+            with pytest.raises(OverflowError):
+                _upper_at(b, p)
+
+    def test_matches_the_matrix_entries(self):
+        b = flaschka_ratiu(WRINKLE, k=parse("1 + x^2 + y^2 + z^2 + t^2"))
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            p = Point4(*rng.uniform(-2, 2, size=4), s=rng.uniform(-1, 1))
+            m = bivector_matrix_at(b, p)
+            assert _upper_at(b, p) == tuple(float(m[i, j]) for i, j in COORD_PAIRS)
+            assert rank_at(b, p) == _reference_rank(m)
 
 
 class TestHamiltonianField:
