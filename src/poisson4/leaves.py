@@ -5,7 +5,7 @@ tangent plane is the image of the evaluated component matrix B.  B is
 evaluated once per point, from the one source text of ``expr`` (graded-lex
 sums, signed zeros as in Python), and the rank check, the frame, both anchor
 solves and the chart all read that matrix.  The rank check is the closed form
-of ``poisson.rank_at`` on the matrix's six upper entries; numpy runs only the
+of ``poisson.rank_at``, run on that matrix; numpy runs only the
 frame, the least-squares anchor solves and the chart-lift solve.  The leaf
 symplectic form is recovered by solving the anchor equation B(alpha) = u and
 pairing: omega(u, v) = <alpha, v> = -<beta, u>.  Any two anchor solutions
@@ -41,7 +41,7 @@ from .poisson import (
     CasimirPair,
     Covector4,
     Vector4,
-    _rank,
+    _rank_of_matrix,
     _warn_if_k_vanishes,
     bivector_matrix_at,
     hamiltonian_field,
@@ -109,7 +109,7 @@ def _regular_matrix(b: Bivector, p: Point4) -> np.ndarray:
     """
     _warn_if_k_vanishes(b, p)
     m = bivector_matrix_at(b, p)
-    if _rank([float(m[i, j]) for i, j in COORD_PAIRS]) < 2:
+    if _rank_of_matrix(m) < 2:
         raise SingularPointError(
             f"bivector is singular at {p}; the leaf through it is a point"
         )

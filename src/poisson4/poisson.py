@@ -438,6 +438,11 @@ def _rank(upper: Sequence[float]) -> int:
     return 2 * (s1 > cut) + 2 * (s2 > cut)
 
 
+def _rank_of_matrix(m: np.ndarray) -> int:
+    """:func:`_rank` of an antisymmetric 4x4 matrix, read from its upper entries."""
+    return _rank([float(m[i, j]) for i, j in COORD_PAIRS])
+
+
 def rank_at(b: Bivector, p: Point4) -> int:
     """Numeric rank (0, 2 or 4) of the evaluated component matrix.
 

@@ -31,6 +31,7 @@ from poisson4.poisson import (
     linear_part,
     rank_at,
     _rank,
+    _rank_of_matrix,
     _upper_at,
 )
 
@@ -672,7 +673,7 @@ class TestClosedFormRank:
             p = Point4(*rng.uniform(-2, 2, size=4), s=rng.uniform(-1, 1))
             m = bivector_matrix_at(b, p)
             assert _upper_at(b, p) == tuple(float(m[i, j]) for i, j in COORD_PAIRS)
-            assert rank_at(b, p) == _reference_rank(m)
+            assert rank_at(b, p) == _rank_of_matrix(m) == _reference_rank(m)
 
 
 class TestHamiltonianField:

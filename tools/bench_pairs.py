@@ -12,7 +12,8 @@ deletes every ``__pycache__`` directory under both trees, and each run gets
 every start: a bytecode cache in one tree only reads as a cli-cold
 difference between identical import paths.
 
-One pair is one run per tree on the same seed; the side that runs first
+One pair is one run per tree on the same seed, of the length
+``BENCHMARK.json`` sets as ``run_seconds``; the side that runs first
 alternates from pair to pair.  Only the last stdout line of
 ``perfbench/run.py`` is read.  The record ``BENCH_<label>.json`` (in
 ``--out-dir``, the current directory by default) holds, per workload, the
@@ -76,11 +77,10 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1}
 
 
-def compare(old: Path, new: Path, workload: str, seeds: list[int], seconds: float):
-    metrics = {
-        m["name"]: m["better"]
-        for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    }
+def compare(old: Path, new: Path, workload: str, seeds: list[int]):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     runs = []
     for pair, seed in enumerate(seeds):
         order = [("old", old), ("new", new)]
@@ -131,7 +131,6 @@ def main(argv=None) -> int:
                         choices=("exact-catalogue", "leaf-sweep", "flow-rk4", "cli-cold"))
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="seed list, e.g. 1101-1110 or 5,7,9")
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--label", required=True)
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
@@ -141,7 +140,7 @@ def main(argv=None) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     cleared = sum(clear_bytecode(tree) for tree in (args.old, args.new))
     load = os.getloadavg()
-    record = compare(args.old, args.new, args.workload, args.seeds, args.seconds)
+    record = compare(args.old, args.new, args.workload, args.seeds)
     record.update(started=started, load_average_at_start=load,
                   bytecode_caches_cleared=cleared)
 
