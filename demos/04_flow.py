@@ -41,3 +41,5 @@ try:
     flow(bw, parse("x"), p0, dt=1e-3, steps=1000)
 except NonFiniteError as err:
     print("continuing to 1000 steps:", err)
+    last = tuple(f"{c:.3g}" for c in err.last_point.coords())
+    print(f"  last finite point, after step {err.step - 1}:", last)

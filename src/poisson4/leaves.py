@@ -22,16 +22,19 @@ Two normalizations of the recovered 2-form are reported:
   coefficients are reproduced sign for sign on the coordinate-Casimir models.
 
 numpy is imported only inside the functions that solve (see ``expr``); the
-RK4 flow runs on Python floats.  A :class:`Trajectory` keeps its coordinates
-as four float columns; ``Trajectory.points``, one :class:`Point4` per step,
-is built from them on first access.
+RK4 flow runs on Python floats.  Its field and tracker closures are compiled
+once per bivector value and Hamiltonian and then reused, so repeated flows of
+one structure pay for ``eval`` once.  A :class:`Trajectory` keeps its
+coordinates as four float columns; ``Trajectory.points``, one :class:`Point4`
+per step, is built from them on first access.  ``Trajectory.to_csv`` formats
+a constant nonzero column once: on the catalogue charts C1 = t, so the t and
+C1 columns of a flow are exactly constant, and so are x and H when h = x.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .expr import COORD_NAMES, Expr, Point4, Record, _fused_closure
@@ -62,6 +65,9 @@ __all__ = [
 
 ANCHOR_TOLERANCE = 1e-9
 PAIR_SELECTION_RTOL = 1e-9
+# Distinct (bivector, h) whose flow closures are kept: more than the 17
+# (model, s, h) combinations that flow to t = 1 from the usual start.
+_FLOW_MEMO_SIZE = 64
 
 
 class SingularPointError(ValueError):
@@ -73,7 +79,23 @@ class NotInImageError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A trajectory coordinate left the double-precision range."""
+    """A trajectory coordinate left the double-precision range.
+
+    ``step`` is the step n of the message "trajectory left double precision
+    after n steps" and ``last_point`` the last finite state, as a
+    :class:`Point4`; both are None when the coordinates stayed finite and a
+    tracked quantity did not.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        step: Optional[int] = None,
+        last_point: Optional[Point4] = None,
+    ):
+        super().__init__(message)
+        self.step = step
+        self.last_point = last_point
 
 
 class LeafFrame(Record):
@@ -264,16 +286,31 @@ class Trajectory(Record):
         )
 
     def to_csv(self) -> str:
-        """CSV export: step,x,y,z,t,C1,C2,H with 17 significant digits."""
+        """CSV export: step,x,y,z,t,C1,C2,H with 17 significant digits.
+
+        A column whose values all equal its nonzero first value is formatted
+        once, into the row template; any other column is formatted per row.
+        A zero column stays per row, since 0.0 == -0.0 but the two print
+        differently.
+        """
         if "C1" not in self.conserved or "C2" not in self.conserved:
             raise ValueError(
                 "CSV export needs Casimir diagnostics; integrate with a "
                 "bivector that records its Casimir pair"
             )
-        row = "%d" + ",%.17g" * 7 + "\n"
-        c1, c2, h = (self.conserved[key] for key in ("C1", "C2", "H"))
+        columns = (*self.columns, *(self.conserved[key] for key in ("C1", "C2", "H")))
+        rows = min(map(len, columns))
+        fields, varying = ["%d"], []
+        for col in columns:
+            first = col[0] if rows else 0
+            if first != 0 and col.count(first) == len(col):
+                fields.append("%.17g" % first)
+            else:
+                fields.append("%.17g")
+                varying.append(col)
+        row = ",".join(fields) + "\n"
         return "step,x,y,z,t,C1,C2,H\n" + "".join(
-            map(row.__mod__, zip(itertools.count(), *self.columns, c1, c2, h))
+            map(row.__mod__, zip(range(rows), *varying))
         )
 
 
@@ -287,6 +324,21 @@ def _drift(vals: tuple[float, ...]) -> float:
     return max(max(vals) - v0, v0 - min(vals))
 
 
+@lru_cache(maxsize=_FLOW_MEMO_SIZE)
+def _flow_closures(components, k, pair, h):
+    """``(field, track, tracked keys)`` for the flow of h on this bivector.
+
+    ``field`` returns the four components of the Hamiltonian field of h and
+    ``track`` the values of C1, C2 (when ``pair`` is given) and h.  The key
+    is the bivector's values, not the object: a :class:`Bivector` is
+    unhashable, and its attributes can be reassigned.
+    """
+    b = Bivector(components, conformal=k, casimirs=pair)
+    field = _fused_closure(hamiltonian_field(b, h))
+    tracked = {"H": h} if pair is None else {"C1": pair.c1, "C2": pair.c2, "H": h}
+    return field, _fused_closure(tracked.values()), tuple(tracked)
+
+
 def flow(
     b: Bivector,
     h: Expr,
@@ -298,13 +350,16 @@ def flow(
 
     Records C1, C2 (when ``b.casimirs`` records the pair) and h at every step,
     plus the maximum drift of each from its initial value.  Raises
-    :class:`NonFiniteError` if a coordinate leaves double precision.
+    :class:`NonFiniteError` if a coordinate leaves double precision; it
+    carries the step and the last finite point.
 
     The state is four Python floats, each updated as ``x + (dt/2)*k``,
     ``x + dt*k3`` and ``x + (dt/6)*(k1 + 2*(k2 + k3) + k4)``; the exported
     CSV digits depend on this order of operations.  Each RK4 stage is one call
     to a closure returning all four field components, and each step one call
-    to a closure returning the tracked quantities.  A float power that
+    to a closure returning the tracked quantities.  Both closures are kept
+    per value of (components, k, Casimir pair, h), so a second flow of the
+    same structure and Hamiltonian compiles nothing.  A float power that
     overflows raises ``OverflowError`` instead of giving inf, so an overflow
     inside a step ends the flow as a non-finite coordinate does, and one in
     the tracked quantities records a row of inf, which ends it after the
@@ -317,12 +372,10 @@ def flow(
     if steps < 1:
         raise ValueError("steps must be at least 1")
 
-    field = _fused_closure(hamiltonian_field(b, h))
+    field, track, tracked = _flow_closures(
+        tuple(map(tuple, b.components)), b.conformal, b.casimirs, h
+    )
     s = p0.s
-
-    pair = b.casimirs
-    tracked = {"H": h} if pair is None else {"C1": pair.c1, "C2": pair.c2, "H": h}
-    track = _fused_closure(tracked.values())
     lost_row = (math.inf,) * len(tracked)
 
     isfinite = math.isfinite
@@ -356,7 +409,9 @@ def flow(
             finite = isfinite(x) and isfinite(y) and isfinite(z) and isfinite(t)
         if not finite:
             raise NonFiniteError(
-                f"trajectory left double precision after {n} steps"
+                f"trajectory left double precision after {n} steps",
+                step=n,
+                last_point=Point4(*states[-1], s),
             )
         states.append((x, y, z, t))
         try:

@@ -44,3 +44,35 @@ def test_leaf_matrix_evaluations_go_through_the_traced_name():
     import poisson4.poisson
 
     assert poisson4.leaves.bivector_matrix_at is poisson4.poisson.bivector_matrix_at
+
+
+def test_flow_fields_go_through_the_traced_name():
+    # poisson.hamiltonian_field.self_ms counts the field builds of flow's
+    # closure memo, which looks the name up in poisson4.leaves.
+    import poisson4.leaves
+    import poisson4.poisson
+
+    assert poisson4.leaves.hamiltonian_field is poisson4.poisson.hamiltonian_field
+
+
+def test_bench_pairs_reports_the_per_pair_ratio(monkeypatch):
+    # Two pairs whose sides drift together: each side's IQR is wide, the
+    # ratio new/old is 2 in both pairs.
+    tools = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    bench_pairs = runpy.run_path(str(tools))
+    compare = bench_pairs["compare"]
+    values = {("old", 1): 10.0, ("new", 1): 20.0, ("old", 2): 30.0, ("new", 2): 60.0}
+
+    def run_once(tree, workload, seed, seconds):
+        value = values[(tree.name, seed)]
+        metrics = {name: {"value": value} for name in ("setup_s", "ops_per_s",
+                   "op_p50_ms", "op_tail_ms", "peak_rss_mb")}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setitem(compare.__globals__, "run_once", run_once)
+    record = compare(Path("old"), Path("new"), "flow-rk4", [1, 2])
+    ops = record["metrics"]["ops_per_s"]
+    assert ops["pair_ratio"] == {"median": 2.0, "iqr": 0.0}
+    assert ops["old"] == {"median": 20.0, "iqr": 10.0}
+    assert ops["new_wins"] == 2
+    assert record["metrics"]["op_p50_ms"]["new_wins"] == 0

@@ -4,7 +4,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations, product, zip_longest
+from itertools import combinations, count, product, zip_longest
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from poisson4.leaves import (
     NonFiniteError,
     NotInImageError,
     SingularPointError,
+    Trajectory,
     _drift,
+    _flow_closures,
     flow,
     leaf_form_coefficient,
     leaf_tangent_frame,
@@ -409,6 +411,123 @@ class TestFlowMatchesNdarrayReference:
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValueError):
             flow(CUSP_BIVECTOR, parse("x"), Point4(0, 1, 1, 1), dt, 10)
+
+
+@pytest.mark.parametrize("name,s,h_text", ESCAPING_COMBOS)
+def test_escape_carries_the_step_and_the_last_finite_point(name, s, h_text):
+    b, h, p0 = _combo_flow_inputs(name, s, h_text)
+    with pytest.raises(NonFiniteError) as ref:
+        _reference_flow_csv(b, h, p0, 1e-3, 1000)
+    step = int(str(ref.value).split()[-2])
+    # The reference run that stops one step short ends on the last finite point.
+    points = _reference_flow_csv(b, h, p0, 1e-3, step - 1)[2]
+    with pytest.raises(NonFiniteError) as new:
+        flow(b, h, p0, 1e-3, 1000)
+    assert str(new.value) == str(ref.value)
+    assert new.value.step == step
+    assert new.value.last_point == points[-1]
+    assert all(map(math.isfinite, new.value.last_point.values()))
+
+
+def test_tracked_escape_carries_no_step():
+    h = parse("1" + "0" * 400)
+    with pytest.raises(NonFiniteError) as info:
+        flow(CUSP_BIVECTOR, h, Point4(0, 1, 1, 1), 1e-3, 2)
+    assert (info.value.step, info.value.last_point) == (None, None)
+
+
+def _reference_to_csv(traj):
+    """Trajectory.to_csv as it was before constant columns: %.17g per value."""
+    if "C1" not in traj.conserved or "C2" not in traj.conserved:
+        raise ValueError("CSV export needs Casimir diagnostics")
+    row = "%d" + ",%.17g" * 7 + "\n"
+    c1, c2, h = (traj.conserved[key] for key in ("C1", "C2", "H"))
+    return "step,x,y,z,t,C1,C2,H\n" + "".join(
+        map(row.__mod__, zip(count(), *traj.columns, c1, c2, h))
+    )
+
+
+# Columns of five values; each is put in every one of the seven CSV columns.
+CSV_COLUMNS = {
+    "constant nonzero": (0.5,) * 5,
+    "constant 0.0": (0.0,) * 5,
+    "constant -0.0": (-0.0,) * 5,
+    "mixed signed zeros": (0.0, -0.0, 0.0, -0.0, -0.0),
+    "int constant": (3,) * 5,
+    "1e300": (1e300,) * 5,
+    "5e-324": (5e-324,) * 5,
+    "constant but the last": (0.25, 0.25, 0.25, 0.25, 0.2500000000000001),
+    "negative zero first": (-0.0, 0.0, 0.0, 0.0, 0.0),
+    "varying": (0.1, 0.2, 0.30000000000000004, -1.5, 2.0),
+}
+
+
+def _trajectory(columns):
+    x, y, z, t, c1, c2, h = columns
+    conserved = {"C1": c1, "C2": c2, "H": h}
+    return Trajectory(
+        columns=(x, y, z, t), s=0.0, dt=1e-3, conserved=conserved,
+        drift={key: 0.0 for key in conserved},
+    )
+
+
+@pytest.mark.parametrize("kind", CSV_COLUMNS)
+def test_csv_bytes_of_hand_built_columns(kind):
+    special, varying = CSV_COLUMNS[kind], CSV_COLUMNS["varying"]
+    for slot in range(7):
+        columns = [varying] * 7
+        columns[slot] = special
+        traj = _trajectory(columns)
+        assert traj.to_csv() == _reference_to_csv(traj), (kind, slot)
+    traj = _trajectory([special] * 7)
+    assert traj.to_csv() == _reference_to_csv(traj), kind
+
+
+def test_csv_bytes_of_mixed_columns_and_short_columns():
+    kinds = list(CSV_COLUMNS.values())
+    rng = random.Random(5)
+    for _ in range(50):
+        traj = _trajectory([rng.choice(kinds) for _ in range(7)])
+        assert traj.to_csv() == _reference_to_csv(traj)
+    # Columns of unequal length give as many rows as the shortest.
+    columns = [(1.0,) * 5] * 7
+    columns[2] = (1.0, 1.0)
+    traj = _trajectory(columns)
+    assert traj.to_csv() == _reference_to_csv(traj)
+    assert _trajectory([()] * 7).to_csv() == "step,x,y,z,t,C1,C2,H\n"
+
+
+class TestFlowClosureMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _flow_closures.cache_clear()
+
+    @staticmethod
+    def _memo_after(*bivectors, h_texts=("x + y*z",)):
+        p0 = Point4(*FLOW_ORIGIN)
+        csvs = {
+            flow(b, parse(h), p0, 1e-3, 5).to_csv() for b in bivectors for h in h_texts
+        }
+        info = _flow_closures.cache_info()
+        return info.hits, info.misses, len(csvs)
+
+    def test_an_equal_but_distinct_h_hits_the_memo(self):
+        assert self._memo_after(CUSP_BIVECTOR, h_texts=("x + y*z",) * 2) == (1, 1, 1)
+
+    def test_an_equal_but_distinct_bivector_hits_the_memo(self):
+        again = flaschka_ratiu(model("cusp").casimirs)
+        assert self._memo_after(CUSP_BIVECTOR, again) == (1, 1, 1)
+
+    def test_another_k_adds_an_entry(self):
+        scaled = flaschka_ratiu(CUSP.casimirs, k=parse("3 + x^2 + 5*y^2"))
+        assert self._memo_after(CUSP_BIVECTOR, scaled) == (0, 2, 2)
+
+    def test_another_casimir_pair_with_the_same_bracket_adds_an_entry(self):
+        # (C1 + C2, C2) gives the same bracket; only the trackers differ.
+        c1, c2 = CUSP.casimirs.c1, CUSP.casimirs.c2
+        other = flaschka_ratiu(CasimirPair(c1 + c2, c2))
+        assert other.components == CUSP_BIVECTOR.components
+        assert self._memo_after(CUSP_BIVECTOR, other) == (0, 2, 2)
 
 
 def test_fused_closure_matches_compiled_at_zero_coordinates():

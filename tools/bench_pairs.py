@@ -18,10 +18,14 @@ alternates from pair to pair.  Only the last stdout line of
 ``perfbench/run.py`` is read.  The record ``BENCH_<label>.json`` (in
 ``--out-dir``, the current directory by default) holds, per workload, the
 environment, each side's median and interquartile range of every end-to-end
-metric, the pairs the new tree won on each metric (the direction comes from
+metric, the median and interquartile range of the per-pair ratio new/old,
+the pairs the new tree won on each metric (the direction comes from
 ``BENCHMARK.json``), and every run's ``correct``, ``attempted`` and
-``failed``.  A workload already in the record is replaced; the others are
-kept, so one record can collect several workloads.
+``failed``.  The ratio is taken within each pair, so a drift of the
+machine's speed that moves both runs of a pair alike cancels in it, while it
+widens each side's own interquartile range.  A workload already in the
+record is replaced; the others are kept, so one record can collect several
+workloads.
 """
 
 from __future__ import annotations
@@ -111,10 +115,13 @@ def compare(old: Path, new: Path, workload: str, seeds: list[int]):
         sign = 1 if better == "higher" else -1
         old_s, new_s = summary(old_v), summary(new_v)
         gap = sign * (new_s["median"] - old_s["median"])
+        ratios = [b / a for a, b in zip(old_v, new_v) if a]
         out[name] = {
             "better": better,
             "old": old_s,
             "new": new_s,
+            # None when fewer than two pairs have a nonzero old value.
+            "pair_ratio": summary(ratios) if len(ratios) > 1 else None,
             "median_change_pct": 100 * (new_s["median"] / old_s["median"] - 1),
             "new_wins": sum(sign * (b - a) > 0 for a, b in zip(old_v, new_v)),
             "pairs": len(seeds),
@@ -158,9 +165,13 @@ def main(argv=None) -> int:
     data.setdefault("workloads", {})[args.workload] = record
     path.write_text(json.dumps(data, indent=2) + "\n")
     for name, m in record["metrics"].items():
+        ratio = m["pair_ratio"]
+        paired = "" if ratio is None else (
+            f", pair ratio new/old {ratio['median']:.4g} (IQR {ratio['iqr']:.3g})"
+        )
         print(f"{args.workload} {name}: {m['old']['median']:.4g} -> {m['new']['median']:.4g} "
               f"({m['median_change_pct']:+.1f} %), new wins {m['new_wins']}/{m['pairs']}, "
-              f"old IQR {m['old']['iqr']:.3g}")
+              f"old IQR {m['old']['iqr']:.3g}{paired}")
     return 0
 
 

@@ -4,7 +4,8 @@ The corpus is a fixed, ordered list of invocations: every subcommand on
 every model and value of s, and on user-supplied Casimir pairs; the factor k
 absent, valid, malformed and zero; every ``--format``; a lone ``--c1`` or
 ``--c2`` beside ``--model``; non-finite and overflowing points; bad ``--dt``
-and ``--steps``; and the README's "Command line" block.
+and ``--steps``; a k that makes the probe warn beside a usage error; and the
+README's "Command line" block.
 
 Each command runs in-process through ``poisson4.cli.main`` with warnings set
 to "always", so a repeated warning is reported every time and the result of
@@ -173,6 +174,17 @@ def _other_commands() -> list[tuple[str, ...]]:
         ("leaf-form", "--model", "fold", "--k", "x*y", "--point=1,1e200,1e200,1"),
         ("rank", "--model", "fold", "--k", "x*y", "--point=1e160,1,1,1"),
         ("jacobi", "--model", "cusp", "--k", "1" + "0" * 400 + "*x + 1"),
+        # A k that makes the probe warn beside a usage error: the usage
+        # error is reported alone, with no warning before it.
+        ("rank", "--model", "cusp", "--k", "x", "--point", "0,1,1"),
+        ("locus", "--model", "cusp", "--k", "x", "--point", "nan,0,0,1"),
+        ("leaf-form", "--model", "cusp", "--k", "x", "--point", "1,a,0,0"),
+        ("casimir-check", "--model", "cusp", "--k", "x", "--h", "x +"),
+        ("flow", "--model", "cusp", "--k", "x", "--h", "x", "--point", "0,1,1,1",
+         "--dt", "nan"),
+        ("flow", "--model", "cusp", "--k", "x", "--h", "x", "--point", "0,1,1,1",
+         "--steps", "0"),
+        ("flow", "--model", "cusp", "--k", "x", "--h", "x +", "--point", "0,1,1,1"),
     ]
 
 
