@@ -3,8 +3,17 @@
 A polynomial is a finite map from exponent vectors (e_x, e_y, e_z, e_t, e_s)
 to rational coefficients.  Zero coefficients are never stored, so every
 polynomial has exactly one representation and equality is a dictionary
-comparison.  Coefficients are ``fractions.Fraction`` (arbitrary-precision),
-which keeps determinant expansions and Jacobiator sums exact.
+comparison.  A coefficient is an ``int`` when it is integral and a
+``fractions.Fraction`` only when its denominator is above 1; both are
+arbitrary-precision, which keeps determinant expansions and Jacobiator sums
+exact.  ``n`` and ``Fraction(n)`` compare and hash alike, so the choice never
+shows in equality, hashing or printing.
+
+``Expr(terms)`` is the one validating constructor.  The results of ``+``,
+``-``, ``*``, ``differentiate`` and the other operations are canonical by
+construction and are wrapped by ``Expr._trusted`` without a second check.
+The monomial keys of those results are taken from one table, so polynomials
+that share a monomial share its tuple (see ``MAX_SHARED_MONOMIALS``).
 
 x, y, z, t are coordinates and may be differentiated; s is a deformation
 parameter and is deliberately excluded from :class:`Var`, so no code path can
@@ -37,6 +46,7 @@ __all__ = [
     "COORD_NAMES",
     "MAX_EXPONENT",
     "MAX_NESTING",
+    "MAX_SHARED_MONOMIALS",
     "MAX_TERMS",
     "MAX_TERM_PRODUCTS",
 ]
@@ -63,10 +73,43 @@ MAX_TERMS = 1000
 # 69,933 and parses in about 0.4 s; two copies of it summed are refused.
 MAX_TERM_PRODUCTS = 100_000
 
+# Bound on the table of shared monomials.  Each new monomial key of a
+# polynomial is looked up there first, so a kept polynomial holds one 5-tuple
+# (80 bytes) per distinct monomial of the process, not one per term.  Past
+# this many entries a new monomial is simply not shared, so a long-lived
+# process cannot grow the table without limit; a full table takes about
+# 4 MB.  Monomials of degree at most 20 in x, y, z, t and 2 in s number
+# 31,878.
+MAX_SHARED_MONOMIALS = 1 << 15
+
 Monomial = tuple[int, int, int, int, int]
 Scalar = Union[int, Fraction]
 
-_ZERO_MONOMIAL: Monomial = (0, 0, 0, 0, 0)
+_SHARED_MONOMIALS: dict[Monomial, Monomial] = {}
+
+
+def _shared(monomial: Monomial) -> Monomial:
+    """The table's tuple equal to ``monomial``; a new one is entered while there is room."""
+    table = _SHARED_MONOMIALS
+    found = table.get(monomial)
+    if found is not None:
+        return found
+    if len(table) < MAX_SHARED_MONOMIALS:
+        table[monomial] = monomial
+    return monomial
+
+
+def _integral(q: Scalar) -> Scalar:
+    """``q`` as an ``int`` when it is whole.
+
+    Fraction arithmetic returns a Fraction even when the result is whole,
+    and a stored coefficient is an int exactly when it is integral.  Every
+    computed coefficient that is not an int already passes through here.
+    """
+    return q.numerator if q.denominator == 1 else q
+
+
+_ZERO_MONOMIAL: Monomial = _shared((0, 0, 0, 0, 0))
 
 
 class Var(enum.Enum):
@@ -198,23 +241,43 @@ class Expr:
     __slots__ = ("_terms", "_hash", "_compiled")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        canon: dict[Monomial, Fraction] = {}
+        canon: dict[Monomial, Scalar] = {}
         if terms:
             for monomial, coeff in terms.items():
+                # Exactly int: a bool exponent would be entered in the shared
+                # table and become the key of later monomials equal to it.
                 if len(monomial) != 5 or any(
-                    not isinstance(e, int) or e < 0 for e in monomial
+                    type(e) is not int or e < 0 for e in monomial
                 ):
                     raise ValueError(f"bad exponent vector {monomial!r}")
                 q = Fraction(coeff)
                 if q:
-                    key = tuple(monomial)
+                    key = _shared(tuple(monomial))
                     acc = canon.get(key)
-                    canon[key] = acc + q if acc is not None else q
-                    if not canon[key]:
+                    total = q if acc is None else acc + q
+                    if total:
+                        canon[key] = total
+                    else:
                         del canon[key]
-        object.__setattr__(self, "_terms", canon)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_compiled", None)
+            for key, q in canon.items():
+                canon[key] = _integral(q)
+        self._terms = canon
+        self._hash = None
+        self._compiled = None
+
+    @classmethod
+    def _trusted(cls, terms: dict[Monomial, Scalar]) -> "Expr":
+        """Wrap a dict that is canonical already, without checking it.
+
+        Canonical: keys are 5-tuples of non-negative ints, taken from the
+        shared table while it had room; values are nonzero, an ``int`` when
+        integral and a ``Fraction`` otherwise.  The new Expr owns the dict.
+        """
+        e = object.__new__(cls)
+        e._terms = terms
+        e._hash = None
+        e._compiled = None
+        return e
 
     # -- constructors -------------------------------------------------
 
@@ -228,7 +291,7 @@ class Expr:
 
     @staticmethod
     def constant(value: Scalar) -> "Expr":
-        return Expr({_ZERO_MONOMIAL: Fraction(value)})
+        return Expr({_ZERO_MONOMIAL: value})
 
     @staticmethod
     def variable(which: Union[str, Var, int]) -> "Expr":
@@ -254,8 +317,11 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
-        """Terms in descending graded-lex order (deterministic)."""
+    def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
+        """Terms in descending graded-lex order (deterministic).
+
+        A coefficient is an ``int`` when integral, else a ``Fraction``.
+        """
         for monomial in sorted(self._terms, key=_grlex_key, reverse=True):
             yield monomial, self._terms[monomial]
 
@@ -273,20 +339,25 @@ class Expr:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        # The sum's keys are the operands' keys: no new monomial arises.
         out = dict(self._terms)
+        get = out.get
         for monomial, coeff in rhs._terms.items():
-            acc = out.get(monomial)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                out[monomial] = total
-            elif acc is not None:
+            acc = get(monomial)
+            if acc is None:
+                out[monomial] = coeff
+                continue
+            total = acc + coeff
+            if not total:
                 del out[monomial]
-        return Expr(out)
+            else:
+                out[monomial] = total if total.__class__ is int else _integral(total)
+        return Expr._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr({m: -c for m, c in self._terms.items()})
+        return Expr._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Expr":
         rhs = self._coerce(other)
@@ -304,23 +375,28 @@ class Expr:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in rhs._terms.items():
-                monomial = (
-                    m1[0] + m2[0],
-                    m1[1] + m2[1],
-                    m1[2] + m2[2],
-                    m1[3] + m2[3],
-                    m1[4] + m2[4],
-                )
-                acc = out.get(monomial)
-                total = c1 * c2 if acc is None else acc + c1 * c2
-                if total:
-                    out[monomial] = total
-                elif acc is not None:
-                    del out[monomial]
-        return Expr(out)
+        out: dict[Monomial, Scalar] = {}
+        get = out.get
+        shared = _SHARED_MONOMIALS.get
+        right = rhs._terms.items()
+        for (a0, a1, a2, a3, a4), c1 in self._terms.items():
+            for m2, c2 in right:
+                monomial = (a0 + m2[0], a1 + m2[1], a2 + m2[2], a3 + m2[3], a4 + m2[4])
+                acc = get(monomial)
+                if acc is None:
+                    # A new key: the table's tuple.  An update below keeps
+                    # the key the dict already holds.
+                    out[shared(monomial) or _shared(monomial)] = c1 * c2
+                else:
+                    total = acc + c1 * c2
+                    if total:
+                        out[monomial] = total
+                    else:
+                        del out[monomial]
+        for monomial, coeff in out.items():
+            if coeff.__class__ is not int:
+                out[monomial] = _integral(coeff)
+        return Expr._trusted(out)
 
     __rmul__ = __mul__
 
@@ -349,14 +425,13 @@ class Expr:
         if not isinstance(var, Var):
             raise TypeError("differentiate expects a Var (s is a parameter)")
         i = var.index
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for monomial, coeff in self._terms.items():
             e = monomial[i]
             if e:
-                lowered = list(monomial)
-                lowered[i] = e - 1
-                out[tuple(lowered)] = coeff * e
-        return Expr(out)
+                lowered = monomial[:i] + (e - 1,) + monomial[i + 1:]
+                out[_shared(lowered)] = _integral(coeff * e)
+        return Expr._trusted(out)
 
     def evaluate(self, point: Point4) -> float:
         """Value at a point: the :meth:`compiled` closure, made a float.
@@ -391,26 +466,26 @@ class Expr:
     def substitute_s(self, value: Scalar) -> "Expr":
         """Exactly substitute a rational value for the parameter s."""
         q = Fraction(value)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for monomial, coeff in self._terms.items():
             scaled = coeff * q ** monomial[4]
-            key = monomial[:4] + (0,)
+            key = _shared(monomial[:4] + (0,))
             acc = out.get(key)
             total = scaled if acc is None else acc + scaled
             if total:
                 out[key] = total
             elif acc is not None:
                 del out[key]
-        return Expr(out)
+        return Expr._trusted({m: _integral(c) for m, c in out.items()})
 
     # -- structure queries ----------------------------------------------
 
     def coordinate_degree_split(self) -> dict[int, "Expr"]:
         """Split into homogeneous parts by xyzt-degree (s kept symbolic)."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, Scalar]] = {}
         for monomial, coeff in self._terms.items():
             buckets.setdefault(sum(monomial[:4]), {})[monomial] = coeff
-        return {deg: Expr(part) for deg, part in buckets.items()}
+        return {deg: Expr._trusted(part) for deg, part in buckets.items()}
 
     def coefficient_of(self, var: Union[str, Var]) -> "Expr":
         """Coefficient of the degree-one monomial in ``var`` (Expr in s)."""
@@ -418,11 +493,11 @@ class Expr:
             idx = var.index
         else:
             idx = VAR_NAMES.index(var)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for monomial, coeff in self._terms.items():
             if monomial[idx] == 1 and sum(monomial[:4]) == 1:
-                out[(0, 0, 0, 0, monomial[4])] = coeff
-        return Expr(out)
+                out[_shared((0, 0, 0, 0, monomial[4]))] = coeff
+        return Expr._trusted(out)
 
     def uses_s(self) -> bool:
         return any(m[4] for m in self._terms)
@@ -485,7 +560,7 @@ def _fused_closure(exprs: Iterable[Expr]):
     return eval(f"lambda x, y, z, t, s: ({body})")  # noqa: S307
 
 
-def _format_rational(q: Fraction) -> str:
+def _format_rational(q: Scalar) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

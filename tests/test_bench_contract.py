@@ -7,6 +7,7 @@ a package module, so nothing is written under ``perfbench/``.
 """
 
 import importlib
+import json
 import runpy
 from pathlib import Path
 
@@ -76,3 +77,22 @@ def test_bench_pairs_reports_the_per_pair_ratio(monkeypatch):
     assert ops["old"] == {"median": 20.0, "iqr": 10.0}
     assert ops["new_wins"] == 2
     assert record["metrics"]["op_p50_ms"]["new_wins"] == 0
+
+
+def test_bench_pairs_records_the_compared_commits(monkeypatch, tmp_path):
+    # An exported tree holds no commit id: the record takes it from the
+    # command line, next to the directory names it kept before.
+    tools = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    main = runpy.run_path(str(tools))["main"]
+    monkeypatch.setitem(main.__globals__, "compare", lambda *args: {"metrics": {}})
+    monkeypatch.setitem(main.__globals__, "clear_bytecode", lambda tree: 0)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "new"), "--workload", "cli-cold",
+            "--seeds", "1-2", "--label", "t", "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit):
+        main(argv)  # the commits are required
+    assert main(argv + ["--old-commit", "c5967f3", "--new-commit", "c5967f3 + change"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["trees"] == {
+        "old": "parent", "new": "new",
+        "old_commit": "c5967f3", "new_commit": "c5967f3 + change",
+    }

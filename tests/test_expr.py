@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from poisson4 import expr as expr_module
 from poisson4.expr import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -363,3 +364,184 @@ class TestOneEvaluator:
             assert _same_value(e.evaluate(p), _reference_evaluate(e, p))
 
         check()
+
+
+# -- the reference engine ------------------------------------------------------
+#
+# Polynomials as plain dicts of exponent tuples to nonzero Fractions, with the
+# arithmetic written out term by term, as the engine did before it stored
+# integral coefficients as ints.
+
+
+def _reference_terms(e: Expr) -> dict:
+    return {m: Fraction(c) for m, c in e.terms()}
+
+
+def _reference_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _reference_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _reference_differentiate(a: dict, i: int) -> dict:
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in a.items() if m[i]}
+
+
+def _reference_str(a: dict) -> str:
+    """The printed form: descending graded lex, ``^`` powers, ``p/q`` rationals."""
+    if not a:
+        return "0"
+    pieces = []
+    for idx, m in enumerate(sorted(a, key=lambda m: (sum(m), m), reverse=True)):
+        c = a[m]
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip("xyzts", m) if e]
+        if factors and abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(c))] + factors)
+        sign = ("" if c > 0 else "-") if idx == 0 else (" + " if c > 0 else " - ")
+        pieces.append(sign + body)
+    return "".join(pieces)
+
+
+def _int_exactly_when_integral(e: Expr) -> bool:
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction) for _, c in e.terms()
+    )
+
+
+def _assert_matches(e: Expr, want: dict) -> None:
+    assert dict(e.terms()) == want
+    assert str(e) == _reference_str(want)
+    assert _int_exactly_when_integral(e)
+
+
+class TestReferenceEngine:
+    """+, -, * and differentiate against the reference engine, on drawn polynomials."""
+
+    def test_arithmetic_matches_the_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monomial = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 2))
+        coeff = st.one_of(
+            st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)
+        ).filter(bool)
+        terms = st.dictionaries(monomial, coeff, max_size=5)
+
+        def partner(a: dict, b: dict, mode: int) -> dict:
+            # 0: independent; 1: -a, so a + b cancels to zero; 2: b shares
+            # a's monomials with coefficients that cancel some of a's terms
+            # or add up to whole numbers with them.
+            if mode == 1:
+                return {m: -c for m, c in a.items()}
+            if mode == 2:
+                out = dict(b)
+                for n, (m, c) in enumerate(a.items()):
+                    out[m] = -c if n % 2 else 1 - c
+                return out
+            return b
+
+        cases = st.builds(
+            lambda a, b, mode: (a, partner(a, b, mode)), terms, terms, st.integers(0, 2)
+        )
+        phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, phases=phases)
+        @hypothesis.given(cases, st.sampled_from(list(Var)))
+        def check(case, var):
+            a_in, b_in = case
+            a, b = Expr(a_in), Expr(b_in)
+            ra, rb = _reference_terms(a), _reference_terms(b)
+            assert ra == {m: Fraction(c) for m, c in a_in.items() if c}
+            _assert_matches(a, ra)
+            neg_b = {m: -c for m, c in rb.items()}
+            _assert_matches(a + b, _reference_add(ra, rb))
+            _assert_matches(a - b, _reference_add(ra, neg_b))
+            _assert_matches(-b, neg_b)
+            _assert_matches(a * b, _reference_mul(ra, rb))
+            # (a + b)(a - b): cross terms cancel.
+            _assert_matches(
+                (a + b) * (a - b),
+                _reference_mul(_reference_add(ra, rb), _reference_add(ra, neg_b)),
+            )
+            _assert_matches(a.differentiate(var), _reference_differentiate(ra, var.index))
+            half = {(0, 0, 0, 0, 0): Fraction(1, 2)}
+            _assert_matches(a * Fraction(1, 2), _reference_mul(ra, half))
+            _assert_matches(2 * (a * Fraction(1, 2)), ra)
+
+        check()
+
+    def test_sums_and_products_of_fractions_that_are_whole_store_ints(self):
+        half = parse("1/2*x + 3/2*y")
+        for e in (half + half, half * 2, half * parse("2*x"), parse("1/3*x^3").differentiate(Var.X)):
+            assert _int_exactly_when_integral(e)
+        assert [type(c) for _, c in (half + half).terms()] == [int, int]
+        assert [type(c) for _, c in (parse("1/3*x^3").differentiate(Var.X)).terms()] == [int]
+        assert [type(c) for _, c in parse("2*x*s + 3").substitute_s(Fraction(1, 2)).terms()] == [int, int]
+        assert [type(c) for _, c in Expr({(0, 0, 0, 0, 0): Fraction(4, 2)}).terms()] == [int]
+        assert [type(c) for _, c in Expr({(0, 0, 0, 0, 0): True}).terms()] == [int]
+
+
+class TestExponentTypes:
+    @pytest.mark.parametrize(
+        "monomial",
+        [(True, 0, 0, 0, 0), (0, 0, 0, False, 0), (1, 0, 0, 0, 1.0), (0, 0, -1, 0, 0)],
+    )
+    def test_only_plain_int_exponents(self, monomial):
+        with pytest.raises(ValueError):
+            Expr({monomial: 1})
+
+    def test_a_refused_bool_exponent_leaves_later_products_plain(self, monkeypatch):
+        # On an empty table, a refused (True, 0, 0, 0, 0) must not become
+        # the key of x in the products that follow.
+        monkeypatch.setattr(expr_module, "_SHARED_MONOMIALS", {})
+        with pytest.raises(ValueError):
+            Expr({(True, 0, 0, 0, 0): 1})
+        for e in (parse("x"), parse("x") * parse("1"), parse("x") * parse("y")):
+            for monomial, _ in e.terms():
+                assert all(type(n) is int for n in monomial), monomial
+        ((monomial, coeff),) = (parse("x") * parse("1")).terms()
+        assert monomial == (1, 0, 0, 0, 0) and type(monomial[0]) is int
+        assert coeff == 1 and type(coeff) is int
+
+
+class TestSharedMonomials:
+    """Result keys are the table's tuples, so kept polynomials share them."""
+
+    @staticmethod
+    def _keys_shared(e: Expr) -> bool:
+        table = expr_module._SHARED_MONOMIALS
+        return all(table[m] is m for m, _ in e.terms())
+
+    def test_results_take_their_keys_from_the_table(self, monkeypatch):
+        monkeypatch.setattr(expr_module, "_SHARED_MONOMIALS", {})
+        a = Expr({(1, 0, 2, 0, 0): 3, (0, 1, 0, 0, 1): Fraction(1, 2)})
+        b = Expr({(0, 0, 1, 1, 0): -1, (1, 1, 0, 0, 0): 2})
+        assert self._keys_shared(a) and self._keys_shared(b)
+        for e in (a * b, (a * b).differentiate(Var.Z), a + b, a - b, -(a * b)):
+            assert not e.is_zero and self._keys_shared(e)
+        # A key made anew from equal exponents is the same object.
+        (m1, _), = Expr({(2, 0, 0, 0, 0): 1}).terms()
+        (m2, _), = (parse("x") * parse("x")).terms()
+        (m3, _), = parse("x^3").differentiate(Var.X).terms()
+        assert m1 is m2 is m3
+
+    def test_the_table_stops_growing_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(expr_module, "_SHARED_MONOMIALS", {})
+        monkeypatch.setattr(expr_module, "MAX_SHARED_MONOMIALS", 3)
+        e = parse("(x + y + z + t + s)^2")
+        assert len(expr_module._SHARED_MONOMIALS) == 3
+        assert len(e) == 15 and e == parse("x^2 + y^2 + z^2 + t^2 + s^2") + 2 * (
+            parse("x*y + x*z + x*t + x*s + y*z + y*t + y*s + z*t + z*s + t*s")
+        )
+        assert len(expr_module._SHARED_MONOMIALS) == 3

@@ -3,12 +3,22 @@
 import math
 import warnings
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from poisson4.expr import COORD_NAMES, VARS, Expr, Point4, parse
 from poisson4.models import MODEL_NAMES, model
+from test_expr import (
+    _int_exactly_when_integral,
+    _reference_add,
+    _reference_differentiate,
+    _reference_mul,
+    _reference_str,
+    _reference_terms,
+)
+
 from poisson4.poisson import (
     COORD_PAIRS,
     RANK_RELATIVE_THRESHOLD,
@@ -320,6 +330,144 @@ class TestPfaffianRoute:
                     for m in range(4)
                 )
                 assert sympy.expand(want - to_sympy(got[(i, j, l)])) == 0
+
+
+def _reference_det(columns) -> dict:
+    """Leibniz expansion of a 4x4 determinant of reference polynomials."""
+    total: dict = {}
+    for perm in permutations(range(4)):
+        inversions = sum(perm[a] > perm[b] for a in range(4) for b in range(a + 1, 4))
+        term = {(0, 0, 0, 0, 0): Fraction(-1 if inversions % 2 else 1)}
+        for col, row in enumerate(perm):
+            term = _reference_mul(term, columns[col][row])
+        total = _reference_add(total, term)
+    return total
+
+
+def _reference_bivector(c1: dict, c2: dict) -> dict:
+    """pi^{ij} = det(e_i, e_j, dC1, dC2) for i < j, on reference polynomials."""
+    grads = [[_reference_differentiate(c, v) for v in range(4)] for c in (c1, c2)]
+    one = {(0, 0, 0, 0, 0): Fraction(1)}
+    basis = [[one if r == i else {} for r in range(4)] for i in range(4)]
+    return {(i, j): _reference_det([basis[i], basis[j], *grads]) for i, j in COORD_PAIRS}
+
+
+def _reference_matrix(upper: dict, k: dict) -> list:
+    """The k-scaled antisymmetric matrix of reference polynomials."""
+    m = [[{} for _ in range(4)] for _ in range(4)]
+    for (i, j), e in upper.items():
+        m[i][j] = _reference_mul(k, e)
+        m[j][i] = {mono: -c for mono, c in m[i][j].items()}
+    return m
+
+
+def _reference_engine_jacobiator(m: list) -> dict:
+    """The scaled expansion of ``_reference_jacobiator``, on reference polynomials."""
+    partials = [
+        [[_reference_differentiate(m[i][j], v) for v in range(4)] for j in range(4)]
+        for i in range(4)
+    ]
+    out = {}
+    for (i, j, k) in TRIPLES:
+        total: dict = {}
+        for l in range(4):
+            for a, (b, c) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+                total = _reference_add(total, _reference_mul(m[a][l], partials[b][c][l]))
+        out[(i, j, k)] = total
+    return out
+
+
+def _reference_contraction_vanishes(upper: dict, c: dict) -> bool:
+    """Whether sum_j pi^{ij} d_j c is zero for every i (unscaled, as casimir_check)."""
+    m = _reference_matrix(upper, {(0, 0, 0, 0, 0): Fraction(1)})
+    grad = [_reference_differentiate(c, v) for v in range(4)]
+    for row in m:
+        total: dict = {}
+        for e, d in zip(row, grad):
+            total = _reference_add(total, _reference_mul(e, d))
+        if total:
+            return False
+    return True
+
+
+class TestReferenceEnginePipeline:
+    """flaschka_ratiu, is_poisson and casimir_check against the reference engine.
+
+    The reference engine (``tests/test_expr.py``) keeps every coefficient a
+    Fraction and expands the k-scaled Jacobiator as ``_reference_jacobiator``
+    does, so the int coefficients, the shared keys and the Pfaffian route are
+    all checked at once.
+    """
+
+    def strategies(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monomial = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1))
+        coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+        poly = st.dictionaries(monomial, coeff, max_size=3).map(Expr)
+        casimir = poly.filter(lambda e: not e.is_zero).map(
+            lambda e: e if next(e.terms())[1] < 0 else -e
+        )
+        # A k with a denominator: 1/3, 2/3 or 1/5 times a polynomial with
+        # coefficients +/-1 and +/-2, so no coefficient of k is whole.
+        k = st.builds(
+            lambda e, q: e * q,
+            st.dictionaries(monomial, st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=2)
+            .map(Expr),
+            st.sampled_from([Fraction(1, 3), Fraction(2, 3), Fraction(1, 5)]),
+        )
+        phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+        settings = hypothesis.settings(
+            max_examples=30, deadline=None, database=None, phases=phases
+        )
+        return hypothesis, st, poly, casimir, k, settings
+
+    def test_drawn_pairs_and_bivectors(self):
+        hypothesis, st, poly, casimir, k, settings = self.strategies()
+
+        @settings
+        @hypothesis.given(casimir, casimir, k, st.tuples(*[poly] * 6))
+        def check(c1, c2, k, extra):
+            assert all(type(c) is Fraction for _, c in k.terms())
+            rc1, rc2, rk = map(_reference_terms, (c1, c2, k))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConformalFactorWarning)
+                b = flaschka_ratiu(CasimirPair(c1, c2), k=k)
+            want = _reference_bivector(rc1, rc2)
+            for ij, e in b.upper_entries().items():
+                assert dict(e.terms()) == want[ij]
+                assert str(e) == _reference_str(want[ij])
+                assert _int_exactly_when_integral(e)
+            assert is_poisson(b).holds
+            assert not any(_reference_engine_jacobiator(_reference_matrix(want, rk)).values())
+            assert casimir_check(b, c1) and casimir_check(b, c2)
+            assert _reference_contraction_vanishes(want, rc1)
+            assert _reference_contraction_vanishes(want, rc2)
+
+            # A bivector that is not the pair's: the Pfaffian term, witnesses
+            # and failing Casimir checks.
+            upper = {ij: e + x for (ij, e), x in zip(b.upper_entries().items(), extra)}
+            other = Bivector.from_upper(upper, conformal=k)
+            r_upper = {ij: _reference_terms(e) for ij, e in upper.items()}
+            want_j = _reference_engine_jacobiator(_reference_matrix(r_upper, rk))
+            got_j = jacobiator(other)
+            via_expansion = _reference_jacobiator(other)
+            for triple in TRIPLES:
+                assert dict(got_j[triple].terms()) == want_j[triple]
+                assert dict(via_expansion[triple].terms()) == want_j[triple]
+                assert _int_exactly_when_integral(got_j[triple])
+            verdict = is_poisson(other)
+            failing = [t for t in TRIPLES if want_j[t]]
+            if not failing:
+                assert verdict.holds
+            else:
+                names = tuple(COORD_NAMES[i] for i in failing[0])
+                assert verdict.witness_triple == names
+                assert str(verdict.witness) == _reference_str(want_j[failing[0]])
+            for c, rc in ((c1, rc1), (c2, rc2)):
+                assert casimir_check(other, c) == _reference_contraction_vanishes(r_upper, rc)
+
+        check()
 
 
 def _numpy_probe(k: Expr) -> bool:

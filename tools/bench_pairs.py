@@ -2,11 +2,15 @@
 
 Usage::
 
-    python tools/bench_pairs.py OLD_TREE NEW_TREE --workload cli-cold \\
-        --seeds 1101-1110 --label rank_without_numpy
+    python tools/bench_pairs.py OLD_TREE NEW_TREE --workload exact-catalogue \\
+        --seeds 1-10 --label exact_int_engine \\
+        --old-commit c5967f3 --new-commit "c5967f3 + uncommitted change"
 
 Each tree is a checkout holding ``src/poisson4`` and ``perfbench/``, for
-example one made with ``git archive``.  Before the first run the script
+example one made with ``git archive``.  Such an export holds no commit id,
+so ``--old-commit`` and ``--new-commit`` name the commit each tree was
+exported from (for a change not yet committed, its parent and a note), and
+the record keeps them under ``"trees"``.  Before the first run the script
 deletes every ``__pycache__`` directory under both trees, and each run gets
 ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile their sources alike on
 every start: a bytecode cache in one tree only reads as a cli-cold
@@ -139,6 +143,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="seed list, e.g. 1101-1110 or 5,7,9")
     parser.add_argument("--label", required=True)
+    parser.add_argument("--old-commit", required=True,
+                        help="the commit OLD_TREE was exported from")
+    parser.add_argument("--new-commit", required=True,
+                        help="the commit NEW_TREE was exported from")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
@@ -161,7 +169,10 @@ def main(argv=None) -> int:
         "PYTHONDONTWRITEBYTECODE": "1",
         "timing": "CPU time, as perfbench/run.py reports it",
     }
-    data["trees"] = {"old": args.old.resolve().name, "new": args.new.resolve().name}
+    data["trees"] = {
+        "old": args.old.resolve().name, "new": args.new.resolve().name,
+        "old_commit": args.old_commit, "new_commit": args.new_commit,
+    }
     data.setdefault("workloads", {})[args.workload] = record
     path.write_text(json.dumps(data, indent=2) + "\n")
     for name, m in record["metrics"].items():
