@@ -13,7 +13,10 @@ shows in equality, hashing or printing.
 ``-``, ``*``, ``differentiate`` and the other operations are canonical by
 construction and are wrapped by ``Expr._trusted`` without a second check.
 The monomial keys of those results are taken from one table, so polynomials
-that share a monomial share its tuple (see ``MAX_SHARED_MONOMIALS``).
+that share a monomial share its tuple (see ``MAX_SHARED_MONOMIALS``).  ``*``
+and the bracket layer's sums (a determinant, a Jacobiator component) run one
+product loop, ``_sum_of_products``, which adds sign * a * b over (sign, a, b)
+triples into one dict in place; ``+`` and ``-`` add into a copy of one side.
 
 x, y, z, t are coordinates and may be differentiated; s is a deformation
 parameter and is deliberately excluded from :class:`Var`, so no code path can
@@ -45,6 +48,7 @@ __all__ = [
     "parse",
     "COORD_NAMES",
     "MAX_EXPONENT",
+    "MAX_LITERAL_DIGITS",
     "MAX_NESTING",
     "MAX_SHARED_MONOMIALS",
     "MAX_TERMS",
@@ -59,6 +63,10 @@ COORD_NAMES = VAR_NAMES[:4]
 # Exponent of any single variable in a parsed literal; guards against typos
 # like x^400 silently producing megabyte monomials.
 MAX_EXPONENT = 64
+
+# Digits of one integer literal, well below the 4,300 digits at which CPython
+# stops converting between int and str.
+MAX_LITERAL_DIGITS = 1000
 
 # Parentheses and unary minus signs open one parser recursion level each;
 # deeper input is refused well before Python's recursion limit.
@@ -120,13 +128,9 @@ class Var(enum.Enum):
     Z = 2
     T = 3
 
-    @property
-    def index(self) -> int:
-        return self.value
-
-    @property
-    def name_lower(self) -> str:
-        return VAR_NAMES[self.value]
+    def __init__(self, index: int):
+        self.index = index  # attributes, not properties: every derivative reads it
+        self.name_lower = VAR_NAMES[index]
 
 
 VARS = (Var.X, Var.Y, Var.Z, Var.T)
@@ -252,15 +256,7 @@ class Expr:
                     raise ValueError(f"bad exponent vector {monomial!r}")
                 q = Fraction(coeff)
                 if q:
-                    key = _shared(tuple(monomial))
-                    acc = canon.get(key)
-                    total = q if acc is None else acc + q
-                    if total:
-                        canon[key] = total
-                    else:
-                        del canon[key]
-            for key, q in canon.items():
-                canon[key] = _integral(q)
+                    canon[_shared(tuple(monomial))] = _integral(q)
         self._terms = canon
         self._hash = None
         self._compiled = None
@@ -283,11 +279,11 @@ class Expr:
 
     @staticmethod
     def zero() -> "Expr":
-        return Expr()
+        return Expr._trusted({})
 
     @staticmethod
     def one() -> "Expr":
-        return Expr({_ZERO_MONOMIAL: 1})
+        return Expr._trusted({_ZERO_MONOMIAL: 1})
 
     @staticmethod
     def constant(value: Scalar) -> "Expr":
@@ -335,24 +331,25 @@ class Expr:
             return Expr.constant(other)
         return None
 
-    def __add__(self, other) -> "Expr":
+    def _plus(self, other, sign: int) -> "Expr":
+        """self + sign * other, sign 1 or -1, in a copy of self's terms and keys."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        # The sum's keys are the operands' keys: no new monomial arises.
         out = dict(self._terms)
         get = out.get
         for monomial, coeff in rhs._terms.items():
             acc = get(monomial)
             if acc is None:
-                out[monomial] = coeff
-                continue
-            total = acc + coeff
-            if not total:
-                del out[monomial]
-            else:
+                out[monomial] = coeff if sign > 0 else -coeff
+            elif total := (acc + coeff if sign > 0 else acc - coeff):
                 out[monomial] = total if total.__class__ is int else _integral(total)
+            else:
+                del out[monomial]
         return Expr._trusted(out)
+
+    def __add__(self, other) -> "Expr":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -360,43 +357,17 @@ class Expr:
         return Expr._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Expr":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Expr":
         lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs + (-self)
+        return NotImplemented if lhs is None else lhs._plus(self, -1)
 
     def __mul__(self, other) -> "Expr":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out: dict[Monomial, Scalar] = {}
-        get = out.get
-        shared = _SHARED_MONOMIALS.get
-        right = rhs._terms.items()
-        for (a0, a1, a2, a3, a4), c1 in self._terms.items():
-            for m2, c2 in right:
-                monomial = (a0 + m2[0], a1 + m2[1], a2 + m2[2], a3 + m2[3], a4 + m2[4])
-                acc = get(monomial)
-                if acc is None:
-                    # A new key: the table's tuple.  An update below keeps
-                    # the key the dict already holds.
-                    out[shared(monomial) or _shared(monomial)] = c1 * c2
-                else:
-                    total = acc + c1 * c2
-                    if total:
-                        out[monomial] = total
-                    else:
-                        del out[monomial]
-        for monomial, coeff in out.items():
-            if coeff.__class__ is not int:
-                out[monomial] = _integral(coeff)
-        return Expr._trusted(out)
+        return _sum_of_products(((1, self, rhs),))
 
     __rmul__ = __mul__
 
@@ -466,17 +437,12 @@ class Expr:
     def substitute_s(self, value: Scalar) -> "Expr":
         """Exactly substitute a rational value for the parameter s."""
         q = Fraction(value)
-        out: dict[Monomial, Scalar] = {}
+        parts: dict[int, dict[Monomial, Scalar]] = {}
         for monomial, coeff in self._terms.items():
-            scaled = coeff * q ** monomial[4]
-            key = _shared(monomial[:4] + (0,))
-            acc = out.get(key)
-            total = scaled if acc is None else acc + scaled
-            if total:
-                out[key] = total
-            elif acc is not None:
-                del out[key]
-        return Expr._trusted({m: _integral(c) for m, c in out.items()})
+            parts.setdefault(monomial[4], {})[_shared(monomial[:4] + (0,))] = coeff
+        return _sum_of_products(
+            (1, Expr._trusted(part), Expr.constant(q**e)) for e, part in parts.items()
+        )
 
     # -- structure queries ----------------------------------------------
 
@@ -530,6 +496,46 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({self})"
+
+
+def _sum_of_products(triples: Iterable[tuple[int, Expr, Expr]]) -> Expr:
+    """The sum of sign * a * b over (sign, a, b) triples, sign 1 or -1.
+
+    Each term product is added in place into one dict, whose new keys are the
+    shared table's tuples; whole coefficients become ints after the last one.
+    """
+    out: dict[Monomial, Scalar] = {}
+    get = out.get
+    shared = _SHARED_MONOMIALS.get
+    for sign, a, b in triples:
+        right = b._terms.items()
+        for (a0, a1, a2, a3, a4), c1 in a._terms.items():
+            if sign < 0:
+                c1 = -c1
+            for m2, c2 in right:
+                monomial = (a0 + m2[0], a1 + m2[1], a2 + m2[2], a3 + m2[3], a4 + m2[4])
+                acc = get(monomial)
+                if acc is None:
+                    out[shared(monomial) or _shared(monomial)] = c1 * c2
+                else:
+                    total = acc + c1 * c2
+                    if total:
+                        out[monomial] = total
+                    else:
+                        del out[monomial]
+    for monomial, coeff in out.items():
+        if coeff.__class__ is not int:
+            out[monomial] = _integral(coeff)
+    return Expr._trusted(out)
+
+
+def _is_negation(a: Expr, b: Expr) -> bool:
+    """a == -b, compared term by term without building -b."""
+    get = b._terms.get
+    return len(a) == len(b) and all(get(m) == -c for m, c in a._terms.items())
+
+
+_ONE = Expr.one()
 
 
 def _power(base: Expr, n: int, multiply) -> Expr:
@@ -601,10 +607,12 @@ class _Tokenizer:
         if i >= n:
             return ("end", "", n + 1)
         ch = text[i]
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(f"literal longer than {MAX_LITERAL_DIGITS} digits", i + 1)
             return ("int", text[i:j], i + 1)
         if ch in "xyzts":
             return ("var", ch, i + 1)
@@ -640,22 +648,11 @@ class _Parser:
     def expr(self) -> Expr:
         # The terms are summed into one dict: rebuilding the running sum at
         # every sign would make a flat sum of n terms cost O(n^2).
-        value = self.term()
-        if self.tok.peek()[0] not in ("+", "-"):
-            return value
-        acc = dict(value._terms)
-        while True:
-            kind, _, _ = self.tok.peek()
-            if kind not in ("+", "-"):
-                return Expr(acc)
+        terms = [(1, self.term(), _ONE)]
+        while (kind := self.tok.peek()[0]) in ("+", "-"):
             self._eat(kind)
-            sign = 1 if kind == "+" else -1
-            for monomial, coeff in self.term()._terms.items():
-                total = acc.get(monomial, 0) + sign * coeff
-                if total:
-                    acc[monomial] = total
-                else:
-                    acc.pop(monomial, None)
+            terms.append((1 if kind == "+" else -1, self.term(), _ONE))
+        return terms[0][1] if len(terms) == 1 else _sum_of_products(terms)
 
     def term(self) -> Expr:
         value = self.factor()
@@ -753,11 +750,11 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse an expression string into canonical form.
 
-    Raises :class:`ParseError` (with a 1-based column) on malformed input,
-    on an integer exponent above ``MAX_EXPONENT``, on nesting deeper than
-    ``MAX_NESTING``, on a product or power that could expand to more than
-    ``MAX_TERMS`` terms, and when its products would take more than
-    ``MAX_TERM_PRODUCTS`` term products in all.
+    Raises :class:`ParseError` (with a 1-based column) on malformed input, on
+    an integer literal longer than ``MAX_LITERAL_DIGITS`` digits, on an
+    exponent above ``MAX_EXPONENT``, on nesting deeper than ``MAX_NESTING``,
+    on a product or power that could expand to more than ``MAX_TERMS`` terms,
+    and when its products would take more than ``MAX_TERM_PRODUCTS`` in all.
     """
     if not isinstance(text, str):
         raise TypeError("parse expects a string")

@@ -34,6 +34,7 @@ import warnings
 from typing import Optional, Sequence
 
 from .expr import COORD_NAMES, VARS, Expr, Point4, Record, _fused_closure, parse
+from .expr import _is_negation, _sum_of_products
 
 __all__ = [
     "CasimirPair",
@@ -92,8 +93,8 @@ class DroppedConstantWarning(UserWarning):
     """Linear-part extraction discarded a nonzero constant term."""
 
 
-class Covector4(Record):
-    """Four covariant entries (Expr for symbolic use, floats for numeric)."""
+class _Entries(Record):
+    """Four entries (Expr for symbolic use, floats for numeric)."""
 
     entries: tuple
 
@@ -102,32 +103,27 @@ class Covector4(Record):
 
     def __getitem__(self, i):
         return self.entries[i]
+
+    def as_array(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([float(v) for v in self.entries])
+
+
+class Covector4(_Entries):
+    """Four covariant entries (Expr for symbolic use, floats for numeric)."""
+
+    entries: tuple
 
     def pair(self, vec: "Vector4"):
         """Componentwise contraction <covector, vector>."""
         return sum(a * b for a, b in zip(self.entries, vec.entries))
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
 
-        return np.array([float(v) for v in self.entries])
-
-
-class Vector4(Record):
+class Vector4(_Entries):
     """Four contravariant entries (Expr or floats)."""
 
     entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([float(v) for v in self.entries])
 
 
 class CasimirPair(Record):
@@ -166,10 +162,8 @@ class Bivector:
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("components must be a 4x4 matrix of Expr")
         for i in range(4):
-            if not rows[i][i].is_zero:
-                raise ValueError(f"diagonal entry ({i},{i}) must be zero")
-            for j in range(i + 1, 4):
-                if rows[i][j] != -rows[j][i]:
+            for j in range(i, 4):  # a diagonal entry must be its own negation
+                if not _is_negation(rows[i][j], rows[j][i]):
                     raise ValueError(f"antisymmetry violated at ({i},{j})")
         self.components = rows
         self.conformal = conformal
@@ -223,20 +217,21 @@ def det4(columns: Sequence[Sequence[Expr]]) -> Expr:
 
     Laplace expansion by complementary minors: the sum over ``_LAPLACE`` of
     sign * (a[r]*b[s] - a[s]*b[r]) * (c[u]*d[v] - c[v]*d[u]), skipping a term
-    whose first minor is zero.  With basis columns a = e_i, b = e_j only the
+    whose first minor is zero.  Each minor and the outer sum are one
+    ``_sum_of_products``.  With basis columns a = e_i, b = e_j only the
     minor of c, d on the rows other than i and j is formed.
     """
     a, b, c, d = columns
-    out = Expr.zero()
+    terms = []
     for (r, s), (u, v), sign in _LAPLACE:
-        first = a[r] * b[s] - a[s] * b[r]
+        first = _sum_of_products(((1, a[r], b[s]), (-1, a[s], b[r])))
         if not first.is_zero:
-            out = out + sign * first * (c[u] * d[v] - c[v] * d[u])
-    return out
+            second = _sum_of_products(((1, c[u], d[v]), (-1, c[v], d[u])))
+            terms.append((sign, first, second))
+    return _sum_of_products(terms)
 
 
-def _basis_column(i: int) -> tuple[Expr, ...]:
-    return tuple(Expr.one() if r == i else Expr.zero() for r in range(4))
+_BASIS = tuple(tuple(Expr.constant(int(r == i)) for r in range(4)) for i in range(4))
 
 
 @functools.lru_cache(maxsize=_PROBE_MEMO_SIZE)
@@ -294,7 +289,7 @@ def flaschka_ratiu(
             warnings.warn(message, ConformalFactorWarning, stacklevel=2)
     grads = (gradient(cas.c1).entries, gradient(cas.c2).entries)
     entries = {
-        (i, j): det4((_basis_column(i), _basis_column(j)) + grads)
+        (i, j): det4((_BASIS[i], _BASIS[j]) + grads)
         for i, j in COORD_PAIRS
     }
     return Bivector.from_upper(entries, conformal=k, casimirs=cas)
@@ -305,38 +300,36 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
 
     J^{ijk} = sum_l ( pi^{il} d_l pi^{jk} + pi^{jl} d_l pi^{ki}
                       + pi^{kl} d_l pi^{ij} );
-    the bivector is Poisson iff all four vanish identically.  With a factor
-    k, the product rule turns the sums over k*pi into
-    k^2 * J(pi)^{ijk} + s * k * Pf(pi) * d_l k, with l and s from
+    the bivector is Poisson iff all four vanish identically.  Only the six
+    entries above the diagonal are differentiated: d_l pi^{ki} is read as
+    -d_l pi^{ik}, and the terms with l equal to the row index, whose factor
+    is a zero diagonal entry, are left out: each component is one
+    ``_sum_of_products`` of 9 products.  With a factor k, the product rule
+    gives k^2 * J(pi)^{ijk} + s * k * Pf(pi) * d_l k, with l and s from
     ``_PFAFFIAN_SIGNS``; the second term is zero for every
     :func:`flaschka_ratiu` output.
     """
     m = b.components
-    partials = [
-        [tuple(m[i][j].differentiate(v) for v in VARS) for j in range(4)]
-        for i in range(4)
-    ]
+    partials = {ij: gradient(e) for ij, e in b.upper_entries().items()}
     out: dict[tuple[int, int, int], Expr] = {}
     for (i, j, k) in TRIPLES:
-        total = Expr.zero()
-        for l in range(4):
-            total = (
-                total
-                + m[i][l] * partials[j][k][l]
-                + m[j][l] * partials[k][i][l]
-                + m[k][l] * partials[i][j][l]
-            )
-        out[(i, j, k)] = total
+        cyclic = ((i, partials[j, k], 1), (j, partials[i, k], -1), (k, partials[i, j], 1))
+        out[(i, j, k)] = _sum_of_products(
+            (sign, m[row][l], d[l])
+            for row, d, sign in cyclic
+            for l in range(4)
+            if l != row
+        )
     factor = b.conformal
     if factor is None:
         return out
     k2 = factor * factor
-    k_pfaffian = factor * (
-        m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+    k_pfaffian = factor * _sum_of_products(
+        ((1, m[0][1], m[2][3]), (-1, m[0][2], m[1][3]), (1, m[0][3], m[1][2]))
     )
     for triple, (l, sign) in _PFAFFIAN_SIGNS.items():
         dk = factor.differentiate(VARS[l])
-        out[triple] = k2 * out[triple] + sign * k_pfaffian * dk
+        out[triple] = _sum_of_products(((1, k2, out[triple]), (sign, k_pfaffian, dk)))
     return out
 
 
@@ -370,8 +363,8 @@ def casimir_check(b: Bivector, c: Expr) -> bool:
 
 
 def _contract(m, dh: Covector4) -> tuple[Expr, ...]:
-    """The four sums sum_j m[i][j] * dh[j]."""
-    return tuple(sum((e * d for e, d in zip(row, dh)), Expr.zero()) for row in m)
+    """The four sums sum_j m[i][j] * dh[j], each one ``_sum_of_products``."""
+    return tuple(_sum_of_products((1, e, d) for e, d in zip(row, dh)) for row in m)
 
 
 def _upper_at(b: Bivector, p: Point4) -> tuple[float, ...]:

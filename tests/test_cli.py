@@ -12,7 +12,7 @@ from test_leaves import _combo_flow_inputs, _reference_flow_csv
 from test_poisson import _reference_rank
 
 import poisson4
-from poisson4 import models
+from poisson4 import cli, models
 from poisson4.cli import main
 from poisson4.expr import Point4, parse
 from poisson4.models import expected_bivector, model
@@ -419,6 +419,27 @@ PARSER_LIMIT_INPUTS = [
     ("bivector", "--c1", "(" * 3000 + "x" + ")" * 3000, "--c2", "y"),
     ("bivector", "--c1=" + "-" * 3000 + "x", "--c2", "y"),
     ("bivector", "--c1", "(x+y+z+t+s)^24", "--c2", "y"),
+    # Literals past CPython's 4,300-digit int-string limit, and a digit
+    # that int() does not read.
+    ("bivector", "--c1", "x*" + "9" * 5000, "--c2", "y"),
+    ("bivector", "--c1", "x^" + "9" * 5000, "--c2", "y"),
+    ("bivector", "--c1", "x*\u00b2", "--c2", "y"),
+]
+
+# Values of --s and --steps too large to build or to run, each refused at
+# once with one line.
+OVERSIZED_INPUTS = [
+    (("bivector", "--model", "birth", "--s", "1e5000"), "--s"),
+    (("bivector", "--model", "birth", "--s", "1e99999999"), "--s"),
+    (("bivector", "--model", "birth", "--s", "1e-99999999"), "--s"),
+    (("bivector", "--model", "birth", "--s", "1" * 309), "--s"),
+    (("bivector", "--model", "birth", "--s", "1e308"), "--s"),
+    (("rank", "--model", "birth", "--s", "1e5000", "--point", "1,1,1,1"), "--s"),
+    (("rank", "--model", "birth", "--s", "1e350", "--point", "1,1,1,1"), "--s"),
+    (("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1",
+      "--steps", "100001"), "--steps"),
+    (("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1",
+      "--steps", "99999999999999999999"), "--steps"),
 ]
 
 # A power of a coordinate overflows in the first bivector entry evaluated.
@@ -466,6 +487,27 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert "--c1" in err and "column" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,flag", OVERSIZED_INPUTS)
+    def test_oversized_input_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"poisson4: error: {flag}:") and err.count("\n") == 1
+
+    def test_size_bounds_admit_their_limits(self, capsys):
+        code, out, _ = run_cli(capsys, "bivector", "--model", "birth", "--s", "1e307")
+        assert code == 0 and " - 3" + "0" * 307 + ", " in out
+        # An accepted s is a finite double: here 3*s overflows, a math error.
+        argv = ("rank", "--model", "birth", "--s", "9" * 308, "--point", "1,1,1,1")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("poisson4: evaluation at")
+        code, out, _ = run_cli(capsys, "bivector", "--c1", "x*" + "9" * 1000, "--c2", "y")
+        assert code == 0 and "9" * 1000 in out
+        assert cli.MAX_S_DIGITS == 308 and cli.MAX_STEPS == 100_000
+        argv = ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1",
+                "--dt", "0", "--steps", str(cli.MAX_STEPS), "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["steps"] == cli.MAX_STEPS
 
     @pytest.mark.parametrize("argv", OVERFLOW_INPUTS)
     def test_overflow_is_math_error(self, capsys, argv):

@@ -19,6 +19,7 @@ from poisson4.expr import (
     Point4,
     Var,
     _Parser,
+    _sum_of_products,
     parse,
 )
 
@@ -490,6 +491,80 @@ class TestReferenceEngine:
         assert [type(c) for _, c in parse("2*x*s + 3").substitute_s(Fraction(1, 2)).terms()] == [int, int]
         assert [type(c) for _, c in Expr({(0, 0, 0, 0, 0): Fraction(4, 2)}).terms()] == [int]
         assert [type(c) for _, c in Expr({(0, 0, 0, 0, 0): True}).terms()] == [int]
+
+
+class TestSumOfProducts:
+    """The one product loop against the reference engine, on signed triple lists."""
+
+    @staticmethod
+    def _reference(triples) -> dict:
+        out: dict = {}
+        for sign, a, b in triples:
+            product_ = _reference_mul(a, b)
+            out = _reference_add(out, {m: sign * c for m, c in product_.items()})
+        return out
+
+    @staticmethod
+    def _keys_from_the_table(e: Expr) -> bool:
+        table = expr_module._SHARED_MONOMIALS
+        return all(table.get(m) is m for m, _ in e.terms())
+
+    def test_matches_the_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monomial = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1))
+        coeff = st.one_of(
+            st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)
+        ).filter(bool)
+        terms = st.dictionaries(monomial, coeff, max_size=4)
+        triple = st.tuples(st.sampled_from((1, -1)), terms, terms)
+        one = {(0, 0, 0, 0, 0): Fraction(1)}
+
+        def closed(triples: list, mode: int) -> list:
+            # 0: as drawn; 1: each product again with the other sign, so the
+            # sum cancels to zero; 2: one more product that tops each
+            # coefficient of the sum up to a whole number, or to zero.
+            if mode == 1:
+                return triples + [(-sign, a, b) for sign, a, b in triples]
+            if mode == 2:
+                ref = self._reference(
+                    [(sign, _reference_terms(Expr(a)), _reference_terms(Expr(b)))
+                     for sign, a, b in triples]
+                )
+                top = {
+                    m: math.floor(c) - c + n % 2 for n, (m, c) in enumerate(ref.items())
+                }
+                return triples + [(1, top, one)]
+            return triples
+
+        cases = st.builds(closed, st.lists(triple, max_size=5), st.integers(0, 2))
+        phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, phases=phases)
+        @hypothesis.given(cases)
+        def check(drawn):
+            triples = [(sign, Expr(a), Expr(b)) for sign, a, b in drawn]
+            got = _sum_of_products(triples)
+            want = self._reference(
+                [(sign, _reference_terms(a), _reference_terms(b)) for sign, a, b in triples]
+            )
+            _assert_matches(got, want)
+            assert self._keys_from_the_table(got)
+
+        check()
+
+    def test_cancellation_and_whole_sums(self):
+        a, b = parse("1/2*x + y - 1/3"), parse("x*z - 2*t + 3/4")
+        assert _sum_of_products([(1, a, b), (-1, b, a)]).is_zero
+        assert _sum_of_products([]).is_zero
+        half = parse("1/2*x + 3/2*y*s")
+        whole = _sum_of_products([(1, half, Expr.one()), (1, Expr.one(), half)])
+        assert whole == parse("x + 3*y*s") and _int_exactly_when_integral(whole)
+        assert self._keys_from_the_table(whole)
+        # The product is the one-product case, and - builds no -rhs.
+        assert a * b == _sum_of_products([(1, a, b)])
+        assert a - b == _sum_of_products([(1, a, Expr.one()), (-1, b, Expr.one())])
+        assert 1 - a == _sum_of_products([(1, Expr.one(), Expr.one()), (-1, a, Expr.one())])
 
 
 class TestExponentTypes:

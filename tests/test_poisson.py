@@ -256,6 +256,43 @@ class TestPfaffianRoute:
 
         check()
 
+    def test_upper_partials_on_non_decomposable_bivectors(self):
+        # jacobiator differentiates only the six upper entries and skips the
+        # diagonal terms; the reference differentiates all 16 entries of the
+        # k-scaled matrix.  Six free entries with a nonzero Pfaffian, with
+        # and without k.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monomial = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1))
+        coeff = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+        poly = st.dictionaries(monomial, coeff, max_size=3).map(Expr)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        upper = st.tuples(*[poly] * 6).filter(
+            lambda e: not (e[0] * e[5] - e[1] * e[4] + e[2] * e[3]).is_zero
+        )
+        k = st.none() | st.dictionaries(monomial, coeff, min_size=1, max_size=3).map(
+            Expr
+        ).filter(lambda e: not e.is_zero)
+        phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None, phases=phases)
+        @hypothesis.given(upper, k)
+        def check(upper, k):
+            b = Bivector.from_upper(dict(zip(pairs, upper)), conformal=k)
+            want = _reference_jacobiator(b)
+            got = jacobiator(b)
+            assert got == want
+            assert [str(got[t]) for t in TRIPLES] == [str(want[t]) for t in TRIPLES]
+            verdict, witness = is_poisson(b), _reference_verdict(b)
+            if witness is None:
+                assert verdict.holds
+            else:
+                triple, poly = witness
+                assert verdict.witness_triple == tuple(COORD_NAMES[i] for i in triple)
+                assert str(verdict.witness) == str(poly)
+
+        check()
+
     def test_pfaffian_term_in_every_triple(self):
         # Pf = x*t - 2 and k depends on every coordinate, so each of the
         # four triples carries a nonzero Pfaffian term.

@@ -4,8 +4,9 @@ The corpus is a fixed, ordered list of invocations: every subcommand on
 every model and value of s, and on user-supplied Casimir pairs; the factor k
 absent, valid, malformed and zero; every ``--format``; a lone ``--c1`` or
 ``--c2`` beside ``--model``; non-finite and overflowing points; bad ``--dt``
-and ``--steps``; a k that makes the probe warn beside a usage error; and the
-README's "Command line" block.
+and ``--steps``; a k that makes the probe warn beside a usage error; an
+``--s`` or a literal too large to build; and the README's "Command line"
+block.
 
 Each command runs in-process through ``poisson4.cli.main`` with warnings set
 to "always", so a repeated warning is reported every time and the result of
@@ -146,7 +147,10 @@ def _source_commands() -> list[tuple[str, ...]]:
 def _flow_commands() -> list[tuple[str, ...]]:
     base = ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1")
     out = [base + ("--dt", dt, "--steps", "5") for dt in ("nan", "inf", "-1", "abc", "0")]
-    out += [base + ("--steps", steps) for steps in ("0", "-3", "x", "1")]
+    out += [
+        base + ("--steps", steps)
+        for steps in ("0", "-3", "x", "1", "100001")
+    ]
     out += [
         base[:3] + ("--point", "0,1,1,1"),  # no --h
         base[:4] + ("x +", "--point", "0,1,1,1"),
@@ -174,6 +178,15 @@ def _other_commands() -> list[tuple[str, ...]]:
         ("leaf-form", "--model", "fold", "--k", "x*y", "--point=1,1e200,1e200,1"),
         ("rank", "--model", "fold", "--k", "x*y", "--point=1e160,1,1,1"),
         ("jacobi", "--model", "cusp", "--k", "1" + "0" * 400 + "*x + 1"),
+        # Rationals too large to print or to make a float, and literals too
+        # long for int(): usage errors.  (An --s such as 1e99999999, which
+        # takes minutes to build, is left to tests/test_cli.py: the corpus
+        # also runs on trees from before its bound.)
+        ("bivector", "--model", "birth", "--s", "1e5000"),
+        ("rank", "--model", "birth", "--s", "1e5000", "--point", "1,1,1,1"),
+        ("rank", "--model", "birth", "--s", "1e350", "--point", "1,1,1,1"),
+        ("bivector", "--c1", "x*" + "9" * 5000, "--c2", "y"),
+        ("bivector", "--c1", "x^" + "9" * 5000, "--c2", "y"),
         # A k that makes the probe warn beside a usage error: the usage
         # error is reported alone, with no warning before it.
         ("rank", "--model", "cusp", "--k", "x", "--point", "0,1,1"),
