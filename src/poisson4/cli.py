@@ -10,7 +10,7 @@ library operation and prints the payload; the commands that take ``--point``
 evaluate there through :func:`_at_point`.  Exit codes: 0 success, 1
 mathematical failure (singular point, anchor not in the image, non-Poisson
 verdict under --expect-poisson, non-finite trajectory, an evaluation that
-overflows), 2 usage error.
+overflows, a coefficient too long to print), 2 usage error.
 
 ``leaves`` is imported inside ``flow`` and ``leaf-form``, the two commands
 that use it.  numpy is imported only by ``leaf-form``, for its least-squares
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import SCHEMA_VERSION, __version__
-from .expr import Expr, ParseError, Point4, parse
+from .expr import DigitLimitError, Expr, ParseError, Point4, parse
 from .models import MODEL_NAMES, catalogue_json, model, on_critical_locus
 from .poisson import (
     Bivector,
@@ -40,7 +40,7 @@ from .poisson import (
     rank_at,
 )
 
-# A flow keeps every step: 100,000 cusp steps take 0.75 s and 65 MB.  --s counts
+# A flow keeps every step: 100,000 cusp steps take 0.65 s and 53 MB.  --s counts
 # mantissa digits plus exponent magnitude, so s < 10^308 and 1e99999999 is not built.
 MAX_STEPS = 100_000
 MAX_S_DIGITS = 308
@@ -359,7 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as err:
         print(f"poisson4: error: {err}", file=sys.stderr)
         return 2
-    except MathError as err:
+    except (MathError, DigitLimitError) as err:
         print(f"poisson4: {err}", file=sys.stderr)
         return 1
     return 0

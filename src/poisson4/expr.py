@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -45,6 +46,7 @@ __all__ = [
     "Point4",
     "Record",
     "ParseError",
+    "DigitLimitError",
     "parse",
     "COORD_NAMES",
     "MAX_EXPONENT",
@@ -566,8 +568,16 @@ def _fused_closure(exprs: Iterable[Expr]):
     return eval(f"lambda x, y, z, t, s: ({body})")  # noqa: S307
 
 
+class DigitLimitError(ArithmeticError):
+    """A coefficient has more digits than CPython converts from int to str."""
+
+
 def _format_rational(q: Scalar) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise DigitLimitError(f"a coefficient has more than {limit} digits to print") from None
 
 
 # -- parsing ---------------------------------------------------------------

@@ -22,9 +22,11 @@ Two normalizations of the recovered 2-form are reported:
   coefficients are reproduced sign for sign on the coordinate-Casimir models.
 
 numpy is imported only inside the functions that solve (see ``expr``); the
-RK4 flow runs on Python floats.  Its field and tracker closures are compiled
-once per bivector value and Hamiltonian and then reused, so repeated flows of
-one structure pay for ``eval`` once.  A :class:`Trajectory` keeps its
+RK4 flow runs on Python floats, in one kernel generated from the source texts
+of the field and the tracked quantities and compiled once per bivector value
+and Hamiltonian.  A coordinate whose field component is the zero polynomial
+(t on the catalogue charts, where C1 = t; x when h = x) is held, not stepped
+(see :func:`flow`).  A :class:`Trajectory` keeps its
 coordinates as four float columns; ``Trajectory.points``, one :class:`Point4`
 per step, is built from them on first access.  ``Trajectory.to_csv`` formats
 a constant nonzero column once: on the catalogue charts C1 = t, so the t and
@@ -34,10 +36,12 @@ C1 columns of a flow are exactly constant, and so are x and H when h = x.
 from __future__ import annotations
 
 import math
+import re
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Optional
 
-from .expr import COORD_NAMES, Expr, Point4, Record, _fused_closure
+from .expr import COORD_NAMES, Expr, Point4, Record, _python_source
 from .poisson import (
     COORD_PAIRS,
     Bivector,
@@ -65,7 +69,7 @@ __all__ = [
 
 ANCHOR_TOLERANCE = 1e-9
 PAIR_SELECTION_RTOL = 1e-9
-# Distinct (bivector, h) whose flow closures are kept: more than the 17
+# Distinct (bivector, h) whose flow kernels are kept: more than the 17
 # (model, s, h) combinations that flow to t = 1 from the usual start.
 _FLOW_MEMO_SIZE = 64
 
@@ -324,28 +328,69 @@ def _drift(vals: tuple[float, ...]) -> float:
     return max(max(vals) - v0, v0 - min(vals))
 
 
-@lru_cache(maxsize=_FLOW_MEMO_SIZE)
-def _flow_closures(components, k, pair, h):
-    """``(field, track, tracked keys)`` for the flow of h on this bivector.
+# A coordinate name standing alone in a source text of ``expr``.
+_COORD = re.compile(r"\b[xyzt]\b")
 
-    ``field`` returns the four components of the Hamiltonian field of h and
-    ``track`` the values of C1, C2 (when ``pair`` is given) and h.  The key
-    is the bivector's values, not the object: a :class:`Bivector` is
-    unhashable, and its attributes can be reassigned.
+
+def _escape(n: int, *point: float) -> NonFiniteError:
+    message = f"trajectory left double precision after {n} steps"
+    return NonFiniteError(message, step=n, last_point=Point4(*point))
+
+
+@lru_cache(maxsize=_FLOW_MEMO_SIZE)
+def _flow_kernel(components, k, pair, h):
+    """``(kernel, tracked keys)`` for the flow of h on this bivector.
+
+    ``kernel(x, y, z, t, s, dt, steps)`` runs the RK4 loop of :func:`flow`
+    and returns the coordinate columns and those of C1, C2 (when ``pair`` is
+    given) and h.  It is generated as source, with the field components,
+    stage updates, finiteness checks and tracked quantities written out in
+    its loop, and compiled once.  The key is the bivector's values, not the
+    object: a :class:`Bivector` is unhashable, and its attributes can be
+    reassigned.
     """
     b = Bivector(components, conformal=k, casimirs=pair)
-    field = _fused_closure(hamiltonian_field(b, h))
+    field = dict(zip(COORD_NAMES, map(_python_source, hamiltonian_field(b, h))))
+    moved = [c for c in COORD_NAMES if field[c] != "0.0"]
+    held = [c for c in COORD_NAMES if c not in moved]
     tracked = {"H": h} if pair is None else {"C1": pair.c1, "C2": pair.c2, "H": h}
-    return field, _fused_closure(tracked.values()), tuple(tracked)
+    qs = [f"q{i}" for i in range(len(tracked))]
+    # The tracked values, all inf on an overflow.  A value free of x, y, z, t
+    # may be an int; the columns hold floats.
+    track = ["try:"]
+    for q, src in zip(qs, map(_python_source, tracked.values())):
+        track += [f"    {q} = {src}" if _COORD.search(src) else f"    {q} = float({src})"]
+    track += ["except OverflowError:", f"    {' = '.join(qs)} = inf"]
+    # Stage n reads the coordinates named in names; a held c is always c + "h".
+    step, names = ["try:"], {c: c for c in COORD_NAMES}
+    for n, weight in enumerate(("half", "half", "dt", None), 1):
+        step += [f"    k{n}{c} = " + _COORD.sub(lambda m: names[m[0]], field[c]) for c in moved]
+        step += [f"    {c}{n + 1} = {c} + {weight} * k{n}{c}" for c in moved if weight]
+        names = {c: c + (str(n + 1) if c in moved else "h") for c in COORD_NAMES}
+    step += ["except OverflowError:", "    raise escape(n, x, y, z, t, s) from None"]
+    step += [f"{c}1 = {c} + sixth * (k1{c} + 2.0 * (k2{c} + k3{c}) + k4{c})" for c in moved]
+    step += [f"if not ({' and '.join(f'isfinite({c}1)' for c in moved)}):"]
+    step += ["    raise escape(n, x, y, z, t, s)"]
+    step += [f"{c} = {c}1; {c.upper()}.append({c})" for c in moved]
+
+    body = ["half, sixth = 0.5 * dt, dt / 6.0"]
+    for c in held:  # c + dt*0.0 is finite exactly when c is
+        body += [f"if not isfinite({c}): raise escape(1, x, y, z, t, s)"]
+        body += [f"{c}h = {c} + dt * 0.0", f"{c.upper()} = ({c},) + ({c}h,) * steps"]
+    body += [f"{c.upper()} = [{c}]" for c in moved] + track
+    body += [f"{q.upper()} = [{q}]" for q in qs]
+    loop = (step if moved else []) + [f"{c} = {c}h" for c in held] + track
+    loop += [f"{q.upper()}.append({q})" for q in qs]
+    body += ["for n in range(1, steps + 1):"] + ["    " + line for line in loop]
+    columns = [c.upper() if c in held else f"tuple({c.upper()})" for c in COORD_NAMES]
+    values = [f"tuple({q.upper()})" for q in qs]
+    body += [f"return ({', '.join(columns)}), ({', '.join(values)},)"]
+    namespace = {"isfinite": math.isfinite, "inf": math.inf, "escape": _escape}
+    exec("def kernel(x, y, z, t, s, dt, steps):\n    " + "\n    ".join(body), namespace)
+    return namespace["kernel"], tuple(tracked)
 
 
-def flow(
-    b: Bivector,
-    h: Expr,
-    p0: Point4,
-    dt: float,
-    steps: int,
-) -> Trajectory:
+def flow(b: Bivector, h: Expr, p0: Point4, dt: float, steps: int) -> Trajectory:
     """Classical fixed-step RK4 integration of the Hamiltonian field of h.
 
     Records C1, C2 (when ``b.casimirs`` records the pair) and h at every step,
@@ -355,15 +400,19 @@ def flow(
 
     The state is four Python floats, each updated as ``x + (dt/2)*k``,
     ``x + dt*k3`` and ``x + (dt/6)*(k1 + 2*(k2 + k3) + k4)``; the exported
-    CSV digits depend on this order of operations.  Each RK4 stage is one call
-    to a closure returning all four field components, and each step one call
-    to a closure returning the tracked quantities.  Both closures are kept
-    per value of (components, k, Casimir pair, h), so a second flow of the
-    same structure and Hamiltonian compiles nothing.  A float power that
-    overflows raises ``OverflowError`` instead of giving inf, so an overflow
-    inside a step ends the flow as a non-finite coordinate does, and one in
-    the tracked quantities records a row of inf, which ends it after the
-    last step as any non-finite tracked value does.
+    CSV digits depend on this order of operations.  The loop is one generated
+    kernel, kept per value of (components, k, Casimir pair, h), so a second
+    flow of the same structure and Hamiltonian compiles nothing.  A
+    coordinate whose field component is the zero polynomial is held: checked
+    for finiteness once, it is ``x0 + dt*0.0`` from step 1 on.  That is
+    exact: the zero polynomial's source is ``0.0``, and dt/2, dt and dt/6 are
+    finite with the sign of dt, so every stage argument and update of the
+    coordinate adds the same signed zero dt*0.0 (which changes x0 only when
+    x0 is -0.0 and dt is not).  A float power that overflows raises
+    ``OverflowError`` instead of giving inf, so an overflow inside a step
+    ends the flow as a non-finite coordinate does, and one in the tracked
+    quantities records a row of inf, which ends it after the last step as
+    any non-finite tracked value does.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
@@ -372,67 +421,12 @@ def flow(
     if steps < 1:
         raise ValueError("steps must be at least 1")
 
-    field, track, tracked = _flow_closures(
-        tuple(map(tuple, b.components)), b.conformal, b.casimirs, h
-    )
-    s = p0.s
-    lost_row = (math.inf,) * len(tracked)
-
-    isfinite = math.isfinite
-    half, sixth = 0.5 * dt, dt / 6.0
-    x, y, z, t = map(float, p0.coords())
-    states = [(x, y, z, t)]
-    try:
-        rows = [track(x, y, z, t, s)]
-    except OverflowError:
-        rows = [lost_row]
-
-    for n in range(1, steps + 1):
-        try:
-            k1x, k1y, k1z, k1t = field(x, y, z, t, s)
-            k2x, k2y, k2z, k2t = field(
-                x + half * k1x, y + half * k1y, z + half * k1z, t + half * k1t, s
-            )
-            k3x, k3y, k3z, k3t = field(
-                x + half * k2x, y + half * k2y, z + half * k2z, t + half * k2t, s
-            )
-            k4x, k4y, k4z, k4t = field(
-                x + dt * k3x, y + dt * k3y, z + dt * k3z, t + dt * k3t, s
-            )
-        except OverflowError:
-            finite = False
-        else:
-            x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-            y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-            z = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
-            t = t + sixth * (k1t + 2.0 * (k2t + k3t) + k4t)
-            finite = isfinite(x) and isfinite(y) and isfinite(z) and isfinite(t)
-        if not finite:
-            raise NonFiniteError(
-                f"trajectory left double precision after {n} steps",
-                step=n,
-                last_point=Point4(*states[-1], s),
-            )
-        states.append((x, y, z, t))
-        try:
-            rows.append(track(x, y, z, t, s))
-        except OverflowError:
-            rows.append(lost_row)
-
-    lost = "conserved quantities left double precision"
-    try:
-        # A closure free of x, y, z, t may give an int; the CSV needs floats.
-        columns = [tuple(map(float, col)) for col in zip(*rows)]
-    except OverflowError:  # an int beyond the float range
-        raise NonFiniteError(lost) from None
-    conserved = dict(zip(tracked, columns))
-    drift = {key: _drift(col) for key, col in conserved.items()}
+    key = tuple(map(tuple, b.components)), b.conformal, b.casimirs, h
+    kernel, tracked = _flow_kernel(*key)
+    columns, values = kernel(*map(float, p0.coords()), p0.s, dt, steps)
+    drift = dict(zip(tracked, map(_drift, values)))
     # A NaN after the first value never wins max(), so every value is checked.
-    finite = all(map(isfinite, drift.values())) and all(
-        all(map(isfinite, col)) for col in columns
-    )
-    if not finite:
-        raise NonFiniteError(lost)
-    return Trajectory(
-        columns=tuple(zip(*states)), s=s, dt=dt, conserved=conserved, drift=drift
-    )
+    if not all(map(math.isfinite, chain(drift.values(), *values))):
+        raise NonFiniteError("conserved quantities left double precision")
+    conserved = dict(zip(tracked, values))
+    return Trajectory(columns=columns, s=p0.s, dt=dt, conserved=conserved, drift=drift)

@@ -1,10 +1,13 @@
 """CLI tests: payloads, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 
 import pytest
@@ -384,6 +387,78 @@ class TestListModelsAndVersion:
         assert out.startswith("poisson4 ") and "schema" in out
 
 
+# CPU seconds any one drawn flow command may take: a MAX_STEPS cusp flow
+# and its CSV take about 1 s.
+FLOW_FUZZ_CPU_S = 10.0
+
+
+def test_drawn_flow_commands_keep_the_exit_contract():
+    """argv for ``flow`` drawn from its grammar, mostly valid, run in-process.
+
+    Every command returns 0, 1 or 2 from ``main``, prints no traceback and
+    stays within a CPU bound.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def mostly(valid, invalid):
+        """One of the values, an invalid one about one time in ten."""
+        pick = st.tuples(st.integers(0, 9), st.sampled_from(valid), st.sampled_from(invalid))
+        return pick.map(lambda drawn: drawn[2] if drawn[0] == 9 else drawn[1])
+
+    factors = st.lists(st.sampled_from(["x", "y", "z", "t", "s", "2", "x^3"]), min_size=1, max_size=3)
+    h = st.one_of(
+        st.lists(factors.map("*".join), min_size=1, max_size=3).map(" - ".join),
+        mostly(
+            ["x", "x + y*z", "y", "t", "1", "0", "x^2 - t", "z^3*y", "s*x + z", "x^60"],
+            ["x +", ")(", "x^65", "-y", "1" + "0" * 400, "(y*" + "9" * 900 + ")^5"],
+        ),
+    )
+    coordinate = st.one_of(
+        st.floats(-2, 2).map(repr),
+        mostly(["0", "-0.0", "0.1", "-1", "1e150", "1e200"], ["nan", "inf", "a"]),
+    )
+    optional = {
+        "--dt": mostly(["0", "-0.0", "1e-3", "0.01", "0.1", "1", "1e200"], ["-1", "nan", "inf", "abc"]),
+        "--steps": st.one_of(
+            st.integers(1, 300).map(str),
+            mostly(["1000"], [str(cli.MAX_STEPS)]),
+            mostly(["1"], ["0", "-3", "x", str(cli.MAX_STEPS + 1), "9" * 20]),
+        ),
+        "--k": mostly(["1 + x^2 + y^2 + z^2 + t^2", "3", "x"], ["0", "x +"]),
+        "--format": mostly(["csv", "text", "json"], ["xml"]),
+    }
+    phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, phases=phases)
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw
+        name = draw(mostly(list(models.MODEL_NAMES), ["nosuch"]))
+        argv = ["flow", "--model", name, "--h", draw(h)]
+        count = draw(mostly([4], [3, 5]))
+        argv += ["--point", ",".join(draw(st.lists(coordinate, min_size=count, max_size=count)))]
+        if name in models.MODEL_NAMES and model(name).uses_s:
+            s = draw(mostly(["-1", "0", "1/2", "2"], [None, "abc", "1/0", "1e400"]))
+        else:
+            s = draw(mostly([None], ["1"]))
+        argv += [] if s is None else ["--s", s]
+        for flag, values in optional.items():
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k = x vanishes on the probe grid
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert time.process_time() - start < FLOW_FUZZ_CPU_S, argv
+
+    check()
+
+
 class TestDeterminism:
     def test_repeated_invocations_are_byte_identical(self):
         cmd = [
@@ -464,6 +539,20 @@ PROBE_OVERFLOW_FACTORS = [
     "1" + "0" * 400,
 ]
 
+# Products and powers of literals under MAX_LITERAL_DIGITS whose coefficients
+# pass CPython's 4,300-digit int-to-str limit: printed or compiled, each is
+# a mathematical failure.
+NINES = "9" * 900
+DIGIT_LIMIT_INPUTS = [
+    ("flow", "--model", "fold", "--h", f"(y*{NINES})^5", "--point=0.1,0.5,0.5,0.5",
+     "--steps", "3"),
+    ("bivector", "--c1", f"(x*{NINES})^3", "--c2", f"(y*{NINES})^3"),
+    ("rank", "--c1", f"(x*{NINES})^5", "--c2", "y", "--point", "1,1,1,1"),
+    ("rank", "--model", "cusp", "--k", f"(x*{NINES})^5", "--point", "1,1,1,1"),
+    ("locus", "--c1", f"(x*{NINES})^5", "--c2", "y", "--point", "1,1,1,1"),
+    ("leaf-form", "--c1", f"(x*{NINES})^5", "--c2", "y", "--point", "1,1,1,1"),
+]
+
 NEGATIVE_POINTS = [
     ("rank", "--model", "cusp", "--point", "-1,0,0,1"),
     ("locus", "--model", "cusp", "--point", "-1,0,0,-1"),
@@ -508,6 +597,13 @@ class TestInputContract:
                 "--dt", "0", "--steps", str(cli.MAX_STEPS), "--format", "json")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and json.loads(out)["steps"] == cli.MAX_STEPS
+
+    @pytest.mark.parametrize("argv", DIGIT_LIMIT_INPUTS, ids=lambda argv: argv[0])
+    def test_coefficient_past_the_digit_limit_is_math_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (1, "")
+        assert err == f"poisson4: a coefficient has more than {limit} digits to print\n"
 
     @pytest.mark.parametrize("argv", OVERFLOW_INPUTS)
     def test_overflow_is_math_error(self, capsys, argv):

@@ -49,3 +49,23 @@ def test_corpus_exit_contract_and_pins():
             moved.append(command)
     assert escaped == []
     assert moved == []
+
+
+def _result(code, stderr=""):
+    return {"exit": code, "stdout": "", "stderr": stderr, "warnings": [], "sites": []}
+
+
+def test_parity_fails_only_on_the_new_trees_escapes(capsys):
+    commands = [("rank",), ("flow",)]
+    escaped = _result("exception: ValueError: Exceeds the limit")
+    mended = _result(1, "poisson4: a coefficient has more than 4300 digits to print\n")
+    # A base that escapes where the change mends: reported, not failed.
+    assert cli_parity.report(commands, [escaped, _result(0)], [mended, _result(0)]) == 0
+    out = capsys.readouterr().out
+    assert "exits outside {0, 1, 2}: old 1 (not checked), new 0" in out
+    assert "exit/stdout  exception: ValueError: Exceeds the limit -> 1  rank" in out
+    # An escape in the new tree fails, whatever the old tree did.
+    for old in (_result(0), escaped):
+        assert cli_parity.report(commands, [_result(0), old], [_result(0), escaped]) == 1
+        assert "new 1" in capsys.readouterr().out
+    assert cli_parity.report(commands, [_result(0)] * 2, [_result(2)] * 2) == 0

@@ -16,7 +16,7 @@ from poisson4.leaves import (
     SingularPointError,
     Trajectory,
     _drift,
-    _flow_closures,
+    _flow_kernel,
     flow,
     leaf_form_coefficient,
     leaf_tangent_frame,
@@ -244,6 +244,80 @@ class TestFlow:
             traj.to_csv()
 
 
+def _reference_flow(b, h, p0, dt, steps):
+    """``flow`` as a hand-written loop over fused closures: the oracle of the kernel.
+
+    Each RK4 stage is one call returning the four field components, and each
+    step one call returning the tracked quantities; every coordinate is
+    stepped, held or not.
+    """
+    field = _fused_closure(hamiltonian_field(b, h))
+    pair = b.casimirs
+    tracked = {"H": h} if pair is None else {"C1": pair.c1, "C2": pair.c2, "H": h}
+    track = _fused_closure(tracked.values())
+    s = p0.s
+    lost_row = (math.inf,) * len(tracked)
+
+    isfinite = math.isfinite
+    half, sixth = 0.5 * dt, dt / 6.0
+    x, y, z, t = map(float, p0.coords())
+    states = [(x, y, z, t)]
+    try:
+        rows = [track(x, y, z, t, s)]
+    except OverflowError:
+        rows = [lost_row]
+
+    for n in range(1, steps + 1):
+        try:
+            k1x, k1y, k1z, k1t = field(x, y, z, t, s)
+            k2x, k2y, k2z, k2t = field(
+                x + half * k1x, y + half * k1y, z + half * k1z, t + half * k1t, s
+            )
+            k3x, k3y, k3z, k3t = field(
+                x + half * k2x, y + half * k2y, z + half * k2z, t + half * k2t, s
+            )
+            k4x, k4y, k4z, k4t = field(
+                x + dt * k3x, y + dt * k3y, z + dt * k3z, t + dt * k3t, s
+            )
+        except OverflowError:
+            finite = False
+        else:
+            x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+            y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+            z = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z)
+            t = t + sixth * (k1t + 2.0 * (k2t + k3t) + k4t)
+            finite = isfinite(x) and isfinite(y) and isfinite(z) and isfinite(t)
+        if not finite:
+            raise NonFiniteError(
+                f"trajectory left double precision after {n} steps",
+                step=n,
+                last_point=Point4(*states[-1], s),
+            )
+        states.append((x, y, z, t))
+        try:
+            rows.append(track(x, y, z, t, s))
+        except OverflowError:
+            rows.append(lost_row)
+
+    lost = "conserved quantities left double precision"
+    try:
+        # A closure free of x, y, z, t may give an int; the CSV needs floats.
+        columns = [tuple(map(float, col)) for col in zip(*rows)]
+    except OverflowError:  # an int beyond the float range
+        raise NonFiniteError(lost) from None
+    conserved = dict(zip(tracked, columns))
+    drift = {key: _drift(col) for key, col in conserved.items()}
+    # A NaN after the first value never wins max(), so every value is checked.
+    finite = all(map(isfinite, drift.values())) and all(
+        all(map(isfinite, col)) for col in columns
+    )
+    if not finite:
+        raise NonFiniteError(lost)
+    return Trajectory(
+        columns=tuple(zip(*states)), s=s, dt=dt, conserved=conserved, drift=drift
+    )
+
+
 def _reference_flow_csv(b, h, p0, dt, steps):
     """The RK4 loop on a (4,) ndarray state, kept as an independent reference.
 
@@ -436,6 +510,109 @@ def test_tracked_escape_carries_no_step():
     assert (info.value.step, info.value.last_point) == (None, None)
 
 
+def _signed(values):
+    """Values with their signs: -0.0 differs from 0.0, and nan equals nan."""
+    return [(math.copysign(1.0, v), v if v == v else "nan") for v in values]
+
+
+def _flow_outcome(run, *args):
+    """What a flow gives: its CSV, drift and columns, or its escape."""
+    try:
+        traj = run(*args)
+    except NonFiniteError as err:
+        point = None if err.last_point is None else _signed(err.last_point.values())
+        return str(err), err.step, point
+    try:
+        csv = traj.to_csv()
+    except ValueError:  # the bivector records no Casimir pair
+        csv = None
+    return csv, repr(traj.drift), repr(traj.columns), repr(traj.conserved)
+
+
+class TestKernelMatchesTheLoop:
+    """The generated kernel of ``flow`` against ``_reference_flow``.
+
+    The catalogue flows hold t (C1 = t, so X^t = 0) and, when h = x, x too;
+    a held coordinate is x0 + dt*0.0 from step 1 on, which differs from x0
+    only for a -0.0 start, and from x0 + 0.0 only when dt is -0.0 as well.
+    """
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.0, -0.0])
+    @pytest.mark.parametrize("name,s,h_text", CONSERVING_COMBOS)
+    def test_signed_zero_starts(self, name, s, h_text, dt):
+        for coords in ((-0.0, 0.5, 0.5, -0.0), (0.0, -0.0, 0.5, 0.0)):
+            b, h, p0 = _combo_flow_inputs(name, s, h_text, coords=coords)
+            want = _flow_outcome(_reference_flow, b, h, p0, dt, 30)
+            assert _flow_outcome(flow, b, h, p0, dt, 30) == want, coords
+
+    def test_escape_after_a_held_negative_zero(self):
+        # x is held at x0 + 0.0 = 0.0 from step 1 on, so the last finite
+        # point of a later escape has x = +0.0, not the start's -0.0.
+        b, h, p0 = _combo_flow_inputs("lefschetz", None, "x", coords=(-0.0, 0.5, 0.5, 0.5))
+        want = _flow_outcome(_reference_flow, b, h, p0, 1e-3, 1000)
+        assert want[:2] == ("trajectory left double precision after 944 steps", 944)
+        assert want[2][0] == (1.0, 0.0)
+        assert _flow_outcome(flow, b, h, p0, 1e-3, 1000) == want
+
+    @pytest.mark.parametrize("held", ["x", "t"])
+    def test_non_finite_held_start_escapes_at_step_one(self, held):
+        b, h, _ = _combo_flow_inputs("cusp", None, "x")
+        for value in (math.inf, -math.inf, math.nan):
+            p0 = Point4(**{**dict(zip(COORD_NAMES, FLOW_ORIGIN)), held: value})
+            want = _flow_outcome(_reference_flow, b, h, p0, 1e-3, 5)
+            assert want[1] == 1
+            assert _flow_outcome(flow, b, h, p0, 1e-3, 5) == want
+
+    def test_drawn_flows(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coord = st.one_of(
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e150, 1e6]),
+            st.floats(-2, 2),
+        )
+        monomial = st.tuples(
+            st.sampled_from(["-2", "-1", "1", "3", "1/2"]),
+            st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        )
+        drawn = st.lists(monomial, min_size=1, max_size=3).map(
+            lambda terms: " + ".join(
+                "*".join([c] + [f"{v}^{e}" for v, e in zip(COORD_NAMES, es) if e])
+                for c, es in terms
+            )
+        )
+        # h = x^60 and the 10^400 constant overflow as tracked quantities.
+        fixed = ["x", "x + y*z", "y", "t", "1", "0", "x^2 - t", "z^3*y", "s*x + z",
+                 "x^60", "1" + "0" * 400]
+        factors = [None, K_FACTOR, parse("x"), parse("3"), parse("y*z - 1")]
+        phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, phases=phases)
+        @hypothesis.given(
+            st.sampled_from(MODEL_NAMES),
+            st.sampled_from([None, -1, 0, 1]),
+            st.sampled_from(factors),
+            st.booleans(),
+            st.one_of(st.sampled_from(fixed), drawn),
+            st.lists(coord, min_size=4, max_size=4),
+            st.sampled_from([-1.0, -0.0, 0.5, 2.0]),
+            st.sampled_from([0.0, -0.0, 0, 5e-324, 1e-3, 1e-2, 0.1, 1e200]),
+            st.integers(1, 40),
+        )
+        def check(name, s, k, with_pair, h_text, coords, s_value, dt, steps):
+            s = s if model(name).uses_s else None
+            pair = model(name, s).casimirs
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # k = x vanishes on the probe
+                b = flaschka_ratiu(pair, k=k)
+            if not with_pair:
+                b = Bivector(b.components, conformal=b.conformal)
+            p0 = Point4(*coords, s=s_value if s is None else float(s))
+            args = (b, parse(h_text), p0, dt, steps)
+            assert _flow_outcome(flow, *args) == _flow_outcome(_reference_flow, *args)
+
+        check()
+
+
 def _reference_to_csv(traj):
     """Trajectory.to_csv as it was before constant columns: %.17g per value."""
     if "C1" not in traj.conserved or "C2" not in traj.conserved:
@@ -500,7 +677,7 @@ def test_csv_bytes_of_mixed_columns_and_short_columns():
 class TestFlowClosureMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        _flow_closures.cache_clear()
+        _flow_kernel.cache_clear()
 
     @staticmethod
     def _memo_after(*bivectors, h_texts=("x + y*z",)):
@@ -508,7 +685,7 @@ class TestFlowClosureMemo:
         csvs = {
             flow(b, parse(h), p0, 1e-3, 5).to_csv() for b in bivectors for h in h_texts
         }
-        info = _flow_closures.cache_info()
+        info = _flow_kernel.cache_info()
         return info.hits, info.misses, len(csvs)
 
     def test_an_equal_but_distinct_h_hits_the_memo(self):

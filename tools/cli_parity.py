@@ -23,9 +23,11 @@ Usage::
 The first form runs the corpus in both trees (each a checkout holding
 ``src/poisson4``), sorts every difference into "exit/stdout" or "stderr
 only", counts the warnings whose location moved, and prints the table and
-each differing command.  It exits 1 if a command in either tree exits
-outside {0, 1, 2}, and a difference alone never fails it.  The second form prints the exit code and the sha256 of stdout of every
-command, the pins that ``tests/test_cli_corpus.py`` checks.
+each differing command.  It exits 1 if a command in the new tree exits
+outside {0, 1, 2}; the old tree's such exits are only counted, and a
+difference alone never fails it.  The second form prints the exit code and
+the sha256 of stdout of every command, the pins that
+``tests/test_cli_corpus.py`` checks.
 """
 
 from __future__ import annotations
@@ -187,6 +189,12 @@ def _other_commands() -> list[tuple[str, ...]]:
         ("rank", "--model", "birth", "--s", "1e350", "--point", "1,1,1,1"),
         ("bivector", "--c1", "x*" + "9" * 5000, "--c2", "y"),
         ("bivector", "--c1", "x^" + "9" * 5000, "--c2", "y"),
+        # Products and powers of literals under the parser's limit whose
+        # coefficients pass CPython's 4,300-digit int-to-str limit.
+        ("flow", "--model", "fold", "--h", "(y*" + "9" * 900 + ")^5",
+         "--point=0.1,0.5,0.5,0.5", "--steps", "3"),
+        ("bivector", "--c1", "(x*" + "9" * 900 + ")^3", "--c2", "(y*" + "9" * 900 + ")^3"),
+        ("rank", "--c1", "(x*" + "9" * 900 + ")^5", "--c2", "y", "--point", "1,1,1,1"),
         # A k that makes the probe warn beside a usage error: the usage
         # error is reported alone, with no warning before it.
         ("rank", "--model", "cusp", "--k", "x", "--point", "0,1,1"),
@@ -285,14 +293,23 @@ def pins(tree: Path) -> dict[str, list]:
 
 
 def compare(old_tree: Path, new_tree: Path) -> int:
-    commands = corpus()
-    old, new = run_tree(old_tree), run_tree(new_tree)
+    return report(corpus(), run_tree(old_tree), run_tree(new_tree))
+
+
+def report(commands, old: list[dict], new: list[dict]) -> int:
+    """Print the differences of two corpus runs; 1 if a new result escapes.
+
+    An exit outside {0, 1, 2} fails only in the new tree.  The old tree's
+    are counted for information: a change that mends such an exit, and pins
+    the mended command in the corpus, runs it on a base that still escapes.
+    """
     groups: collections.Counter = collections.Counter()
     moved: collections.Counter = collections.Counter()
     listed = []
-    bad = 0
+    escapes = collections.Counter()
     for argv, a, b in zip(commands, old, new):
-        bad += sum(r["exit"] not in (0, 1, 2) for r in (a, b))
+        for side, r in (("old", a), ("new", b)):
+            escapes[side] += r["exit"] not in (0, 1, 2)
         if (a["exit"], a["stdout"]) != (b["exit"], b["stdout"]):
             kind = "exit/stdout"
         elif (a["stderr"], a["warnings"]) != (b["stderr"], b["warnings"]):
@@ -315,10 +332,10 @@ def compare(old_tree: Path, new_tree: Path) -> int:
         print(f"{kind:<12} {command:<14} {f'{code_a} -> {code_b}':<16} {count}")
     for (site_a, site_b), count in sorted(moved.items()):
         print(f"warning site {site_a} -> {site_b}: {count}")
-    print(f"exits outside {{0, 1, 2}}: {bad}")
+    print(f"exits outside {{0, 1, 2}}: old {escapes['old']} (not checked), new {escapes['new']}")
     if listed:
         print("\ndiffering commands:\n" + "\n".join(listed))
-    return 1 if bad else 0
+    return 1 if escapes["new"] else 0
 
 
 def main(argv=None) -> int:
