@@ -5,12 +5,14 @@ The central operation builds the antisymmetric component matrix
     pi[i][j] = det(e_i, e_j, dC1, dC2)
 
 as an exact polynomial determinant (columns in that order), so that both
-Casimirs are annihilated identically.  ``det4`` expands by complementary 2x2
-minors and skips a term whose first minor is zero, so each entry is +/- the
-one minor of (dC1, dC2) on the rows other than i and j.  Because the
-resulting bivector is decomposable its rank is at most 2 everywhere, and
-any conformal rescaling by a non-vanishing function k stays Poisson.  The
-Jacobiator of k*pi is still computed, never assumed, from the identity
+Casimirs are annihilated identically.  Expanded by complementary 2x2 minors,
+the determinant with basis columns e_i, e_j keeps one term: pi[i][j] is
++/- the minor d(C1, C2)/d(x^u, x^v) on the rows u < v other than i and j,
+and :func:`flaschka_ratiu` forms exactly that signed minor.  ``det4`` remains
+the general determinant of four columns.  Because the resulting bivector is
+decomposable its rank is at most 2 everywhere, and any conformal rescaling
+by a non-vanishing function k stays Poisson.  The Jacobiator of k*pi is
+still computed, never assumed, from the identity
 
     J(k*pi)^{ijk} = k^2 * J(pi)^{ijk} +/- k * Pf(pi) * d_l k,
 
@@ -141,6 +143,14 @@ class CasimirPair(Record):
         return _fused_closure(gradient(self.c1).entries + gradient(self.c2).entries)
 
 
+_ZERO = Expr.zero()
+
+
+def _require_expr(e, i: int, j: int) -> None:
+    if not isinstance(e, Expr):
+        raise TypeError(f"entry ({i},{j}) must be an Expr, got {type(e).__name__}")
+
+
 class Bivector:
     """Antisymmetric 4x4 matrix of polynomials plus an optional factor k.
 
@@ -161,6 +171,9 @@ class Bivector:
         rows = tuple(tuple(row) for row in components)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("components must be a 4x4 matrix of Expr")
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                _require_expr(e, i, j)
         for i in range(4):
             for j in range(i, 4):  # a diagonal entry must be its own negation
                 if not _is_negation(rows[i][j], rows[j][i]):
@@ -169,16 +182,42 @@ class Bivector:
         self.conformal = conformal
         self.casimirs = casimirs
 
+    @classmethod
+    def _trusted(
+        cls,
+        rows: tuple[tuple[Expr, ...], ...],
+        conformal: Optional[Expr] = None,
+        casimirs: Optional[CasimirPair] = None,
+    ) -> "Bivector":
+        """Wrap 4x4 rows of Expr that are antisymmetric already, without checking them."""
+        b = object.__new__(cls)
+        b.components = rows
+        b.conformal = conformal
+        b.casimirs = casimirs
+        return b
+
     @staticmethod
-    def from_upper(entries: dict[tuple[int, int], Expr], **kwargs) -> "Bivector":
-        """Build from the entries above the diagonal; the rest is filled in."""
-        rows = [[Expr.zero() for _ in range(4)] for _ in range(4)]
+    def from_upper(
+        entries: dict[tuple[int, int], Expr],
+        conformal: Optional[Expr] = None,
+        casimirs: Optional[CasimirPair] = None,
+    ) -> "Bivector":
+        """Build from the entries above the diagonal; the rest is filled in.
+
+        Each entry below the diagonal is the negation of its mirror and every
+        unset entry is one shared zero, so the rows are antisymmetric by
+        construction and are wrapped without the check ``Bivector(rows)``
+        makes.  An index that is not above the diagonal raises ``ValueError``,
+        an entry that is not an ``Expr`` ``TypeError``.
+        """
+        rows = [[_ZERO] * 4 for _ in range(4)]
         for (i, j), e in entries.items():
             if not 0 <= i < j < 4:
                 raise ValueError(f"expected upper-triangular index, got {(i, j)}")
+            _require_expr(e, i, j)
             rows[i][j] = e
             rows[j][i] = -e
-        return Bivector(rows, **kwargs)
+        return Bivector._trusted(tuple(map(tuple, rows)), conformal, casimirs)
 
     def scaled_components(self) -> tuple[tuple[Expr, ...], ...]:
         """Components with the conformal factor folded in (absent k -> 1)."""
@@ -231,9 +270,6 @@ def det4(columns: Sequence[Sequence[Expr]]) -> Expr:
     return _sum_of_products(terms)
 
 
-_BASIS = tuple(tuple(Expr.constant(int(r == i)) for r in range(4)) for i in range(4))
-
-
 @functools.lru_cache(maxsize=_PROBE_MEMO_SIZE)
 def _k_probe_warning(k: Expr) -> Optional[str]:
     """Why k looks degenerate on the 10^4-point grid of [-2, 2]^4, or None.
@@ -273,6 +309,11 @@ def flaschka_ratiu(
 ) -> Bivector:
     """Bivector with prescribed Casimirs C1, C2 and conformal factor k.
 
+    Entry (i, j) is det(e_i, e_j, dC1, dC2), formed as its one signed minor
+    sign * (dC1[u]*dC2[v] - dC1[v]*dC2[u]) over the complement (u, v) of
+    (i, j), one ``_sum_of_products``; ``det4`` on basis columns gives the
+    same polynomial with more work.
+
     Rejects an exactly-zero k.  A supplied k is additionally probed on a
     deterministic 10^4-point grid in [-2, 2]^4 (s = 0, Python floats); a sign
     change, a near-zero value or a value that overflows there only raises
@@ -287,10 +328,10 @@ def flaschka_ratiu(
         message = _k_probe_warning(k)
         if message is not None:
             warnings.warn(message, ConformalFactorWarning, stacklevel=2)
-    grads = (gradient(cas.c1).entries, gradient(cas.c2).entries)
+    d1, d2 = gradient(cas.c1).entries, gradient(cas.c2).entries
     entries = {
-        (i, j): det4((_BASIS[i], _BASIS[j]) + grads)
-        for i, j in COORD_PAIRS
+        ij: _sum_of_products(((sign, d1[u], d2[v]), (-sign, d1[v], d2[u])))
+        for ij, (u, v), sign in _LAPLACE
     }
     return Bivector.from_upper(entries, conformal=k, casimirs=cas)
 

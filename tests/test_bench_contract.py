@@ -96,3 +96,76 @@ def test_bench_pairs_records_the_compared_commits(monkeypatch, tmp_path):
         "old": "parent", "new": "new",
         "old_commit": "c5967f3", "new_commit": "c5967f3 + change",
     }
+
+
+TRAJECTORY = Path(__file__).resolve().parent.parent / "tools" / "bench_trajectory.py"
+
+
+def _trajectory_module():
+    return runpy.run_path(str(TRAJECTORY))
+
+
+def _record(label, started, ratio, commits=("a1", "a1 + change")):
+    metric = {"better": "lower", "old": {"median": 1.0}, "new": {"median": 1.0}}
+    if ratio is not None:
+        metric["pair_ratio"] = {"median": ratio, "iqr": 0.0}
+    return {
+        "label": label,
+        "trees": {"old": "parent", "new": "new",
+                  "old_commit": commits[0], "new_commit": commits[1]},
+        "workloads": {"exact-catalogue": {"started": started, "metrics": {"op_p50_ms": metric}}},
+    }
+
+
+def test_trajectory_chains_the_committed_records(capsys):
+    # Every committed record reads; the chained ratio is the product of the
+    # per-record medians, and a record without pair_ratio is only skipped.
+    module = _trajectory_module()
+    root = TRAJECTORY.parent.parent
+    assert module["main"]([str(root)]) == 0
+    printed = capsys.readouterr().out
+    paths = sorted(root.glob("BENCH_*.json"))
+    records = [module["read_record"](p) for p in paths]
+    chains = module["trajectory"](records)
+    for (workload, metric), entry in chains.items():
+        want = 1.0
+        for path in paths:
+            data = json.loads(path.read_text())
+            m = data["workloads"].get(workload, {}).get("metrics", {}).get(metric)
+            if m is not None and m.get("pair_ratio") is not None:
+                want *= m["pair_ratio"]["median"]
+        assert entry["chained"] == pytest.approx(want, rel=1e-12), (workload, metric)
+        assert f"{workload} {metric}: chained pair ratio {entry['chained']:.4g}" in printed
+    without = [r for r in records if all(v is None for v in r["ratios"].values())]
+    assert [r["file"] for r in without] == ["BENCH_rank_without_numpy.json"]
+    assert printed.count("skipped   BENCH_rank_without_numpy.json") == len(without[0]["ratios"])
+
+
+def test_trajectory_orders_by_start_and_skips_missing_ratios(tmp_path, capsys):
+    records = {
+        "BENCH_b.json": _record("b", "2026-01-02T00:00:00+00:00", 0.5, ("b0", "b1")),
+        "BENCH_a.json": _record("a", "2026-01-01T00:00:00+00:00", 0.8, ("a0", "a1")),
+        "BENCH_c.json": _record("c", "2026-01-03T00:00:00+00:00", None, ("c0", "c1")),
+    }
+    for name, data in records.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    assert _trajectory_module()["main"]([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "exact-catalogue op_p50_ms: chained pair ratio 0.4 over 2 record(s)"
+    assert "a0 -> a1" in lines[1] and "b0 -> b1" in lines[2]
+    assert lines[3].startswith("  skipped   BENCH_c.json  c0 -> c1")
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps([1, 2]),
+    json.dumps({"label": "x", "workloads": {}}),
+    json.dumps({"label": "x", "workloads": {"flow-rk4": {"metrics": {"ops_per_s": {"better": "up"}}}}}),
+    json.dumps(_record("x", "", 0.0)),
+    json.dumps(_record("x", "", "0.9")),
+])
+def test_trajectory_fails_on_a_malformed_record(tmp_path, capsys, text):
+    (tmp_path / "BENCH_good.json").write_text(json.dumps(_record("good", "", 0.9)))
+    (tmp_path / "BENCH_bad.json").write_text(text)
+    assert _trajectory_module()["main"]([str(tmp_path)]) == 1
+    assert "BENCH_bad.json" in capsys.readouterr().err

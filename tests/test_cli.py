@@ -392,6 +392,25 @@ class TestListModelsAndVersion:
 FLOW_FUZZ_CPU_S = 10.0
 
 
+def _mostly(st, valid, invalid):
+    """One of the values, an invalid one about one time in ten."""
+    pick = st.tuples(st.integers(0, 9), st.sampled_from(valid), st.sampled_from(invalid))
+    return pick.map(lambda drawn: drawn[2] if drawn[0] == 9 else drawn[1])
+
+
+def _run_drawn(argv: list, cpu_bound: float) -> None:
+    """Run argv through ``main``: exit 0, 1 or 2, no traceback, within cpu_bound."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.process_time()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k = x vanishes on the probe grid
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert time.process_time() - start < cpu_bound, argv
+
+
 def test_drawn_flow_commands_keep_the_exit_contract():
     """argv for ``flow`` drawn from its grammar, mostly valid, run in-process.
 
@@ -402,9 +421,7 @@ def test_drawn_flow_commands_keep_the_exit_contract():
     st = hypothesis.strategies
 
     def mostly(valid, invalid):
-        """One of the values, an invalid one about one time in ten."""
-        pick = st.tuples(st.integers(0, 9), st.sampled_from(valid), st.sampled_from(invalid))
-        return pick.map(lambda drawn: drawn[2] if drawn[0] == 9 else drawn[1])
+        return _mostly(st, valid, invalid)
 
     factors = st.lists(st.sampled_from(["x", "y", "z", "t", "s", "2", "x^3"]), min_size=1, max_size=3)
     h = st.one_of(
@@ -446,15 +463,98 @@ def test_drawn_flow_commands_keep_the_exit_contract():
         for flag, values in optional.items():
             if draw(st.booleans()):
                 argv += [flag, draw(values)]
-        out, err = io.StringIO(), io.StringIO()
-        start = time.process_time()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # k = x vanishes on the probe grid
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue(), argv
-        assert time.process_time() - start < FLOW_FUZZ_CPU_S, argv
+        _run_drawn(argv, FLOW_FUZZ_CPU_S)
+
+    check()
+
+
+# CPU seconds any one drawn command of the other subcommands may take: the
+# slowest drawn ones take about 0.05 s once numpy is imported, and a cold
+# leaf-form (the numpy import) or an unmemoised k probe adds about 0.2 s.
+FUZZ_CPU_S = 5.0
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["bivector", "jacobi", "casimir-check", "rank", "locus", "leaf-form", "list-models"],
+)
+def test_drawn_commands_keep_the_exit_contract(command):
+    """argv for every other subcommand drawn from its grammar, run in-process.
+
+    The source is a model (with ``--s`` where it takes one) or a ``--c1``,
+    ``--c2`` pair, with ``--k`` and the command's own options; about one
+    value in ten is invalid.  Every command returns 0, 1 or 2 from ``main``,
+    prints no traceback and stays within its CPU bound.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def mostly(valid, invalid):
+        return _mostly(st, valid, invalid)
+
+    factors = st.lists(st.sampled_from(["x", "y", "z", "t", "s", "2", "1/3", "x^3"]), min_size=1, max_size=3)
+    expression = st.one_of(
+        st.lists(factors.map("*".join), min_size=1, max_size=3).map(" - ".join),
+        mostly(
+            ["x", "t", "x^3 - 3*x*t + y^2 - z^2", "x^2 + y^2", "0", "1", "y*z - 1/2", "x^60"],
+            ["x +", ")(", "x^65", "q", "1" + "0" * 400, "(y*" + "9" * 900 + ")^5"],
+        ),
+    )
+    coordinate = st.one_of(
+        st.floats(-2, 2).map(repr),
+        mostly(["0", "-0.0", "0.1", "-1", "1e-5", "1e150"], ["nan", "inf", "a"]),
+    )
+    k = mostly(["1 + x^2 + y^2 + z^2 + t^2", "3", "x", "x*y - 3/2"], ["0", "x +"])
+    formats = {
+        "bivector": ["text", "json"],
+        "rank": ["text", "json"],
+        "locus": ["text", "json"],
+        "leaf-form": ["text", "json"],
+        "list-models": ["text", "json"],
+    }
+    phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+
+    def source(draw) -> list:
+        shape = draw(mostly(["model", "pair"], ["both", "c1 only", "none"]))
+        argv = []
+        if shape in ("model", "both"):
+            name = draw(mostly(list(models.MODEL_NAMES), ["nosuch"]))
+            argv += ["--model", name]
+            if name in models.MODEL_NAMES and model(name).uses_s:
+                s = draw(mostly(["-1", "0", "1/2", "2"], [None, "abc", "1/0", "1e400"]))
+            else:
+                s = draw(mostly([None], ["1"]))
+            argv += [] if s is None else ["--s", s]
+        if shape in ("pair", "both", "c1 only"):
+            argv += ["--c1", draw(expression)]
+        if shape in ("pair", "both"):
+            argv += ["--c2", draw(expression)]
+        if shape == "pair" and draw(st.booleans()):
+            argv += ["--s", draw(mostly(["0", "1/2", "-3"], ["abc"]))]
+        return argv
+
+    @hypothesis.settings(max_examples=75, deadline=None, database=None, phases=phases)
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw
+        argv = [command]
+        if command == "list-models":
+            if draw(mostly([False], [True])):
+                argv += ["--model", "cusp"]  # not an option of list-models
+        else:
+            argv += source(draw)
+            if draw(st.booleans()):
+                argv += ["--k", draw(k)]
+        if command in ("rank", "locus", "leaf-form") and draw(mostly([True], [False])):
+            count = draw(mostly([4], [3, 5]))
+            argv += ["--point", ",".join(draw(st.lists(coordinate, min_size=count, max_size=count)))]
+        if command == "jacobi" and draw(st.booleans()):
+            argv += ["--expect-poisson"]
+        if command == "casimir-check" and draw(st.booleans()):
+            argv += ["--h", draw(expression)]
+        if command in formats and draw(st.booleans()):
+            argv += ["--format", draw(mostly(formats[command], ["xml"]))]
+        _run_drawn(argv, FUZZ_CPU_S)
 
     check()
 

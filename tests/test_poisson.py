@@ -135,6 +135,107 @@ class TestFlaschkaRatiu:
                     assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-9)
 
 
+def _reference_flaschka_ratiu(cas: CasimirPair, k=None) -> Bivector:
+    """The bracket as ``det4`` on basis columns: det(e_i, e_j, dC1, dC2).
+
+    Every entry is a full determinant, and the matrix goes through the
+    validated ``Bivector(rows)``.
+    """
+    basis = [tuple(Expr.constant(int(r == i)) for r in range(4)) for i in range(4)]
+    grads = (gradient(cas.c1).entries, gradient(cas.c2).entries)
+    rows = [[Expr.zero() for _ in range(4)] for _ in range(4)]
+    for i, j in COORD_PAIRS:
+        rows[i][j] = det4((basis[i], basis[j]) + grads)
+        rows[j][i] = -rows[i][j]
+    return Bivector(rows, conformal=k, casimirs=cas)
+
+
+def _typed_terms(e: Expr) -> list:
+    """e's terms with each coefficient's type, so an int never equals a Fraction."""
+    return [(m, c, type(c)) for m, c in e.terms()]
+
+
+def _assert_same_bivector(got: Bivector, want: Bivector) -> None:
+    for i in range(4):
+        for j in range(4):
+            assert _typed_terms(got.components[i][j]) == _typed_terms(want.components[i][j]), (i, j)
+    assert got.conformal == want.conformal
+    assert got.casimirs == want.casimirs
+
+
+# The benchmark's conformal factor, and one with denominators.
+K_TEXT = "1 + x^2 + y^2 + z^2 + t^2"
+K_WITH_DENOMINATORS = "1/2*x*y - 3/2 + 2/3*t^2"
+
+
+class TestSignedMinors:
+    """flaschka_ratiu's one signed minor per entry against det4 on basis columns."""
+
+    @pytest.mark.filterwarnings("ignore::poisson4.poisson.ConformalFactorWarning")
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_catalogue(self, name):
+        values = (None, -1, 0, Fraction(1, 2), 2) if model(name).uses_s else (None,)
+        for s in values:
+            cas = model(name, s).casimirs
+            for text in (None, K_TEXT, K_WITH_DENOMINATORS):
+                k = None if text is None else parse(text)
+                _assert_same_bivector(flaschka_ratiu(cas, k), _reference_flaschka_ratiu(cas, k))
+
+    def test_drawn_pairs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monomial = st.tuples(*[st.integers(0, 3)] * 4, st.integers(0, 2))
+        coeff = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5))
+        poly = st.dictionaries(monomial, coeff, max_size=5).map(Expr)
+        k = st.none() | poly.filter(lambda e: not e.is_zero)
+        phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, phases=phases)
+        @hypothesis.given(poly, poly, k)
+        def check(c1, c2, k):
+            cas = CasimirPair(c1, c2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConformalFactorWarning)
+                got = flaschka_ratiu(cas, k)
+            _assert_same_bivector(got, _reference_flaschka_ratiu(cas, k))
+
+        check()
+
+    def test_from_upper_equals_validated_rows(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monomial = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1))
+        coeff = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+        poly = st.dictionaries(monomial, coeff, max_size=3).map(Expr)
+        upper = st.dictionaries(st.sampled_from(COORD_PAIRS), poly)
+        phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None, phases=phases)
+        @hypothesis.given(upper, st.none() | poly.filter(lambda e: not e.is_zero))
+        def check(upper, k):
+            rows = [[Expr.zero() for _ in range(4)] for _ in range(4)]
+            for (i, j), e in upper.items():
+                rows[i][j], rows[j][i] = e, -e
+            got = Bivector.from_upper(upper, conformal=k)
+            _assert_same_bivector(got, Bivector(rows, conformal=k))
+            assert all(got.components[i][i].is_zero for i in range(4))
+
+        check()
+
+    @pytest.mark.parametrize("value", [1, "x", Fraction(1, 2), None])
+    def test_non_expr_entry_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match=r"entry \(1,3\)"):
+            Bivector.from_upper({(0, 1): Expr.one(), (1, 3): value})
+        rows = [[Expr.zero() for _ in range(4)] for _ in range(4)]
+        rows[3][1] = value
+        with pytest.raises(TypeError, match=r"entry \(3,1\)"):
+            Bivector(rows)
+
+    def test_index_below_the_diagonal_is_a_value_error(self):
+        with pytest.raises(ValueError, match="upper-triangular"):
+            Bivector.from_upper({(1, 0): Expr.one()})
+
+
 class TestJacobiator:
     def test_cusp_is_poisson(self):
         assert all(e.is_zero for e in jacobiator(flaschka_ratiu(CUSP)).values())
