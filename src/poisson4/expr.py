@@ -18,6 +18,11 @@ and the bracket layer's sums (a determinant, a Jacobiator component) run one
 product loop, ``_sum_of_products``, which adds sign * a * b over (sign, a, b)
 triples into one dict in place; ``+`` and ``-`` add into a copy of one side.
 
+No operation changes a polynomial's terms after it is built, so an ``Expr``
+may keep values derived from them: its hash, its compiled closure and its
+four partial derivatives (``partials``), each made on first use.  Pickling
+and copying rebuild an ``Expr`` from its terms alone and leave those behind.
+
 x, y, z, t are coordinates and may be differentiated; s is a deformation
 parameter and is deliberately excluded from :class:`Var`, so no code path can
 ever request d/ds.
@@ -242,9 +247,17 @@ def _grlex_key(monomial: Monomial) -> tuple:
 
 
 class Expr:
-    """An immutable multivariate polynomial in canonical form."""
+    """An immutable multivariate polynomial in canonical form.
 
-    __slots__ = ("_terms", "_hash", "_compiled")
+    The hash, the :meth:`compiled` closure and the :meth:`partials` tuple are
+    made on first use and kept with the polynomial; pickling and copying keep
+    only the terms.
+    """
+
+    # _terms is never changed after construction; the other three hold what
+    # is derived from it once asked for: the hash, the compiled closure and
+    # the tuple of the four partial derivatives.
+    __slots__ = ("_terms", "_hash", "_compiled", "_partials")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         canon: dict[Monomial, Scalar] = {}
@@ -262,6 +275,7 @@ class Expr:
         self._terms = canon
         self._hash = None
         self._compiled = None
+        self._partials = None
 
     @classmethod
     def _trusted(cls, terms: dict[Monomial, Scalar]) -> "Expr":
@@ -275,7 +289,13 @@ class Expr:
         e._terms = terms
         e._hash = None
         e._compiled = None
+        e._partials = None
         return e
+
+    def __reduce__(self):
+        # Rebuilt by the validating constructor: the keys come from the
+        # shared table again, and nothing derived travels with the terms.
+        return (Expr, (self._terms,))
 
     # -- constructors -------------------------------------------------
 
@@ -405,6 +425,14 @@ class Expr:
                 lowered = monomial[:i] + (e - 1,) + monomial[i + 1:]
                 out[_shared(lowered)] = _integral(coeff * e)
         return Expr._trusted(out)
+
+    def partials(self) -> tuple["Expr", "Expr", "Expr", "Expr"]:
+        """(d/dx, d/dy, d/dz, d/dt), from :meth:`differentiate` on first use (cached)."""
+        if self._partials is None:
+            object.__setattr__(
+                self, "_partials", tuple(self.differentiate(v) for v in VARS)
+            )
+        return self._partials
 
     def evaluate(self, point: Point4) -> float:
         """Value at a point: the :meth:`compiled` closure, made a float.

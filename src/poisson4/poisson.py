@@ -20,7 +20,16 @@ where l is the index missing from ijk and
 Pf(pi) = pi01*pi23 - pi02*pi13 + pi03*pi12.  It holds for every 4x4
 bivector; for a decomposable one (every Casimir-pair bivector) Pf = 0,
 pi ^ pi = 0 and J(k*pi) = k^2 * J(pi) (Vaisman, *Lectures on the Geometry of
-Poisson Manifolds*, 1994).  So only the unscaled Jacobiator is expanded.
+Poisson Manifolds*, 1994).  So only the unscaled Jacobiator is expanded, and
+the k terms are formed only where they can be nonzero: k^2 only when some
+J(pi) component is nonzero, k * Pf and d_l k only when Pf is nonzero.  For a
+Flaschka-Ratiu bivector both are zero and no k term is formed.
+
+C1, C2, k and a Hamiltonian h take their derivatives from ``Expr.partials``,
+which differentiates a polynomial once and keeps the four results, so within
+one check ``flaschka_ratiu`` and ``casimir_check`` share the partials of C1
+and C2.  The bivector's entries are differentiated once, by ``jacobiator``,
+and their partials are not kept.
 
 numpy is imported only inside ``bivector_matrix_at`` and the ``as_array``
 helpers (see ``expr``); the sign probe of k and the rank at a point run on
@@ -140,7 +149,7 @@ class CasimirPair(Record):
 
         Compiled on first use and kept with the pair.
         """
-        return _fused_closure(gradient(self.c1).entries + gradient(self.c2).entries)
+        return _fused_closure(self.c1.partials() + self.c2.partials())
 
 
 _ZERO = Expr.zero()
@@ -248,7 +257,7 @@ class Bivector:
 
 def gradient(c: Expr) -> Covector4:
     """Differential of c with respect to the ordered coordinates (x, y, z, t)."""
-    return Covector4(tuple(c.differentiate(v) for v in VARS))
+    return Covector4(c.partials())
 
 
 def det4(columns: Sequence[Sequence[Expr]]) -> Expr:
@@ -328,7 +337,7 @@ def flaschka_ratiu(
         message = _k_probe_warning(k)
         if message is not None:
             warnings.warn(message, ConformalFactorWarning, stacklevel=2)
-    d1, d2 = gradient(cas.c1).entries, gradient(cas.c2).entries
+    d1, d2 = cas.c1.partials(), cas.c2.partials()
     entries = {
         ij: _sum_of_products(((sign, d1[u], d2[v]), (-sign, d1[v], d2[u])))
         for ij, (u, v), sign in _LAPLACE
@@ -347,11 +356,19 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     is a zero diagonal entry, are left out: each component is one
     ``_sum_of_products`` of 9 products.  With a factor k, the product rule
     gives k^2 * J(pi)^{ijk} + s * k * Pf(pi) * d_l k, with l and s from
-    ``_PFAFFIAN_SIGNS``; the second term is zero for every
-    :func:`flaschka_ratiu` output.
+    ``_PFAFFIAN_SIGNS``.  The Pfaffian is formed first; k^2 is formed only
+    when some J(pi) component is nonzero, and k * Pf(pi) and the partials of
+    k only when Pf(pi) is nonzero.  A term left out is k^2 * 0 or
+    k * 0 * d_l k, so the result is the same polynomial.  For every
+    :func:`flaschka_ratiu` output both are zero and no k term is formed.
     """
     m = b.components
-    partials = {ij: gradient(e) for ij, e in b.upper_entries().items()}
+    # The entries are fresh and differentiated once here: their partials
+    # are not kept on them.
+    partials = {
+        ij: tuple(e.differentiate(v) for v in VARS)
+        for ij, e in b.upper_entries().items()
+    }
     out: dict[tuple[int, int, int], Expr] = {}
     for (i, j, k) in TRIPLES:
         cyclic = ((i, partials[j, k], 1), (j, partials[i, k], -1), (k, partials[i, j], 1))
@@ -364,14 +381,20 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     factor = b.conformal
     if factor is None:
         return out
-    k2 = factor * factor
-    k_pfaffian = factor * _sum_of_products(
+    pfaffian = _sum_of_products(
         ((1, m[0][1], m[2][3]), (-1, m[0][2], m[1][3]), (1, m[0][3], m[1][2]))
     )
-    for triple, (l, sign) in _PFAFFIAN_SIGNS.items():
-        dk = factor.differentiate(VARS[l])
-        out[triple] = _sum_of_products(((1, k2, out[triple]), (sign, k_pfaffian, dk)))
-    return out
+    scaled = {triple: [] for triple in TRIPLES}
+    if not all(e.is_zero for e in out.values()):
+        k2 = factor * factor
+        for triple, e in out.items():
+            scaled[triple].append((1, k2, e))
+    if not pfaffian.is_zero:
+        k_pfaffian = factor * pfaffian
+        dk = factor.partials()
+        for triple, (l, sign) in _PFAFFIAN_SIGNS.items():
+            scaled[triple].append((sign, k_pfaffian, dk[l]))
+    return {triple: _sum_of_products(t) for triple, t in scaled.items()}
 
 
 class PoissonVerdict(Record):
@@ -400,10 +423,10 @@ def casimir_check(b: Bivector, c: Expr) -> bool:
     Runs on the unscaled components: k never changes the answer because the
     factor multiplies every entry of the product.
     """
-    return all(e.is_zero for e in _contract(b.components, gradient(c)))
+    return all(e.is_zero for e in _contract(b.components, c.partials()))
 
 
-def _contract(m, dh: Covector4) -> tuple[Expr, ...]:
+def _contract(m, dh: Sequence[Expr]) -> tuple[Expr, ...]:
     """The four sums sum_j m[i][j] * dh[j], each one ``_sum_of_products``."""
     return tuple(_sum_of_products((1, e, d) for e, d in zip(row, dh)) for row in m)
 
@@ -490,7 +513,7 @@ def rank_at(b: Bivector, p: Point4) -> int:
 
 def hamiltonian_field(b: Bivector, h: Expr) -> Vector4:
     """The vector field X_h with components sum_j pi^{ij} d_j h (k folded in)."""
-    return Vector4(_contract(b.scaled_components(), gradient(h)))
+    return Vector4(_contract(b.scaled_components(), h.partials()))
 
 
 class StructureConstants(Record):

@@ -85,7 +85,8 @@ def test_bench_pairs_records_the_compared_commits(monkeypatch, tmp_path):
     tools = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
     main = runpy.run_path(str(tools))["main"]
     monkeypatch.setitem(main.__globals__, "compare", lambda *args: {"metrics": {}})
-    monkeypatch.setitem(main.__globals__, "clear_bytecode", lambda tree: 0)
+    for tree in ("parent", "new"):  # the trees are copied before the runs
+        (tmp_path / tree).mkdir()
     argv = [str(tmp_path / "parent"), str(tmp_path / "new"), "--workload", "cli-cold",
             "--seeds", "1-2", "--label", "t", "--out-dir", str(tmp_path)]
     with pytest.raises(SystemExit):
@@ -96,6 +97,45 @@ def test_bench_pairs_records_the_compared_commits(monkeypatch, tmp_path):
         "old": "parent", "new": "new",
         "old_commit": "c5967f3", "new_commit": "c5967f3 + change",
     }
+
+
+def test_bench_pairs_runs_both_sides_from_equal_length_copies(monkeypatch, tmp_path):
+    # The sides run from <work>/old/tree and <work>/new/tree, whatever the
+    # given trees are called: a directory name alone moves peak_rss_mb.
+    tools = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    module = runpy.run_path(str(tools))
+    paths = module["run_trees"](tmp_path / "work")
+    assert len(str(paths["old"])) == len(str(paths["new"]))
+    assert paths["old"] != paths["new"] and paths["old"].name == paths["new"].name
+    assert paths["old"].parent.parent == paths["new"].parent.parent == tmp_path / "work"
+
+    for tree, text in (("base2", "old side"), ("n", "new side")):
+        (tmp_path / tree / "src" / "__pycache__").mkdir(parents=True)
+        (tmp_path / tree / "src" / "mod.py").write_text(text)
+    seen = {}
+
+    def compare(old, new, workload, seeds):
+        seen.update(old=old, new=new, caches=list(old.rglob("__pycache__")),
+                    text=[(tree / "src" / "mod.py").read_text() for tree in (old, new)])
+        return {"metrics": {}}
+
+    main = module["main"]
+    monkeypatch.setitem(main.__globals__, "compare", compare)
+    (tmp_path / "work").mkdir()
+    monkeypatch.setattr(main.__globals__["tempfile"], "tempdir", str(tmp_path / "work"))
+    argv = [str(tmp_path / "base2"), str(tmp_path / "n"), "--workload", "flow-rk4",
+            "--seeds", "1-2", "--label", "t", "--out-dir", str(tmp_path),
+            "--old-commit", "a1", "--new-commit", "a1 + change"]
+    assert main(argv) == 0
+    old, new = seen["old"], seen["new"]
+    assert (old.parent.name, new.parent.name, old.name, new.name) == ("old", "new", "tree", "tree")
+    assert old.parent.parent == new.parent.parent
+    assert old.parent.parent.parent == tmp_path / "work"
+    assert seen["text"] == ["old side", "new side"] and seen["caches"] == []
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["workloads"]["flow-rk4"]["run_trees"] == {"old": str(old), "new": str(new)}
+    assert record["trees"]["old"] == "base2" and record["trees"]["new"] == "n"
+    assert list((tmp_path / "work").iterdir()) == []  # the copies are removed
 
 
 TRAJECTORY = Path(__file__).resolve().parent.parent / "tools" / "bench_trajectory.py"

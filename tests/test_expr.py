@@ -1,6 +1,8 @@
 """Tests for the exact polynomial engine."""
 
+import copy
 import math
+import pickle
 import time
 from fractions import Fraction
 from itertools import product
@@ -14,6 +16,7 @@ from poisson4.expr import (
     MAX_NESTING,
     MAX_TERM_PRODUCTS,
     MAX_TERMS,
+    VARS,
     Expr,
     ParseError,
     Point4,
@@ -620,3 +623,76 @@ class TestSharedMonomials:
             parse("x*y + x*z + x*t + x*s + y*z + y*t + y*s + z*t + z*s + t*s")
         )
         assert len(expr_module._SHARED_MONOMIALS) == 3
+
+
+class TestPartials:
+    """``partials`` differentiates once and keeps the four results."""
+
+    def test_partials_are_the_four_derivatives(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monomial = st.tuples(*[st.integers(0, 3)] * 4, st.integers(0, 2))
+        coeff = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+        phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, phases=phases)
+        @hypothesis.given(st.dictionaries(monomial, coeff, max_size=6).map(Expr))
+        def check(e):
+            want = tuple(e.differentiate(v) for v in VARS)
+            got = e.partials()
+            assert got == want
+            assert [_typed(d) for d in got] == [_typed(d) for d in want]
+
+        check()
+
+    def test_a_second_call_returns_the_kept_tuple(self):
+        e = parse("x^2*y - 3/2*z*t*s + s^2")
+        first = e.partials()
+        assert e.partials() is first
+        assert first == (parse("2*x*y"), parse("x^2"), parse("-3/2*t*s"), parse("-3/2*z*s"))
+
+    def test_equal_polynomials_keep_their_own_partials(self):
+        a, b = parse("x*y + z"), parse("z + y*x")
+        assert a.partials() == b.partials() and a.partials() is not b.partials()
+
+
+def _typed(e: Expr) -> list:
+    return [(m, c, type(c)) for m, c in e.terms()]
+
+
+class TestCopies:
+    """Pickling and copying rebuild an Expr from its terms alone."""
+
+    CASES = ["0", "7", "x^2*y - 3/2*z*t*s + s^2", "(x + 2/3*y - s)^3"]
+
+    @staticmethod
+    def _round_trips(e: Expr):
+        yield pickle.loads(pickle.dumps(e))
+        yield copy.deepcopy(e)
+        yield copy.copy(e)
+
+    @pytest.mark.parametrize("text", CASES)
+    @pytest.mark.parametrize("derived", ["compiled", "partials", "hash", "all"])
+    def test_round_trips_after_derived_values(self, text, derived):
+        e = parse(text)
+        if derived in ("compiled", "all"):
+            e.compiled()
+        if derived in ("partials", "all"):
+            e.partials()
+        if derived in ("hash", "all"):
+            hash(e)
+        table = expr_module._SHARED_MONOMIALS
+        for copied in self._round_trips(e):
+            assert copied == e and hash(copied) == hash(e)
+            assert _typed(copied) == _typed(e)
+            assert copied._compiled is None and copied._partials is None
+            assert all(table[m] is m for m, _ in copied.terms())
+            assert copied.partials() == e.partials()
+            assert copied.evaluate(Point4(0.5, -1, 2, 3, s=0.25)) == e.evaluate(
+                Point4(0.5, -1, 2, 3, s=0.25)
+            )
+
+    def test_a_pickled_partial_is_a_plain_polynomial(self):
+        e = parse("x^3*t + s*y")
+        dx = pickle.loads(pickle.dumps(e.partials()))[0]
+        assert dx == parse("3*x^2*t") and dx._partials is None

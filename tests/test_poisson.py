@@ -1,6 +1,8 @@
 """Tests for bivector construction and the symbolic Poisson checks."""
 
+import copy
 import math
+import pickle
 import warnings
 from fractions import Fraction
 from itertools import permutations
@@ -430,6 +432,66 @@ class TestPfaffianRoute:
         unscaled = jacobiator(Bivector.from_upper(entries))
         assert got == {t: k * k * e for t, e in unscaled.items()}
         assert [t for t, e in got.items() if not e.is_zero] == [(0, 1, 2)]
+
+    # One case per branch of jacobiator's conformal terms: k^2 * J(pi) is
+    # formed only when some J(pi) component is nonzero, k * Pf * d_l k only
+    # when Pf is nonzero.
+
+    @staticmethod
+    def _branch(b: Bivector) -> tuple[bool, bool]:
+        """(some unscaled J(pi) component is nonzero, Pf(pi) is nonzero)."""
+        unscaled = jacobiator(Bivector.from_upper(b.upper_entries()))
+        m = b.components
+        pfaffian = m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+        return any(not e.is_zero for e in unscaled.values()), not pfaffian.is_zero
+
+    @staticmethod
+    def _assert_matches_the_reference(b: Bivector) -> dict:
+        got, want = jacobiator(b), _reference_jacobiator(b)
+        assert got == want
+        assert [str(got[t]) for t in TRIPLES] == [str(want[t]) for t in TRIPLES]
+        verdict, witness = is_poisson(b), _reference_verdict(b)
+        if witness is None:
+            assert verdict.holds and verdict.witness_triple is verdict.witness is None
+        else:
+            triple, poly = witness
+            assert not verdict.holds
+            assert verdict.witness_triple == tuple(COORD_NAMES[i] for i in triple)
+            assert str(verdict.witness) == str(poly)
+        return got
+
+    def test_k_terms_when_j_and_the_pfaffian_are_zero(self):
+        b = flaschka_ratiu(model("wrinkle").casimirs, k=parse("1 + x^2 + s*t"))
+        assert self._branch(b) == (False, False)
+        got = self._assert_matches_the_reference(b)
+        assert all(e.is_zero for e in got.values())
+
+    def test_k_terms_when_only_j_is_nonzero(self):
+        # y dx^dy + t dx^dz + x*t dy^dz has no t direction, and every
+        # bivector in three directions is a wedge of two vectors: Pf = 0.
+        # It is not Poisson.
+        entries = {(0, 1): parse("y"), (0, 2): parse("t"), (1, 2): parse("x*t")}
+        k = parse("2 + y^2 - x*t")
+        b = Bivector.from_upper(entries, conformal=k)
+        assert self._branch(b) == (True, False)
+        got = self._assert_matches_the_reference(b)
+        unscaled = jacobiator(Bivector.from_upper(entries))
+        assert got == {t: k * k * e for t, e in unscaled.items()}
+
+    def test_k_terms_when_only_the_pfaffian_is_nonzero(self):
+        # dx^dy + dz^dt is constant, so J(pi) = 0, and Pf = 1: with a
+        # non-constant k, J(k*pi)^{ijk} = s * k * d_l k is not zero.
+        k = parse("2 + y^2 - x*t")
+        b = Bivector.from_upper({(0, 1): Expr.one(), (2, 3): Expr.one()}, conformal=k)
+        assert self._branch(b) == (False, True)
+        got = self._assert_matches_the_reference(b)
+        assert got == {
+            (0, 1, 2): k * parse("-x"),
+            (0, 1, 3): Expr.zero(),
+            (0, 2, 3): k * parse("2*y"),
+            (1, 2, 3): k * parse("t"),
+        }
+        assert str(is_poisson(b).witness) == "x^2*t - x*y^2 - 2*x"
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -1025,6 +1087,65 @@ class TestLinearPart:
         b = flaschka_ratiu(CUSP, k=parse("1 + x^2"))
         with pytest.raises(ValueError):
             linear_part(b)
+
+
+class TestKeptPartials:
+    """C1, C2, k and h are differentiated once, and no call changes them."""
+
+    def test_gradient_is_the_kept_partials(self):
+        for e in (CUSP.c1, CUSP.c2, parse("x^2*y - 3/2*z*t*s"), Expr.zero()):
+            assert gradient(e).entries == e.partials()
+            assert gradient(e).entries is e.partials()
+
+    @pytest.mark.filterwarnings("ignore::poisson4.poisson.ConformalFactorWarning")
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_inputs_and_their_partials_are_unchanged(self, name):
+        cas = model(name).casimirs
+        k = parse(K_WITH_DENOMINATORS + " + s*x^2")
+        h = parse("x*y - 2/3*t^3 + s*z")
+        inputs = (cas.c1, cas.c2, k, h)
+        kept = [e.partials() for e in inputs]
+
+        def snapshot():
+            return [
+                (_typed_terms(e), [_typed_terms(d) for d in e.partials()]) for e in inputs
+            ]
+
+        before = snapshot()
+        for conformal in (None, k):
+            b = flaschka_ratiu(cas, k=conformal)
+            entries = [_typed_terms(e) for row in b.components for e in row]
+            is_poisson(b)
+            assert casimir_check(b, cas.c1) and casimir_check(b, cas.c2)
+            casimir_check(b, h)
+            hamiltonian_field(b, h)
+            hamiltonian_field(b, cas.c1)
+            assert [_typed_terms(e) for row in b.components for e in row] == entries
+        assert snapshot() == before
+        assert all(e.partials() is d for e, d in zip(inputs, kept))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_bivector_entries_keep_no_partials(self, name):
+        cas = model(name).casimirs
+        for conformal in (None, parse(K_TEXT)):
+            b = flaschka_ratiu(cas, k=conformal)
+            assert is_poisson(b)
+            jacobiator(b)
+            assert all(e._partials is None for row in b.components for e in row)
+
+    def test_pickle_and_copy_after_rank_at_and_is_poisson(self):
+        b = flaschka_ratiu(CUSP, k=parse(K_TEXT))
+        p = Point4(0.5, -0.25, 1.0, 0.75)
+        rank = rank_at(b, p)
+        assert is_poisson(b)
+        for copied in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+            assert copied == b and copied.casimirs == b.casimirs
+            for row, copied_row in zip(b.components, copied.components):
+                assert [hash(e) for e in copied_row] == [hash(e) for e in row]
+            assert hash(copied.conformal) == hash(b.conformal)
+            assert bivector_to_json_dict(copied) == bivector_to_json_dict(b)
+            assert rank_at(copied, p) == rank and _upper_at(copied, p) == _upper_at(b, p)
+            assert is_poisson(copied)
 
 
 class TestBivectorType:

@@ -10,8 +10,16 @@ Each tree is a checkout holding ``src/poisson4`` and ``perfbench/``, for
 example one made with ``git archive``.  Such an export holds no commit id,
 so ``--old-commit`` and ``--new-commit`` name the commit each tree was
 exported from (for a change not yet committed, its parent and a note), and
-the record keeps them under ``"trees"``.  Before the first run the script
-deletes every ``__pycache__`` directory under both trees, and each run gets
+the record keeps them under ``"trees"``.
+
+Neither side runs where it was given.  Both trees are copied, without
+``__pycache__`` directories or ``.git``, to ``<work>/old/tree`` and
+``<work>/new/tree`` under one fresh temporary directory, and the copies are
+removed after the last run.  The two paths have equal length and the same last
+component, so whatever a run keeps of its own path (``sys.path``, module
+file names) costs both sides alike: ``peak_rss_mb`` moved by up to 0.5 MB
+with nothing but the checkout's directory name changed.  The record keeps
+the paths under ``"run_trees"`` of its workload.  Each run gets
 ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile their sources alike on
 every start: a bytecode cache in one tree only reads as a cli-cold
 difference between identical import paths.
@@ -43,6 +51,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,11 +66,22 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def clear_bytecode(tree: Path) -> int:
-    caches = [p for p in tree.rglob("__pycache__") if p.is_dir()]
-    for cache in caches:
-        shutil.rmtree(cache)
-    return len(caches)
+# Left out of the copies: bytecode caches, so that every run compiles its
+# sources, and version control, which no run reads.
+_NOT_COPIED = shutil.ignore_patterns("__pycache__", ".git")
+
+
+def run_trees(work: Path) -> dict[str, Path]:
+    """Where each side runs: paths of equal length with the same last component."""
+    return {side: work / side / "tree" for side in ("old", "new")}
+
+
+def copy_trees(old: Path, new: Path, work: Path) -> dict[str, Path]:
+    """Copy the two trees to their :func:`run_trees` paths under ``work``."""
+    paths = run_trees(work)
+    for side, tree in (("old", old), ("new", new)):
+        shutil.copytree(tree, paths[side], ignore=_NOT_COPIED)
+    return paths
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -153,11 +173,15 @@ def main(argv=None) -> int:
         parser.error("give at least two seeds: the IQR needs two pairs")
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-    cleared = sum(clear_bytecode(tree) for tree in (args.old, args.new))
-    load = os.getloadavg()
-    record = compare(args.old, args.new, args.workload, args.seeds)
+    work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    try:
+        paths = copy_trees(args.old, args.new, work)
+        load = os.getloadavg()
+        record = compare(paths["old"], paths["new"], args.workload, args.seeds)
+    finally:
+        shutil.rmtree(work)
     record.update(started=started, load_average_at_start=load,
-                  bytecode_caches_cleared=cleared)
+                  run_trees={side: str(path) for side, path in paths.items()})
 
     path = args.out_dir / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text()) if path.exists() else {}
