@@ -21,10 +21,7 @@ from .models import (
     ModelSpec,
     RationalForm,
     catalogue_json,
-    critical_locus_indicator,
     expected_bivector,
-    leaf_chart_form,
-    leaf_closed_form,
     model,
 )
 from .poisson import (
@@ -93,9 +90,6 @@ __all__ = [
     "RationalForm",
     "model",
     "expected_bivector",
-    "leaf_closed_form",
-    "leaf_chart_form",
-    "critical_locus_indicator",
     "catalogue_json",
     *_LEAF_NAMES,
     "__version__",

@@ -169,12 +169,13 @@ def _source(args) -> tuple[Bivector, Optional[Point4], Optional[Expr]]:
     if given != (0 if args.model is not None else 2):
         raise UsageError("provide exactly one of --model or both --c1 and --c2")
     if args.model is not None:
-        if s is None and "point" in options and model(args.model).uses_s:
-            raise UsageError(f"--s: required for model {args.model!r} here")
         try:
-            pair = model(args.model, s).casimirs
+            spec = model(args.model, s)
         except ValueError as err:
             raise UsageError(str(err)) from err
+        if s is None and "point" in options and spec.uses_s:
+            raise UsageError(f"--s: required for model {args.model!r} here")
+        pair = spec.casimirs
     else:
         pair = CasimirPair(_expr(args, "--c1", s), _expr(args, "--c2", s))
     k = _expr(args, "--k", s)
@@ -330,17 +331,26 @@ _HANDLERS = {
 }
 
 
-def _attach_point_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--point -1,0,0,1`` as ``--point=-1,0,0,1``.
+# The options that take a value; a value may begin with '-'.
+_VALUE_OPTIONS = frozenset(
+    ("--model", "--c1", "--c2", "--s", "--k", "--h", "--point", "--dt", "--steps",
+     "--format")
+)
 
-    argparse reads a value that starts with '-' and is not a plain negative
-    number as an option, so a point whose first coordinate is negative would
-    otherwise be accepted only in the ``=`` form.
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--s -1/2`` as ``--s=-1/2``, for every option that takes a value.
+
+    argparse reads an argument that starts with '-' and is not a plain negative
+    number as an option, so a value such as a negative point, s, dt or
+    expression would otherwise be accepted only in the ``=`` form.  An
+    argument that starts with '--' stays an option: in ``--c1 --c2 y`` the
+    value of --c1 is still missing.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--point" and arg.startswith("-") and "," in arg:
-            out[-1] = "--point=" + arg
+        if out and out[-1] in _VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -350,7 +360,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(
-            _attach_point_values(sys.argv[1:] if argv is None else argv)
+            _attach_values(sys.argv[1:] if argv is None else argv)
         )
     except SystemExit as exit_:  # argparse handles --version/--help/usage
         return int(exit_.code or 0)

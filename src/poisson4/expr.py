@@ -405,10 +405,14 @@ class Expr:
         return self._terms == rhs._terms
 
     def __hash__(self) -> int:
+        # A constant hashes as its scalar, since it compares equal to it.
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self._terms.items()))
-            )
+            terms = self._terms
+            if terms.keys() <= {_ZERO_MONOMIAL}:
+                value = hash(terms.get(_ZERO_MONOMIAL, 0))
+            else:
+                value = hash(frozenset(terms.items()))
+            object.__setattr__(self, "_hash", value)
         return self._hash
 
     # -- calculus and evaluation ----------------------------------------

@@ -57,6 +57,7 @@ from .poisson import (
 __all__ = [
     "SingularPointError",
     "NotInImageError",
+    "OpenLeafError",
     "NonFiniteError",
     "LeafFrame",
     "LeafFormResult",
@@ -76,6 +77,10 @@ _FLOW_MEMO_SIZE = 64
 
 class SingularPointError(ValueError):
     """The bivector has rank < 2 at the query point (0-dimensional leaf)."""
+
+
+class OpenLeafError(ValueError):
+    """The bivector has rank 4 at the query point (the leaf is open in R^4)."""
 
 
 class NotInImageError(ValueError):
@@ -129,15 +134,22 @@ class LeafFormResult(Record):
 
 
 def _regular_matrix(b: Bivector, p: Point4) -> np.ndarray:
-    """B_p, evaluated once; :class:`SingularPointError` where its rank is < 2.
+    """B_p, evaluated once, where its rank is exactly 2.
 
     The rank is that of ``rank_at``, taken on the entries of this matrix.
+    Raises :class:`SingularPointError` at rank 0 and :class:`OpenLeafError`
+    at rank 4, where the leaf is not a surface.
     """
     _warn_if_k_vanishes(b, p)
     m = bivector_matrix_at(b, p)
-    if _rank_of_matrix(m) < 2:
+    rank = _rank_of_matrix(m)
+    if rank < 2:
         raise SingularPointError(
             f"bivector is singular at {p}; the leaf through it is a point"
+        )
+    if rank > 2:
+        raise OpenLeafError(
+            f"bivector has rank 4 at {p}; the leaf through it is open"
         )
     return m
 
@@ -171,7 +183,8 @@ def leaf_tangent_frame(b: Bivector, p: Point4) -> LeafFrame:
 
     The two columns of B_p with the largest Gram determinant are selected and
     orthonormalized; when ``b.casimirs`` records the generating pair the
-    orientation is fixed by det(u, v, grad C1, grad C2) > 0.
+    orientation is fixed by det(u, v, grad C1, grad C2) > 0.  Raises
+    :class:`SingularPointError` at rank 0 and :class:`OpenLeafError` at rank 4.
     """
     return _frame(p, _regular_matrix(b, p), b.casimirs)
 
@@ -239,7 +252,8 @@ def leaf_form_coefficient(b: Bivector, p: Point4) -> LeafFormResult:
     orthonormal frame, both anchor solves and the chart.  Verifies the
     antisymmetry <alpha, v> = -<beta, u>, and converts the frame value into
     the chart normalization by pairing the tangent lifts of the selected
-    coordinate directions.
+    coordinate directions.  Raises :class:`SingularPointError` at rank 0 and
+    :class:`OpenLeafError` at rank 4.
     """
     import numpy as np
 

@@ -8,6 +8,12 @@ locus.  The moves (birth, merging, flipping, wrinkling) depend on a real
 parameter s; the catalogue keeps s symbolic unless a value is supplied, so
 one symbolic comparison covers the whole family.
 
+:func:`model`, :func:`expected_bivector` and :func:`catalogue_json` read
+the catalogue through one parse of each entry.  The two flags of a
+:class:`ModelSpec` are read off the Casimir pair, not stored:
+``uses_s`` is whether C1 or C2 involves s, and ``coordinate_casimir`` is
+C1's name when C1 is one of the coordinates x, y, z, t.
+
 A note on the wrinkling model: its quoted leaf coefficient -1/(2(ty + xz))
 belongs to the conformal rescaling of the stored matrix by -1/2.  For the
 k = 1 matrix stored here the chart-normalized coefficient is 1/(4(ty + xz));
@@ -20,10 +26,10 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .expr import Expr, Point4, Record, parse
-from .poisson import Bivector, CasimirPair, bivector_to_json_dict, flaschka_ratiu
+from .expr import COORD_NAMES, Expr, Point4, Record, parse
+from .poisson import Bivector, CasimirPair, bivector_to_json_dict
 
 __all__ = [
     "MODEL_NAMES",
@@ -31,9 +37,6 @@ __all__ = [
     "RationalForm",
     "model",
     "expected_bivector",
-    "leaf_closed_form",
-    "leaf_chart_form",
-    "critical_locus_indicator",
     "on_critical_locus",
     "catalogue_json_dict",
     "catalogue_json",
@@ -63,8 +66,8 @@ class RationalForm(Record):
         return f"({self.numerator}) / ({self.denominator})"
 
 
-# name -> (c1, c2, uses_s, coordinate casimir, expected upper-triangle matrix,
-#          quoted leaf form, chart leaf form, critical locus equations)
+# name -> (c1, c2, expected upper-triangle matrix, quoted leaf form, chart
+#          leaf form, critical locus equations)
 #
 # The five singular charts carry their expected matrices verbatim; the
 # Lefschetz and fold entries were computed with this toolkit (and verified
@@ -73,8 +76,6 @@ _CATALOGUE: dict[str, dict] = {
     "lefschetz": dict(
         c1="x^2 - y^2 + z^2 - t^2",
         c2="2*x*y + 2*z*t",
-        uses_s=False,
-        coordinate_casimir=None,
         matrix={
             (0, 1): "4*z^2 + 4*t^2",
             (0, 2): "-4*x*t + 4*y*z",
@@ -90,8 +91,6 @@ _CATALOGUE: dict[str, dict] = {
     "fold": dict(
         c1="t",
         c2="-x^2 + y^2 + z^2",
-        uses_s=False,
-        coordinate_casimir="t",
         matrix={
             (0, 1): "-2*z",
             (0, 2): "2*y",
@@ -104,8 +103,6 @@ _CATALOGUE: dict[str, dict] = {
     "cusp": dict(
         c1="t",
         c2="x^3 - 3*x*t + y^2 - z^2",
-        uses_s=False,
-        coordinate_casimir="t",
         matrix={
             (0, 1): "2*z",
             (0, 2): "2*y",
@@ -118,8 +115,6 @@ _CATALOGUE: dict[str, dict] = {
     "birth": dict(
         c1="t",
         c2="x^3 - 3*x*(t^2 - s) + y^2 - z^2",
-        uses_s=True,
-        coordinate_casimir="t",
         matrix={
             (0, 1): "2*z",
             (0, 2): "2*y",
@@ -132,8 +127,6 @@ _CATALOGUE: dict[str, dict] = {
     "merge": dict(
         c1="t",
         c2="x^3 - 3*x*(s - t^2) + y^2 - z^2",
-        uses_s=True,
-        coordinate_casimir="t",
         matrix={
             (0, 1): "2*z",
             (0, 2): "2*y",
@@ -146,8 +139,6 @@ _CATALOGUE: dict[str, dict] = {
     "flip": dict(
         c1="t",
         c2="x^4 - x^2*s + x*t + y^2 - z^2",
-        uses_s=True,
-        coordinate_casimir="t",
         matrix={
             (0, 1): "2*z",
             (0, 2): "2*y",
@@ -160,8 +151,6 @@ _CATALOGUE: dict[str, dict] = {
     "wrinkle": dict(
         c1="t^2 - x^2 + y^2 - z^2 + s*t",
         c2="2*t*x + 2*y*z",
-        uses_s=True,
-        coordinate_casimir=None,
         matrix={
             (0, 1): "-2*s*y - 4*t*y - 4*x*z",
             (0, 2): "-4*x*y + 2*s*z + 4*t*z",
@@ -196,25 +185,24 @@ class ModelSpec(Record):
     critical_locus: tuple[Expr, ...]
 
 
-def _entry(name: str) -> dict:
+@functools.cache
+def _parsed(name: str) -> dict:
+    """Entry ``name`` parsed once (s symbolic) and shared, with its two flags."""
     try:
-        return _CATALOGUE[name]
+        data = _CATALOGUE[name]
     except KeyError:
         known = ", ".join(MODEL_NAMES)
         raise ValueError(f"unknown model {name!r} (known: {known})") from None
-
-
-@functools.cache
-def _parsed(name: str) -> dict:
-    """The polynomials of entry ``name``, parsed once (s symbolic) and shared."""
-    data = _entry(name)
+    c1, c2 = parse(data["c1"]), parse(data["c2"])
 
     def form(pair) -> Optional[RationalForm]:
         return None if pair is None else RationalForm(parse(pair[0]), parse(pair[1]))
 
     return {
-        "c1": parse(data["c1"]),
-        "c2": parse(data["c2"]),
+        "c1": c1,
+        "c2": c2,
+        "uses_s": c1.uses_s() or c2.uses_s(),
+        "coordinate_casimir": str(c1) if str(c1) in COORD_NAMES else None,
         "matrix": {ij: parse(text) for ij, text in data["matrix"].items()},
         "leaf": form(data["leaf"]),
         "leaf_chart": form(data["leaf_chart"]),
@@ -236,14 +224,14 @@ def model(name: str, s_value: Optional[Scalar] = None) -> ModelSpec:
     routines can instead bind s through :class:`poisson4.expr.Point4`.
     """
     expected = expected_bivector(name, s_value)
-    data, parsed = _CATALOGUE[name], _parsed(name)
+    parsed = _parsed(name)
     s = None if s_value is None else Fraction(s_value)
     return ModelSpec(
         name=name,
-        uses_s=data["uses_s"],
+        uses_s=parsed["uses_s"],
         s_value=s,
         casimirs=expected.casimirs,
-        coordinate_casimir=data["coordinate_casimir"],
+        coordinate_casimir=parsed["coordinate_casimir"],
         expected_bivector=expected,
         leaf_coefficient=_maybe_substitute(parsed["leaf"], s),
         leaf_coefficient_chart=_maybe_substitute(parsed["leaf_chart"], s),
@@ -253,31 +241,15 @@ def model(name: str, s_value: Optional[Scalar] = None) -> ModelSpec:
 
 def expected_bivector(name: str, s_value: Optional[Scalar] = None) -> Bivector:
     """The catalogue's k = 1 component matrix, transcribed exactly."""
-    data = _entry(name)
-    if s_value is not None and not data["uses_s"]:
+    parsed = _parsed(name)
+    if s_value is not None and not parsed["uses_s"]:
         raise ValueError(f"model {name!r} does not take a parameter s")
     s = None if s_value is None else Fraction(s_value)
-    parsed = _parsed(name)
     entries = {ij: _maybe_substitute(e, s) for ij, e in parsed["matrix"].items()}
     cas = CasimirPair(
         _maybe_substitute(parsed["c1"], s), _maybe_substitute(parsed["c2"], s)
     )
     return Bivector.from_upper(entries, casimirs=cas)
-
-
-def leaf_closed_form(name: str, s_value: Optional[Scalar] = None) -> RationalForm:
-    """The quoted leaf-coefficient closed form (five singular models only)."""
-    spec = model(name, s_value)
-    if spec.leaf_coefficient is None:
-        raise ValueError(f"model {name!r} has no quoted leaf coefficient")
-    return spec.leaf_coefficient
-
-
-def leaf_chart_form(name: str, s_value: Optional[Scalar] = None) -> RationalForm:
-    """Chart-normalized leaf coefficient of the stored k = 1 matrix."""
-    spec = model(name, s_value)
-    assert spec.leaf_coefficient_chart is not None
-    return spec.leaf_coefficient_chart
 
 
 def on_critical_locus(b: Bivector, p: Point4) -> bool:
@@ -291,30 +263,16 @@ def on_critical_locus(b: Bivector, p: Point4) -> bool:
     )
 
 
-def critical_locus_indicator(
-    name: str, s_value: Optional[Scalar] = None
-) -> Callable[[Point4], bool]:
-    """Predicate: do all bivector components vanish at p (within 1e-9)?
-
-    This is the chart-level critical set of the fibration, where the two
-    differentials are linearly dependent.  The predicate evaluates the
-    constructed bivector rather than the catalogue locus equations, so the
-    two descriptions can be cross-checked independently.
-    """
-    b = flaschka_ratiu(model(name, s_value).casimirs)
-    return lambda p: on_critical_locus(b, p)
-
-
 def catalogue_json_dict() -> dict:
     """The whole catalogue in a stable, serialisable layout."""
     models = []
     for name in MODEL_NAMES:
-        data, parsed = _CATALOGUE[name], _parsed(name)
+        parsed = _parsed(name)
         models.append(
             {
                 "name": name,
-                "uses_s": data["uses_s"],
-                "coordinate_casimir": data["coordinate_casimir"],
+                "uses_s": parsed["uses_s"],
+                "coordinate_casimir": parsed["coordinate_casimir"],
                 "c1": str(parsed["c1"]),
                 "c2": str(parsed["c2"]),
                 "bivector": bivector_to_json_dict(expected_bivector(name)),

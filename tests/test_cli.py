@@ -653,11 +653,19 @@ DIGIT_LIMIT_INPUTS = [
     ("leaf-form", "--c1", f"(x*{NINES})^5", "--c2", "y", "--point", "1,1,1,1"),
 ]
 
-NEGATIVE_POINTS = [
+# One value that begins with '-' after a space in each command.
+NEGATIVE_VALUES = [
     ("rank", "--model", "cusp", "--point", "-1,0,0,1"),
     ("locus", "--model", "cusp", "--point", "-1,0,0,-1"),
     ("leaf-form", "--model", "cusp", "--point", "-1,1,0,1", "--format", "json"),
     ("flow", "--model", "cusp", "--h", "x", "--point", "-0.1,1,1,1", "--steps", "3"),
+    ("bivector", "--model", "birth", "--s", "-1/2"),
+    ("rank", "--model", "birth", "--s", "-1e-3", "--point", "1,1,1,1"),
+    ("bivector", "--c1", "-x^2", "--c2", "y", "--format", "json"),
+    ("casimir-check", "--model", "cusp", "--h", "-x"),
+    ("jacobi", "--model", "cusp", "--k", "-x^2-1"),
+    ("flow", "--model", "birth", "--s", "-1", "--h", "-x", "--point", "0,1,1,1",
+     "--steps", "3", "--format", "text"),
 ]
 
 
@@ -778,13 +786,44 @@ class TestInputContract:
         argv = ("rank", "--model", "fold", "--point=1,1e200,1e200,1")
         assert run_cli(capsys, *argv) == (0, "rank: 2\n", "")
 
-    @pytest.mark.parametrize("argv", NEGATIVE_POINTS)
+    @pytest.mark.parametrize("argv", NEGATIVE_VALUES)
     def test_negative_point_after_a_space(self, capsys, argv):
         spaced = run_cli(capsys, *argv)
-        i = argv.index("--point")
-        joined = run_cli(capsys, *argv[:i], "--point=" + argv[i + 1], *argv[i + 2:])
+        i = next(i for i, arg in enumerate(argv) if arg[:1] == "-" and arg[:2] != "--")
+        joined = run_cli(capsys, *argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:])
         assert spaced[0] == 0
         assert spaced == joined
+
+    def test_negative_dt_after_a_space_is_read_as_a_value(self, capsys):
+        argv = ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1")
+        spaced = run_cli(capsys, *argv, "--dt", "-1e-3")
+        joined = run_cli(capsys, *argv, "--dt=-1e-3")
+        assert spaced == joined == (2, "", "poisson4: error: --dt: must be non-negative\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bivector", "--c1", "--c2", "y"),
+            ("rank", "--model", "cusp", "--point", "--format", "json"),
+            ("casimir-check", "--model", "cusp", "--h", "--k", "x"),
+        ],
+    )
+    def test_a_missing_value_before_an_option_stays_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "expected one argument" in err
+
+    def test_every_option_that_takes_a_value_is_joined(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "subcommand")
+        taking = {
+            flag
+            for command in sub.choices.values()
+            for action in command._actions
+            if action.nargs is None and action.option_strings
+            for flag in action.option_strings
+        }
+        assert taking == cli._VALUE_OPTIONS
 
     def test_fresh_interpreter(self):
         def run(*argv):

@@ -225,6 +225,24 @@ class TestEquality:
         assert parse("2 - 2") == 0
         assert parse("1/2 + 1/2") == 1
 
+    @pytest.mark.parametrize(
+        "text,scalar",
+        [("0", 0), ("1", 1), ("-3", -3), ("1/2", Fraction(1, 2)),
+         ("-7/3", Fraction(-7, 3)), ("x - x", 0), ("2/2", 1)],
+    )
+    def test_a_constant_hashes_as_the_scalar_it_equals(self, text, scalar):
+        e = parse(text)
+        assert e == scalar and hash(e) == hash(scalar)
+        assert e in {scalar} and scalar in {e}
+        assert {scalar: "value"}.get(e) == "value"
+        assert {e: "value"}.get(scalar) == "value"
+        assert len({e, scalar}) == 1
+
+    def test_a_polynomial_hash_is_that_of_its_terms(self):
+        e = parse("x + 1")
+        assert hash(e) == hash(frozenset(e.terms()))
+        assert hash(e) == hash(parse("1 + x"))
+
 
 class TestCanonicalForm:
     def test_printing_is_graded_lex(self):

@@ -13,6 +13,7 @@ from poisson4.expr import COORD_NAMES, Expr, Point4, _fused_closure, parse
 from poisson4.leaves import (
     NonFiniteError,
     NotInImageError,
+    OpenLeafError,
     SingularPointError,
     Trajectory,
     _drift,
@@ -170,6 +171,34 @@ class TestLeafFormCoefficient:
     def test_singular_point_propagates(self):
         with pytest.raises(SingularPointError):
             leaf_form_coefficient(CUSP_BIVECTOR, Point4(1, 0, 0, 1))
+
+
+# Bivectors of rank 4 at the given point, where no leaf is a surface: the
+# constant dx^dy + dz^dt, and dx^dy + x dz^dt off x = 0.  Flaschka-Ratiu
+# bivectors have rank at most 2, so only a bivector built by hand gets here.
+RANK_FOUR = [
+    (Bivector.from_upper({(0, 1): parse("1"), (2, 3): parse("1")}), Point4(0, 0, 0, 0)),
+    (Bivector.from_upper({(0, 1): parse("1"), (2, 3): parse("x")}), Point4(2, 1, 0, 1)),
+]
+
+
+class TestRankFour:
+    @pytest.mark.parametrize("b,p", RANK_FOUR)
+    @pytest.mark.parametrize("fn", [leaf_tangent_frame, leaf_form_coefficient])
+    def test_rank_four_point_raises(self, b, p, fn):
+        assert rank_at(b, p) == 4
+        with pytest.raises(ValueError, match="rank 4") as info:
+            fn(b, p)
+        assert isinstance(info.value, OpenLeafError)
+        assert not isinstance(info.value, SingularPointError)
+
+    def test_rank_two_off_the_degenerate_set(self):
+        # dx^dy + x dz^dt has rank 2 on x = 0, where the leaf is a surface.
+        b, _ = RANK_FOUR[1]
+        p = Point4(0, 1, 0, 1)
+        assert rank_at(b, p) == 2
+        assert leaf_tangent_frame(b, p).u is not None
+        assert math.isfinite(leaf_form_coefficient(b, p).coefficient)
 
 
 class TestFlow:

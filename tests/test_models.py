@@ -1,6 +1,8 @@
 """Tests for the model catalogue: charts, golden matrices, critical loci."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +12,14 @@ from poisson4.models import (
     MODEL_NAMES,
     SINGULAR_MODELS,
     catalogue_json,
-    critical_locus_indicator,
     expected_bivector,
-    leaf_chart_form,
-    leaf_closed_form,
     model,
     on_critical_locus,
 )
 from poisson4.poisson import bivector_matrix_at, flaschka_ratiu, is_poisson, rank_at
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import cli_parity  # noqa: E402
 
 
 class TestCharts:
@@ -57,8 +59,16 @@ class TestCharts:
         assert spec.s_value is None
 
     def test_coordinate_casimir_flags(self):
-        assert model("fold").coordinate_casimir == "t"
-        assert model("wrinkle").coordinate_casimir is None
+        # Read off C1: t on the five charts whose C1 is the coordinate t.
+        for name in ("fold", "cusp", "birth", "merge", "flip"):
+            assert model(name).coordinate_casimir == "t"
+        for name in ("lefschetz", "wrinkle"):
+            assert model(name).coordinate_casimir is None
+
+    def test_corpus_model_flags_match_the_catalogue(self):
+        # tools/cli_parity.py keeps its own copy, so that the corpus does not
+        # depend on the tree it runs in; uses_s is read off the Casimir pair.
+        assert cli_parity.MODELS == tuple((n, model(n).uses_s) for n in MODEL_NAMES)
 
 
 class TestGoldenMatrices:
@@ -105,11 +115,10 @@ class TestGoldenMatrices:
 class TestLeafForms:
     def test_quoted_forms_exist_for_singular_models(self):
         for name in SINGULAR_MODELS:
-            assert leaf_closed_form(name) is not None
+            assert model(name).leaf_coefficient is not None
 
     def test_no_quoted_form_for_fold(self):
-        with pytest.raises(ValueError):
-            leaf_closed_form("fold")
+        assert model("fold").leaf_coefficient is None
 
     @pytest.mark.parametrize("name", ("cusp", "birth", "merge", "flip"))
     def test_quoted_and_chart_forms_agree_off_wrinkle(self, name):
@@ -132,26 +141,27 @@ class TestLeafForms:
 
     def test_chart_form_values(self):
         p = Point4(0, 1, 1, 1)
-        assert leaf_chart_form("cusp").evaluate(p) == pytest.approx(-1 / 3)
+        chart = model("cusp").leaf_coefficient_chart
+        assert chart.evaluate(p) == pytest.approx(-1 / 3)
         p2 = Point4(1, 1, 0, 0)
-        assert leaf_chart_form("merge", 0).evaluate(p2) == pytest.approx(1 / 3)
+        chart = model("merge", 0).leaf_coefficient_chart
+        assert chart.evaluate(p2) == pytest.approx(1 / 3)
 
 
 class TestCriticalLocus:
     def test_cusp_on_arc(self):
-        on = critical_locus_indicator("cusp")
-        assert on(Point4(1, 0, 0, 1))
-        assert not on(Point4(0, 1, 0, 0))
+        b = flaschka_ratiu(model("cusp").casimirs)
+        assert on_critical_locus(b, Point4(1, 0, 0, 1))
+        assert not on_critical_locus(b, Point4(0, 1, 0, 0))
 
     def test_indicator_matches_rank(self):
         rng = np.random.default_rng(2024)
         for name in ("cusp", "fold", "wrinkle"):
             s = 1 if model_uses_s(name) else None
-            indicator = critical_locus_indicator(name, s)
             b = flaschka_ratiu(model(name, s).casimirs)
             for _ in range(40):
                 p = Point4(*rng.uniform(-2, 2, size=4))
-                assert indicator(p) == (rank_at(b, p) == 0)
+                assert on_critical_locus(b, p) == (rank_at(b, p) == 0)
 
     def test_predicate_matches_matrix_test(self):
         # The float predicate against the 4x4 matrix test it replaced: the
@@ -160,33 +170,32 @@ class TestCriticalLocus:
         for name in MODEL_NAMES:
             for s in (-1, 0, 1) if model_uses_s(name) else (None,):
                 b = flaschka_ratiu(model(name, s).casimirs)
-                indicator = critical_locus_indicator(name, s)
                 points = [Point4(0, 0, 0, 0), Point4(1e-5, 0, 0, 0), Point4(1, 0, 0, 1)]
                 points += [Point4(*rng.uniform(-2, 2, size=4)) for _ in range(20)]
                 for p in points:
                     m = bivector_matrix_at(b, p)
                     expected = bool((abs(m) <= 1e-9).all())
                     assert on_critical_locus(b, p) == expected
-                    assert indicator(p) == expected
 
     def test_indicator_matches_locus_equations(self):
         rng = np.random.default_rng(77)
         for name in MODEL_NAMES:
             s = -1 if model_uses_s(name) else None
             spec = model(name, s)
-            indicator = critical_locus_indicator(name, s)
+            b = flaschka_ratiu(spec.casimirs)
             # on-locus samples for the cusp family: x^2 = t, y = z = 0
             for _ in range(40):
                 p = Point4(*rng.uniform(-2, 2, size=4))
                 eqs = [eq.evaluate(p) for eq in spec.critical_locus]
-                assert indicator(p) == all(abs(v) < 1e-9 for v in eqs)
+                assert on_critical_locus(b, p) == all(abs(v) < 1e-9 for v in eqs)
 
     def test_cusp_arc_satisfies_equations(self):
         spec = model("cusp")
+        b = flaschka_ratiu(spec.casimirs)
         for x in np.linspace(-1.4, 1.4, 21):
             p = Point4(float(x), 0.0, 0.0, float(x) ** 2)
             assert all(abs(eq.evaluate(p)) < 1e-12 for eq in spec.critical_locus)
-            assert critical_locus_indicator("cusp")(p)
+            assert on_critical_locus(b, p)
 
     def test_birth_negative_parameter_misses_grid(self):
         # On a 20^4 uniform grid in [-2, 2]^4 no point satisfies y = z = 0,
@@ -206,8 +215,8 @@ class TestCriticalLocus:
     def test_birth_negative_parameter_chart_locus_is_nonempty(self):
         # ... although the chart-level zero set itself is not empty:
         # x^2 = t^2 + 1 at y = z = 0.
-        on = critical_locus_indicator("birth", -1)
-        assert on(Point4(np.sqrt(2.0), 0.0, 0.0, 1.0))
+        b = flaschka_ratiu(model("birth", -1).casimirs)
+        assert on_critical_locus(b, Point4(np.sqrt(2.0), 0.0, 0.0, 1.0))
 
 
 class TestCatalogueExport:

@@ -5,8 +5,8 @@ every model and value of s, and on user-supplied Casimir pairs; the factor k
 absent, valid, malformed and zero; every ``--format``; a lone ``--c1`` or
 ``--c2`` beside ``--model``; non-finite and overflowing points; bad ``--dt``
 and ``--steps``; a k that makes the probe warn beside a usage error; an
-``--s`` or a literal too large to build; and the README's "Command line"
-block.
+``--s`` or a literal too large to build; option values that begin with
+``-`` after a space; and the README's "Command line" block.
 
 Each command runs in-process through ``poisson4.cli.main`` with warnings set
 to "always", so a repeated warning is reported every time and the result of
@@ -206,6 +206,16 @@ def _other_commands() -> list[tuple[str, ...]]:
         ("flow", "--model", "cusp", "--k", "x", "--h", "x", "--point", "0,1,1,1",
          "--steps", "0"),
         ("flow", "--model", "cusp", "--k", "x", "--h", "x +", "--point", "0,1,1,1"),
+        # Values that begin with '-' after a space read as in the '=' form;
+        # a missing value before an option stays a usage error.
+        ("bivector", "--model", "birth", "--s", "-1/2"),
+        ("rank", "--model", "birth", "--s", "-1e-3", "--point", "1,1,1,1"),
+        ("bivector", "--c1", "-x^2", "--c2", "y"),
+        ("casimir-check", "--model", "cusp", "--h", "-x"),
+        ("jacobi", "--model", "cusp", "--k", "-x^2-1"),
+        ("flow", "--model", "cusp", "--h", "-x", "--point", "0,1,1,1", "--steps", "3"),
+        ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--dt", "-1e-3"),
+        ("bivector", "--c1", "--c2", "y"),
     ]
 
 
