@@ -8,9 +8,11 @@ are annihilated identically and the construction can be replayed for any
 pair you type in.
 """
 
+import json
+
 from poisson4 import (
     CasimirPair,
-    bivector_to_json,
+    bivector_to_json_dict,
     casimir_check,
     flaschka_ratiu,
     gradient,
@@ -50,4 +52,4 @@ print("\npair (x, y) gives {z,t} =", plain.components[2][3])
 
 # Bivectors serialize deterministically for golden files and the CLI.
 print("\nfold bivector as JSON:")
-print(bivector_to_json(flaschka_ratiu(model("fold").casimirs)))
+print(json.dumps(bivector_to_json_dict(flaschka_ratiu(model("fold").casimirs)), indent=2))

@@ -33,7 +33,6 @@ from .poisson import (
     PoissonVerdict,
     StructureConstants,
     Vector4,
-    bivector_to_json,
     bivector_to_json_dict,
     casimir_check,
     flaschka_ratiu,
@@ -83,7 +82,6 @@ __all__ = [
     "rank_at",
     "hamiltonian_field",
     "linear_part",
-    "bivector_to_json",
     "bivector_to_json_dict",
     "MODEL_NAMES",
     "ModelSpec",

@@ -10,7 +10,8 @@ library operation and prints the payload; the commands that take ``--point``
 evaluate there through :func:`_at_point`.  Exit codes: 0 success, 1
 mathematical failure (singular point, anchor not in the image, non-Poisson
 verdict under --expect-poisson, non-finite trajectory, an evaluation that
-overflows, a coefficient too long to print), 2 usage error.
+overflows, a coefficient too long to print) or a stdout whose reader has
+closed, 2 usage error.
 
 ``leaves`` is imported inside ``flow`` and ``leaf-form``, the two commands
 that use it.  numpy is imported only by ``leaf-form``, for its least-squares
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -343,25 +345,27 @@ def _attach_values(argv: list[str]) -> list[str]:
 
     argparse reads an argument that starts with '-' and is not a plain negative
     number as an option, so a value such as a negative point, s, dt or
-    expression would otherwise be accepted only in the ``=`` form.  An
-    argument that starts with '--' stays an option: in ``--c1 --c2 y`` the
-    value of --c1 is still missing.
+    expression would otherwise be accepted only in the ``=`` form.  The option
+    is named as argparse reads it: in full, or by a prefix of that name alone
+    (``--poi`` for ``--point``).  An argument that starts with '--' stays an
+    option: in ``--c1 --c2 y`` the value of --c1 is still missing.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+        if out and arg[:1] == "-" and arg[:2] != "--" and (
+            out[-1] in _VALUE_OPTIONS
+            or sum(name.startswith(out[-1]) for name in _VALUE_OPTIONS) == 1
+        ):
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _run(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(
-            _attach_values(sys.argv[1:] if argv is None else argv)
-        )
+        args = parser.parse_args(_attach_values(argv))
     except SystemExit as exit_:  # argparse handles --version/--help/usage
         return int(exit_.code or 0)
     try:
@@ -373,6 +377,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"poisson4: {err}", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a pipe is block-buffered: a closed one fails here
+    except BrokenPipeError:
+        # Python's documented handling: point stdout at os.devnull, so that
+        # the flush at exit cannot fail again, and exit 1 with no traceback.
+        # Output redirected in process may have no descriptor to point.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        return 1
+    return code
 
 
 if __name__ == "__main__":

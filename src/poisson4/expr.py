@@ -32,6 +32,9 @@ polynomial, ``^`` as ``**``): terms summed left to right in graded-lex order,
 the sign of a zero following Python arithmetic.  ``evaluate``,
 ``evaluate_batch``, ``compiled`` and the fused closures all use it.
 
+``parse`` reads its text once, with one regular expression, into a list of
+tokens, and parses that list by recursive descent (see the parsing section).
+
 numpy is imported inside the functions that use it, here and in the other
 modules, so that a command doing no floating-point linear algebra starts
 without it.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -620,10 +624,15 @@ def _format_rational(q: Scalar) -> str:
 # base   := var | rational | '(' expr ')' | '-' factor
 # rational := int ('/' nat)?
 #
-# Whitespace is insignificant; implicit multiplication is rejected.  Nesting
-# is bounded by MAX_NESTING, and products and powers by MAX_TERMS: a^n has at
-# most C(len(a) + n - 1, n) terms, a*b at most len(a)*len(b).  The work of
-# a whole parse is bounded by MAX_TERM_PRODUCTS before each product.
+# _TOKEN reads the text once into (kind, value, column) tokens ending in
+# ("end", "", len(text) + 1); \s and \d are str.isspace and str.isdecimal.
+# A character that starts no token, or a literal over MAX_LITERAL_DIGITS, is
+# an "error" token holding its message: no rule takes it, so the parser stops
+# there, and _error raises that message.  Implicit multiplication is
+# rejected.  Nesting is bounded by MAX_NESTING, and products and powers by
+# MAX_TERMS: a^n has at most C(len(a) + n - 1, n) terms, a*b at most
+# len(a)*len(b).  The work of a whole parse is bounded by MAX_TERM_PRODUCTS
+# before each product.
 
 
 class ParseError(ValueError):
@@ -634,37 +643,33 @@ class ParseError(ValueError):
         self.column = column
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_TOKEN = re.compile(r"\s*(?:(\d+)|([xyzts])|([-+*/^()])|(\S))")
 
-    def peek(self) -> tuple[str, str, int]:
-        """(kind, value, 1-based column) of the next token; kind 'end' at EOF."""
-        text, n = self.text, len(self.text)
-        i = self.pos
-        while i < n and text[i].isspace():
-            i += 1
-        self.pos = i
-        if i >= n:
-            return ("end", "", n + 1)
-        ch = text[i]
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j - i > MAX_LITERAL_DIGITS:
-                raise ParseError(f"literal longer than {MAX_LITERAL_DIGITS} digits", i + 1)
-            return ("int", text[i:j], i + 1)
-        if ch in "xyzts":
-            return ("var", ch, i + 1)
-        if ch in "+-*/^()":
-            return (ch, ch, i + 1)
-        raise ParseError(f"unexpected character {ch!r}", i + 1)
 
-    def advance(self, token: tuple[str, str, int]) -> None:
-        # peek() already skipped leading whitespace and left pos at the token.
-        self.pos += len(token[1])
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, 1-based column) of each token, then ("end", "", len + 1)."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        digits, var, op, other = match.groups()
+        col = match.start(match.lastindex) + 1
+        if var:
+            tokens.append(("var", var, col))
+        elif op:
+            tokens.append((op, op, col))
+        elif other:
+            tokens.append(("error", f"unexpected character {other!r}", col))
+        elif len(digits) > MAX_LITERAL_DIGITS:
+            tokens.append(("error", f"literal longer than {MAX_LITERAL_DIGITS} digits", col))
+        else:
+            tokens.append(("int", digits, col))
+    tokens.append(("end", "", len(text) + 1))
+    return tokens
+
+
+def _error(token: tuple[str, str, int], message: str) -> ParseError:
+    """The ParseError at ``token``: ``message``, or an error token's own."""
+    kind, value, col = token
+    return ParseError(value if kind == "error" else message, col)
 
 
 def _check_terms(bound: int, col: int) -> None:
@@ -676,53 +681,51 @@ def _check_terms(bound: int, col: int) -> None:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tok = _Tokenizer(text)
+        self.tokens = _tokens(text)
+        self.i = 0  # index of the next token
         self.depth = 0
         self.products = 0
 
     def parse(self) -> Expr:
         value = self.expr()
-        kind, val, col = self.tok.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {val!r}", col)
+        token = self.tokens[self.i]
+        if token[0] != "end":
+            raise _error(token, f"unexpected {token[1]!r}")
         return value
 
     def expr(self) -> Expr:
         # The terms are summed into one dict: rebuilding the running sum at
         # every sign would make a flat sum of n terms cost O(n^2).
         terms = [(1, self.term(), _ONE)]
-        while (kind := self.tok.peek()[0]) in ("+", "-"):
-            self._eat(kind)
+        while (kind := self.tokens[self.i][0]) in ("+", "-"):
+            self.i += 1
             terms.append((1 if kind == "+" else -1, self.term(), _ONE))
         return terms[0][1] if len(terms) == 1 else _sum_of_products(terms)
 
     def term(self) -> Expr:
         value = self.factor()
-        while True:
-            kind, _, col = self.tok.peek()
-            if kind != "*":
-                return value
-            self._eat("*")
+        while (token := self.tokens[self.i])[0] == "*":
+            self.i += 1
             rhs = self.factor()
+            col = token[2]
             _check_terms(len(value) * len(rhs), col)
             value = self._multiply(value, rhs, col)
+        return value
 
     def factor(self) -> Expr:
         base = self.base()
-        if self.tok.peek()[0] == "^":
-            self._eat("^")
-            kind, digits, col = self.tok.peek()
-            if kind != "int":
-                raise ParseError("expected integer exponent after '^'", col)
-            self._eat("int")
-            exponent = int(digits)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(
-                    f"exponent {exponent} exceeds limit {MAX_EXPONENT}", col
-                )
-            _check_terms(math.comb(max(len(base), 1) + exponent - 1, exponent), col)
-            return _power(base, exponent, lambda a, b: self._multiply(a, b, col))
-        return base
+        if self.tokens[self.i][0] != "^":
+            return base
+        token = self.tokens[self.i + 1]
+        kind, digits, col = token
+        if kind != "int":
+            raise _error(token, "expected integer exponent after '^'")
+        self.i += 2
+        exponent = int(digits)
+        if exponent > MAX_EXPONENT:
+            raise ParseError(f"exponent {exponent} exceeds limit {MAX_EXPONENT}", col)
+        _check_terms(math.comb(max(len(base), 1) + exponent - 1, exponent), col)
+        return _power(base, exponent, lambda a, b: self._multiply(a, b, col))
 
     def _multiply(self, a: Expr, b: Expr, col: int) -> Expr:
         self.products += len(a) * len(b)
@@ -733,60 +736,53 @@ class _Parser:
         return a * b
 
     def base(self) -> Expr:
-        kind, value, col = self.tok.peek()
+        token = self.tokens[self.i]
+        kind, value, col = token
         if kind == "var":
-            self._eat("var")
+            self.i += 1
             return Expr.variable(value)
         if kind == "int":
-            return Expr.constant(self.rational())
+            self.i += 1
+            return Expr.constant(self.rational(value))
         if kind == "(":
-            self._eat("(")
+            self.i += 1
             self._descend(col)
             inner = self.expr()
-            k2, v2, c2 = self.tok.peek()
-            if k2 != ")":
-                raise ParseError(f"expected ')', found {v2!r}" if v2 else "expected ')'", c2)
-            self._eat(")")
+            token = self.tokens[self.i]
+            if token[0] != ")":
+                found = token[1]
+                raise _error(token, f"expected ')', found {found!r}" if found else "expected ')'")
+            self.i += 1
             self.depth -= 1
             return inner
         if kind == "-":
-            self._eat("-")
+            self.i += 1
             self._descend(col)
             negated = -self.factor()
             self.depth -= 1
             return negated
-        raise ParseError(
+        raise _error(
+            token,
             f"expected a variable, number or '(', found {value!r}" if value else "unexpected end of input",
-            col,
         )
 
-    def rational(self) -> Fraction:
-        kind, digits, _ = self.tok.peek()
-        assert kind == "int"
-        self._eat("int")
-        numerator = int(digits)
-        if self.tok.peek()[0] == "/":
-            self._eat("/")
-            k2, d2, c2 = self.tok.peek()
-            if k2 != "int":
-                raise ParseError("expected integer denominator after '/'", c2)
-            self._eat("int")
-            denominator = int(d2)
-            if denominator == 0:
-                raise ParseError("zero denominator", c2)
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
+    def rational(self, digits: str) -> Fraction:
+        """The literal ``digits`` over the denominator that follows it, if any."""
+        if self.tokens[self.i][0] != "/":
+            return Fraction(int(digits))
+        token = self.tokens[self.i + 1]
+        if token[0] != "int":
+            raise _error(token, "expected integer denominator after '/'")
+        self.i += 2
+        denominator = int(token[1])
+        if denominator == 0:
+            raise ParseError("zero denominator", token[2])
+        return Fraction(int(digits), denominator)
 
     def _descend(self, col: int) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", col)
-
-    def _eat(self, kind: str) -> None:
-        token = self.tok.peek()
-        if token[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {token[1]!r}", token[2])
-        self.tok.advance(token)
 
 
 def parse(text: str) -> Expr:

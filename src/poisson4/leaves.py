@@ -48,7 +48,7 @@ from .poisson import (
     CasimirPair,
     Covector4,
     Vector4,
-    _rank_of_matrix,
+    _rank,
     _warn_if_k_vanishes,
     bivector_matrix_at,
     hamiltonian_field,
@@ -142,7 +142,7 @@ def _regular_matrix(b: Bivector, p: Point4) -> np.ndarray:
     """
     _warn_if_k_vanishes(b, p)
     m = bivector_matrix_at(b, p)
-    rank = _rank_of_matrix(m)
+    rank = _rank([float(m[i, j]) for i, j in COORD_PAIRS])
     if rank < 2:
         raise SingularPointError(
             f"bivector is singular at {p}; the leaf through it is a point"
@@ -236,13 +236,8 @@ def _select_chart_pair(m: np.ndarray) -> tuple[int, int]:
     import numpy as np
 
     scale = float(np.max(np.abs(m)))
-    chosen = None
-    for i, j in COORD_PAIRS:
-        if abs(m[i, j]) > PAIR_SELECTION_RTOL * scale:
-            chosen = (i, j)
-    if chosen is None:  # cannot happen at rank >= 2
-        raise SingularPointError("no nondegenerate coordinate plane found")
-    return chosen
+    # m is nonzero, so its largest entry passes and the list is not empty.
+    return [ij for ij in COORD_PAIRS if abs(m[ij]) > PAIR_SELECTION_RTOL * scale][-1]
 
 
 def leaf_form_coefficient(b: Bivector, p: Point4) -> LeafFormResult:

@@ -39,7 +39,6 @@ Python floats.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from typing import Optional, Sequence
@@ -65,7 +64,6 @@ __all__ = [
     "hamiltonian_field",
     "linear_part",
     "bivector_to_json_dict",
-    "bivector_to_json",
     "bivector_matrix_at",
 ]
 
@@ -495,11 +493,6 @@ def _rank(upper: Sequence[float]) -> int:
     return 2 * (s1 > cut) + 2 * (s2 > cut)
 
 
-def _rank_of_matrix(m: np.ndarray) -> int:
-    """:func:`_rank` of an antisymmetric 4x4 matrix, read from its upper entries."""
-    return _rank([float(m[i, j]) for i, j in COORD_PAIRS])
-
-
 def rank_at(b: Bivector, p: Point4) -> int:
     """Numeric rank (0, 2 or 4) of the evaluated component matrix.
 
@@ -576,10 +569,6 @@ def bivector_to_json_dict(b: Bivector) -> dict:
         "k": None if b.conformal is None else str(b.conformal),
         "matrix": [[str(e) for e in row] for row in b.components],
     }
-
-
-def bivector_to_json(b: Bivector) -> str:
-    return json.dumps(bivector_to_json_dict(b), indent=2)
 
 
 def bivector_from_json_dict(data: dict) -> Bivector:

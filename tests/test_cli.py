@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -668,6 +669,28 @@ NEGATIVE_VALUES = [
      "--steps", "3", "--format", "text"),
 ]
 
+# One command per option that takes a value, the value beginning with '-'.
+DASH_VALUES = {
+    "--model": ("bivector", "--model", "-x"),
+    "--c1": ("bivector", "--c1", "-x^2", "--c2", "y"),
+    "--c2": ("bivector", "--c1", "y", "--c2", "-x^2"),
+    "--s": ("bivector", "--model", "birth", "--s", "-1/2"),
+    "--k": ("jacobi", "--model", "cusp", "--k", "-x^2-1"),
+    "--h": ("casimir-check", "--model", "cusp", "--h", "-x"),
+    "--point": ("rank", "--model", "cusp", "--point", "-1,0,0,1"),
+    "--dt": ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--dt", "-1e-3"),
+    "--steps": ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--steps", "-3"),
+    "--format": ("rank", "--model", "cusp", "--point", "1,0,0,1", "--format", "-json"),
+}
+
+
+def _spellings(option: str) -> list[str]:
+    """The option's name and every prefix that abbreviates it alone."""
+    return [
+        option[:n] for n in range(3, len(option) + 1)
+        if option[:n] == option or sum(name.startswith(option[:n]) for name in DASH_VALUES) == 1
+    ]
+
 
 class TestInputContract:
     @pytest.mark.parametrize("argv,flag", NON_FINITE_INPUTS)
@@ -793,6 +816,36 @@ class TestInputContract:
         joined = run_cli(capsys, *argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:])
         assert spaced[0] == 0
         assert spaced == joined
+
+    def test_the_dash_values_cover_every_value_option(self):
+        assert set(DASH_VALUES) == cli._VALUE_OPTIONS
+        assert _spellings("--point") == ["--p", "--po", "--poi", "--poin", "--point"]
+        assert _spellings("--steps") == ["--st", "--ste", "--step", "--steps"]
+        assert _spellings("--s") == ["--s"]
+        assert _spellings("--c1") == ["--c1"]
+
+    @pytest.mark.parametrize(
+        "option,spelling",
+        [(option, spelling) for option in DASH_VALUES for spelling in _spellings(option)],
+    )
+    def test_an_abbreviated_option_takes_a_value_after_a_space(self, capsys, option, spelling):
+        argv = DASH_VALUES[option]
+        i = argv.index(option)
+        before, value, after = argv[:i], argv[i + 1], argv[i + 2:]
+        spaced = run_cli(capsys, *before, spelling, value, *after)
+        joined = run_cli(capsys, *before, f"{spelling}={value}", *after)
+        assert spaced == joined
+        assert spaced == run_cli(capsys, *before, f"{option}={value}", *after)
+
+    def test_an_abbreviated_point(self, capsys):
+        argv = ("rank", "--model", "cusp", "--poi", "-1,0,0,1")
+        assert run_cli(capsys, *argv) == (0, "rank: 0\n", "")
+
+    def test_an_ambiguous_prefix_takes_no_value(self, capsys):
+        # --c abbreviates both --c1 and --c2, so argparse refuses it.
+        code, out, err = run_cli(capsys, "bivector", "--c", "-x^2", "--c2", "y")
+        assert (code, out) == (2, "")
+        assert "ambiguous option: --c could match --c1, --c2" in err
 
     def test_negative_dt_after_a_space_is_read_as_a_value(self, capsys):
         argv = ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1")
@@ -953,3 +1006,52 @@ class TestInputContract:
         }
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             poisson4.no_such_name
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+# A command that prints, for every subcommand.
+PRINTING = [
+    ("list-models",),
+    ("bivector", "--model", "cusp"),
+    ("jacobi", "--model", "cusp"),
+    ("casimir-check", "--model", "cusp"),
+    ("rank", "--model", "cusp", "--point", "1,0,0,1"),
+    ("leaf-form", "--model", "cusp", "--point", "0,1,1,1"),
+    ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--steps", "10"),
+    ("locus", "--model", "cusp", "--point", "1,0,0,1"),
+]
+
+
+class TestClosedStdout:
+    def test_every_subcommand_is_listed(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "subcommand")
+        assert {argv[0] for argv in PRINTING} == set(sub.choices)
+
+    @pytest.mark.parametrize("argv", PRINTING, ids=lambda argv: argv[0])
+    def test_exits_1_with_nothing_on_stderr(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(_ClosedPipe()), contextlib.redirect_stderr(err):
+            assert main(list(argv)) == 1
+        assert err.getvalue() == ""
+
+    def test_a_pipe_whose_reader_has_closed(self):
+        # The read end is closed before the command starts, so its first
+        # write to stdout fails.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "poisson4", "list-models", "--format", "json"],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")

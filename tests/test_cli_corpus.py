@@ -69,3 +69,16 @@ def test_parity_fails_only_on_the_new_trees_escapes(capsys):
         assert cli_parity.report(commands, [_result(0), old], [_result(0), escaped]) == 1
         assert "new 1" in capsys.readouterr().out
     assert cli_parity.report(commands, [_result(0)] * 2, [_result(2)] * 2) == 0
+
+
+def test_against_counts_commands_not_run_apart():
+    not_run = cli_parity.NOT_RUN
+    got = {"a": [0, "h"], "b": [not_run, None], "c": [1, "x"], "d": [0, "y"]}
+    pinned = {"a": [0, "h"], "b": [0, None], "c": [0, "x"], "e": [0, "z"]}
+    assert cli_parity.against(got, pinned) == {
+        "commands": 4,
+        "identical": 1,
+        "not_run": 1,
+        "differing": ["c", "d"],
+        "unpinned": ["d", "e"],
+    }

@@ -202,6 +202,11 @@ class TestEvaluate:
                 else:
                     assert np.allclose(batch, rows, rtol=1e-13, atol=1e-13), text
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 4, 1)])
+    def test_batch_refuses_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(n, 4\)"):
+            parse("x + y").evaluate_batch(np.zeros(shape))
+
     def test_compiled_matches_evaluate(self):
         e = parse("x^4 - x^2*s + x*t + y^2 - 7/2*z^2")
         f = e.compiled()

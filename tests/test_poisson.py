@@ -43,7 +43,6 @@ from poisson4.poisson import (
     linear_part,
     rank_at,
     _rank,
-    _rank_of_matrix,
     _upper_at,
 )
 
@@ -102,6 +101,14 @@ class TestFlaschkaRatiu:
     def test_vanishing_k_warns(self):
         with pytest.warns(ConformalFactorWarning, match="factor vanishes somewhere"):
             flaschka_ratiu(CUSP, k=parse("x"))
+
+    def test_negative_k_near_zero_warns(self):
+        # k < 0 everywhere, and min|k| = 1e-6 at x = 2/9 on the probe grid,
+        # against a cutoff of 1e-9 * max|k| = 0.49: the cutoff must be taken
+        # on the magnitude of the negative values.
+        k = parse("-(1/1000000 + 100000000*(x - 2/9)^2)")
+        with pytest.warns(ConformalFactorWarning, match="factor vanishes somewhere"):
+            flaschka_ratiu(CUSP, k=k)
 
     def test_overflowing_k_warns_without_claiming_a_zero(self):
         with pytest.warns(ConformalFactorWarning) as caught:
@@ -1021,7 +1028,8 @@ class TestClosedFormRank:
             p = Point4(*rng.uniform(-2, 2, size=4), s=rng.uniform(-1, 1))
             m = bivector_matrix_at(b, p)
             assert _upper_at(b, p) == tuple(float(m[i, j]) for i, j in COORD_PAIRS)
-            assert rank_at(b, p) == _rank_of_matrix(m) == _reference_rank(m)
+            upper = [float(m[i, j]) for i, j in COORD_PAIRS]
+            assert rank_at(b, p) == _rank(upper) == _reference_rank(m)
 
 
 class TestHamiltonianField:

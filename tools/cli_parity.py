@@ -6,7 +6,8 @@ absent, valid, malformed and zero; every ``--format``; a lone ``--c1`` or
 ``--c2`` beside ``--model``; non-finite and overflowing points; bad ``--dt``
 and ``--steps``; a k that makes the probe warn beside a usage error; an
 ``--s`` or a literal too large to build; option values that begin with
-``-`` after a space; and the README's "Command line" block.
+``-`` after a space, the options also abbreviated; and the README's
+"Command line" block.
 
 Each command runs in-process through ``poisson4.cli.main`` with warnings set
 to "always", so a repeated warning is reported every time and the result of
@@ -19,6 +20,7 @@ Usage::
 
     python tools/cli_parity.py OLD_TREE NEW_TREE
     python tools/cli_parity.py --pins TREE > tests/cli_corpus_pins.json
+    python tools/cli_parity.py --pins TREE --python PATH --against tests/cli_corpus_pins.json
 
 The first form runs the corpus in both trees (each a checkout holding
 ``src/poisson4``), sorts every difference into "exit/stdout" or "stderr
@@ -27,7 +29,13 @@ each differing command.  It exits 1 if a command in the new tree exits
 outside {0, 1, 2}; the old tree's such exits are only counted, and a
 difference alone never fails it.  The second form prints the exit code and
 the sha256 of stdout of every command, the pins that
-``tests/test_cli_corpus.py`` checks.
+``tests/test_cli_corpus.py`` checks; with ``--against PINS`` it prints, as
+JSON, how they compare with the pins in that file instead.
+
+``--python PATH`` runs the corpus under that interpreter (by default the one
+running this script).  Where numpy is not installed, the ``leaf-form``
+commands, the only ones that import it, are not run: their exit reads
+"not run", and a comparison counts them apart from the commands that match.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import argparse
 import collections
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -99,6 +108,23 @@ BAD_SOURCES = (
 ) + tuple(("--model", name, "--s", "1") for name, uses_s in MODELS if not uses_s)
 
 POINT_COMMANDS = ("rank", "leaf-form", "locus")
+
+# The exit of a command the worker did not run: leaf-form without numpy.
+NOT_RUN = "not run: numpy is not installed"
+
+# One command per option that takes a value, the value beginning with '-'.
+DASH_VALUES = (
+    ("--model", ("bivector", "--model", "-x")),
+    ("--c1", ("bivector", "--c1", "-x^2", "--c2", "y")),
+    ("--c2", ("bivector", "--c1", "y", "--c2", "-x^2")),
+    ("--s", ("bivector", "--model", "birth", "--s", "-1/2")),
+    ("--k", ("jacobi", "--model", "cusp", "--k", "-x^2-1")),
+    ("--h", ("casimir-check", "--model", "cusp", "--h", "-x")),
+    ("--point", ("rank", "--model", "cusp", "--point", "-1,0,0,1")),
+    ("--dt", ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--dt", "-1e-3")),
+    ("--steps", ("flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--steps", "-3")),
+    ("--format", ("rank", "--model", "cusp", "--point", "1,0,0,1", "--format", "-json")),
+)
 
 
 def _by_factor(source: tuple[str, ...]) -> list[tuple[str, ...]]:
@@ -219,6 +245,18 @@ def _other_commands() -> list[tuple[str, ...]]:
     ]
 
 
+def _abbreviated_commands() -> list[tuple[str, ...]]:
+    """Each DASH_VALUES command with its option cut to every prefix that names it alone."""
+    names = [option for option, _ in DASH_VALUES]
+    out = []
+    for option, argv in DASH_VALUES:
+        i = argv.index(option)
+        for n in range(3, len(option)):
+            if sum(name.startswith(option[:n]) for name in names) == 1:
+                out.append(argv[:i] + (option[:n],) + argv[i + 1:])
+    return out
+
+
 def readme_commands() -> list[tuple[str, ...]]:
     text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -232,7 +270,7 @@ def readme_commands() -> list[tuple[str, ...]]:
 def corpus() -> list[tuple[str, ...]]:
     """The ordered corpus, each command once."""
     commands = _source_commands() + _flow_commands() + _other_commands()
-    commands += readme_commands()
+    commands += readme_commands() + _abbreviated_commands()
     return list(dict.fromkeys(commands))
 
 
@@ -263,7 +301,13 @@ def _worker(tree: Path) -> None:
 
     if not cli.__file__.startswith(str(src)):
         raise SystemExit(f"imported {cli.__file__}, not the tree's")
-    results = [run_command(cli.main, argv) for argv in corpus()]
+    skip_leaf_form = importlib.util.find_spec("numpy") is None
+    results = [
+        {"exit": NOT_RUN, "stdout": "", "stderr": "", "warnings": [], "sites": []}
+        if skip_leaf_form and argv[:1] == ("leaf-form",)
+        else run_command(cli.main, argv)
+        for argv in corpus()
+    ]
     for result in results:
         result["sites"] = [
             os.path.relpath(site, src) if site.startswith(str(src)) else site
@@ -272,12 +316,12 @@ def _worker(tree: Path) -> None:
     json.dump(results, sys.stdout)
 
 
-def run_tree(tree: Path) -> list[dict]:
-    """The corpus results of one tree, from a fresh interpreter."""
+def run_tree(tree: Path, python: str = sys.executable) -> list[dict]:
+    """The corpus results of one tree, from a fresh interpreter ``python``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     proc = subprocess.run(
-        [sys.executable, __file__, "--worker", str(tree)],
+        [python, __file__, "--worker", str(tree)],
         capture_output=True, text=True, env=env,
     )
     if proc.returncode != 0:
@@ -285,7 +329,7 @@ def run_tree(tree: Path) -> list[dict]:
     return json.loads(proc.stdout)
 
 
-def pins(tree: Path) -> dict[str, list]:
+def pins(tree: Path, python: str = sys.executable) -> dict[str, list]:
     """[exit, sha256 of stdout] per command.
 
     ``leaf-form`` prints the digits of LAPACK solves, whose last bits may
@@ -298,12 +342,29 @@ def pins(tree: Path) -> dict[str, list]:
             if argv[:1] == ("leaf-form",)
             else hashlib.sha256(result["stdout"].encode()).hexdigest(),
         ]
-        for argv, result in zip(corpus(), run_tree(tree))
+        for argv, result in zip(corpus(), run_tree(tree, python))
     }
 
 
-def compare(old_tree: Path, new_tree: Path) -> int:
-    return report(corpus(), run_tree(old_tree), run_tree(new_tree))
+def against(got: dict[str, list], pinned: dict[str, list]) -> dict:
+    """How one run's pins compare with the committed ones."""
+    not_run = [command for command, (code, _) in got.items() if code == NOT_RUN]
+    differing = [
+        command
+        for command, pin in got.items()
+        if pin[0] != NOT_RUN and pin != pinned.get(command)
+    ]
+    return {
+        "commands": len(got),
+        "identical": len(got) - len(not_run) - len(differing),
+        "not_run": len(not_run),
+        "differing": differing,
+        "unpinned": sorted(set(got) ^ set(pinned)),
+    }
+
+
+def compare(old_tree: Path, new_tree: Path, python: str = sys.executable) -> int:
+    return report(corpus(), run_tree(old_tree, python), run_tree(new_tree, python))
 
 
 def report(commands, old: list[dict], new: list[dict]) -> int:
@@ -319,7 +380,8 @@ def report(commands, old: list[dict], new: list[dict]) -> int:
     escapes = collections.Counter()
     for argv, a, b in zip(commands, old, new):
         for side, r in (("old", a), ("new", b)):
-            escapes[side] += r["exit"] not in (0, 1, 2)
+            escapes[side] += r["exit"] not in (0, 1, 2, NOT_RUN)
+            escapes[f"{side} not run"] += r["exit"] == NOT_RUN
         if (a["exit"], a["stdout"]) != (b["exit"], b["stdout"]):
             kind = "exit/stdout"
         elif (a["stderr"], a["warnings"]) != (b["stderr"], b["warnings"]):
@@ -343,6 +405,8 @@ def report(commands, old: list[dict], new: list[dict]) -> int:
     for (site_a, site_b), count in sorted(moved.items()):
         print(f"warning site {site_a} -> {site_b}: {count}")
     print(f"exits outside {{0, 1, 2}}: old {escapes['old']} (not checked), new {escapes['new']}")
+    if escapes["old not run"] or escapes["new not run"]:
+        print(f"not run: old {escapes['old not run']}, new {escapes['new not run']}")
     if listed:
         print("\ndiffering commands:\n" + "\n".join(listed))
     return 1 if escapes["new"] else 0
@@ -352,18 +416,35 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
     parser.add_argument("--pins", type=Path, metavar="TREE", help="print TREE's pins")
+    parser.add_argument(
+        "--python", default=sys.executable, metavar="PATH",
+        help="the interpreter that runs the corpus (default: this one)",
+    )
+    parser.add_argument(
+        "--against", type=Path, metavar="PINS",
+        help="with --pins, compare with the pins in this file and print the result",
+    )
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
         _worker(args.worker)
         return 0
     if args.pins is not None:
-        lines = [f"{json.dumps(c)}: {json.dumps(v)}" for c, v in pins(args.pins).items()]
+        got = pins(args.pins, args.python)
+        if args.against is not None:
+            version = subprocess.run(
+                [args.python, "-c", "import platform; print(platform.python_version())"],
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            pinned = json.loads(args.against.read_text(encoding="utf-8"))
+            print(json.dumps({"python": version, **against(got, pinned)}, indent=2))
+            return 0
+        lines = [f"{json.dumps(c)}: {json.dumps(v)}" for c, v in got.items()]
         print("{\n" + ",\n".join(lines) + "\n}")
         return 0
     if len(args.trees) != 2:
         parser.error("give OLD_TREE and NEW_TREE, or --pins TREE")
-    return compare(*args.trees)
+    return compare(*args.trees, args.python)
 
 
 if __name__ == "__main__":
