@@ -10,8 +10,8 @@ library operation and prints the payload; the commands that take ``--point``
 evaluate there through :func:`_at_point`.  Exit codes: 0 success, 1
 mathematical failure (singular point, anchor not in the image, non-Poisson
 verdict under --expect-poisson, non-finite trajectory, an evaluation that
-overflows, a coefficient too long to print) or a stdout whose reader has
-closed, 2 usage error.
+overflows, a coefficient too long to print), ``leaf-form`` where numpy is
+not installed, or a stdout whose reader has closed, 2 usage error.
 
 ``leaves`` is imported inside ``flow`` and ``leaf-form``, the two commands
 that use it.  numpy is imported only by ``leaf-form``, for its least-squares
@@ -53,11 +53,27 @@ class UsageError(Exception):
 
 
 class MathError(Exception):
-    """Well-formed invocation whose mathematical outcome is a failure."""
+    """Well-formed invocation that fails: its mathematical outcome, or no numpy for leaf-form."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, but ``--help`` and ``--version`` let a closed stdout fail.
+
+    argparse ignores an ``OSError`` from any message it writes, so an
+    unbuffered stdout whose reader has closed would exit 0 there, while a
+    buffered one fails at ``main``'s flush.  A write to stdout raises here as
+    in every command; messages to stderr keep argparse's handling.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="poisson4",
         description="Poisson bivectors on R^4 from Casimir pairs",
     )
@@ -253,6 +269,12 @@ def _cmd_leaf_form(args) -> None:
     from .leaves import NotInImageError, SingularPointError, leaf_form_coefficient
 
     b, p, _ = _source(args)
+    try:
+        import numpy  # noqa: F401  (the solves of leaf_form_coefficient)
+    except ModuleNotFoundError as err:
+        if err.name != "numpy":
+            raise
+        raise MathError("leaf-form needs numpy, which is not installed") from None
     try:
         r = _at_point(leaf_form_coefficient, b, p)
     except (SingularPointError, NotInImageError) as err:

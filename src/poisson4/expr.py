@@ -13,15 +13,21 @@ shows in equality, hashing or printing.
 ``-``, ``*``, ``differentiate`` and the other operations are canonical by
 construction and are wrapped by ``Expr._trusted`` without a second check.
 The monomial keys of those results are taken from one table, so polynomials
-that share a monomial share its tuple (see ``MAX_SHARED_MONOMIALS``).  ``*``
-and the bracket layer's sums (a determinant, a Jacobiator component) run one
-product loop, ``_sum_of_products``, which adds sign * a * b over (sign, a, b)
-triples into one dict in place; ``+`` and ``-`` add into a copy of one side.
+that share a monomial share its tuple (see ``MAX_SHARED_MONOMIALS``).
+
+Every product runs one kernel on term dicts, ``_sums_of_products``: in one
+pass it forms n sums, adding sign * a * b for each (i, sign, a, b) into the
+dict of sum i in place.  ``*``, ``substitute_s`` and a parsed sum are its
+one-output case; the bracket layer forms each set of sums in one call (the
+six minors of a bivector, the Jacobiator's components, the rows of a
+contraction).  ``+`` and ``-`` add into a copy of one side.  The four partial
+derivatives come from one sweep over the terms, ``_partials``.
 
 No operation changes a polynomial's terms after it is built, so an ``Expr``
 may keep values derived from them: its hash, its compiled closure and its
-four partial derivatives (``partials``), each made on first use.  Pickling
-and copying rebuild an ``Expr`` from its terms alone and leave those behind.
+four partial derivatives (``partials``, which ``differentiate`` reads when
+they are kept), each made on first use.  Pickling and copying rebuild an
+``Expr`` from its terms alone and leave those behind.
 
 x, y, z, t are coordinates and may be differentiated; s is a deformation
 parameter and is deliberately excluded from :class:`Var`, so no code path can
@@ -393,7 +399,7 @@ class Expr:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return _sum_of_products(((1, self, rhs),))
+        return Expr._trusted(_sums_of_products(1, ((0, 1, self._terms, rhs._terms),))[0])
 
     __rmul__ = __mul__
 
@@ -422,23 +428,22 @@ class Expr:
     # -- calculus and evaluation ----------------------------------------
 
     def differentiate(self, var: Var) -> "Expr":
-        """Exact partial derivative with respect to one of x, y, z, t."""
+        """Exact partial derivative with respect to one of x, y, z, t.
+
+        Read from the kept :meth:`partials` if they were made, else from a
+        :func:`_partials` sweep that is not kept.
+        """
         if not isinstance(var, Var):
             raise TypeError("differentiate expects a Var (s is a parameter)")
-        i = var.index
-        out: dict[Monomial, Scalar] = {}
-        for monomial, coeff in self._terms.items():
-            e = monomial[i]
-            if e:
-                lowered = monomial[:i] + (e - 1,) + monomial[i + 1:]
-                out[_shared(lowered)] = _integral(coeff * e)
-        return Expr._trusted(out)
+        if self._partials is not None:
+            return self._partials[var.index]
+        return Expr._trusted(_partials(self._terms)[var.index])
 
     def partials(self) -> tuple["Expr", "Expr", "Expr", "Expr"]:
-        """(d/dx, d/dy, d/dz, d/dt), from :meth:`differentiate` on first use (cached)."""
+        """(d/dx, d/dy, d/dz, d/dt), from one :func:`_partials` sweep on first use (cached)."""
         if self._partials is None:
             object.__setattr__(
-                self, "_partials", tuple(self.differentiate(v) for v in VARS)
+                self, "_partials", tuple(map(Expr._trusted, _partials(self._terms)))
             )
         return self._partials
 
@@ -478,8 +483,10 @@ class Expr:
         parts: dict[int, dict[Monomial, Scalar]] = {}
         for monomial, coeff in self._terms.items():
             parts.setdefault(monomial[4], {})[_shared(monomial[:4] + (0,))] = coeff
-        return _sum_of_products(
-            (1, Expr._trusted(part), Expr.constant(q**e)) for e, part in parts.items()
+        return Expr._trusted(
+            _sums_of_products(
+                1, [(0, 1, part, Expr.constant(q**e)._terms) for e, part in parts.items()]
+            )[0]
         )
 
     # -- structure queries ----------------------------------------------
@@ -536,18 +543,24 @@ class Expr:
         return f"Expr({self})"
 
 
-def _sum_of_products(triples: Iterable[tuple[int, Expr, Expr]]) -> Expr:
-    """The sum of sign * a * b over (sign, a, b) triples, sign 1 or -1.
+def _sums_of_products(n: int, products: Iterable[tuple]) -> list[dict[Monomial, Scalar]]:
+    """The term dicts of n sums: sum i adds sign * a * b over its (i, sign, a, b).
 
-    Each term product is added in place into one dict, whose new keys are the
-    shared table's tuples; whole coefficients become ints after the last one.
+    ``a`` and ``b`` are term dicts, ``sign`` is 1 or -1 and ``i`` is below n.
+    Each term product is added in place into its sum's dict, whose new keys
+    are the shared table's tuples; whole coefficients become ints after the
+    last product.  The dicts are canonical and new, so the caller owns them.
     """
-    out: dict[Monomial, Scalar] = {}
-    get = out.get
+    # A list display costs a fifth of a comprehension, and most calls form one sum.
+    outs = [{}] if n == 1 else [{} for _ in range(n)]
     shared = _SHARED_MONOMIALS.get
-    for sign, a, b in triples:
-        right = b._terms.items()
-        for (a0, a1, a2, a3, a4), c1 in a._terms.items():
+    for i, sign, a, b in products:
+        if not (a and b):
+            continue
+        out = outs[i]
+        get = out.get
+        right = b.items()
+        for (a0, a1, a2, a3, a4), c1 in a.items():
             if sign < 0:
                 c1 = -c1
             for m2, c2 in right:
@@ -561,10 +574,26 @@ def _sum_of_products(triples: Iterable[tuple[int, Expr, Expr]]) -> Expr:
                         out[monomial] = total
                     else:
                         del out[monomial]
-    for monomial, coeff in out.items():
-        if coeff.__class__ is not int:
-            out[monomial] = _integral(coeff)
-    return Expr._trusted(out)
+    for out in outs:
+        for monomial, coeff in out.items():
+            if coeff.__class__ is not int:
+                out[monomial] = _integral(coeff)
+    return outs
+
+
+def _partials(terms: dict[Monomial, Scalar]) -> tuple[dict[Monomial, Scalar], ...]:
+    """The term dicts of d/dx, d/dy, d/dz and d/dt, in one pass over ``terms``."""
+    outs = ({}, {}, {}, {})
+    shared = _SHARED_MONOMIALS.get
+    for monomial, coeff in terms.items():
+        for i in range(4):
+            e = monomial[i]
+            if e:
+                lowered = monomial[:i] + (e - 1,) + monomial[i + 1:]
+                outs[i][shared(lowered) or _shared(lowered)] = (
+                    coeff * e if coeff.__class__ is int else _integral(coeff * e)
+                )
+    return outs
 
 
 def _is_negation(a: Expr, b: Expr) -> bool:
@@ -573,7 +602,8 @@ def _is_negation(a: Expr, b: Expr) -> bool:
     return len(a) == len(b) and all(get(m) == -c for m, c in a._terms.items())
 
 
-_ONE = Expr.one()
+# The terms of 1.
+_ONE = {_ZERO_MONOMIAL: 1}
 
 
 def _power(base: Expr, n: int, multiply) -> Expr:
@@ -696,11 +726,12 @@ class _Parser:
     def expr(self) -> Expr:
         # The terms are summed into one dict: rebuilding the running sum at
         # every sign would make a flat sum of n terms cost O(n^2).
-        terms = [(1, self.term(), _ONE)]
+        first = self.term()
+        terms = [(0, 1, first._terms, _ONE)]
         while (kind := self.tokens[self.i][0]) in ("+", "-"):
             self.i += 1
-            terms.append((1 if kind == "+" else -1, self.term(), _ONE))
-        return terms[0][1] if len(terms) == 1 else _sum_of_products(terms)
+            terms.append((0, 1 if kind == "+" else -1, self.term()._terms, _ONE))
+        return first if len(terms) == 1 else Expr._trusted(_sums_of_products(1, terms)[0])
 
     def term(self) -> Expr:
         value = self.factor()

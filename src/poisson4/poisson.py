@@ -29,7 +29,14 @@ C1, C2, k and a Hamiltonian h take their derivatives from ``Expr.partials``,
 which differentiates a polynomial once and keeps the four results, so within
 one check ``flaschka_ratiu`` and ``casimir_check`` share the partials of C1
 and C2.  The bivector's entries are differentiated once, by ``jacobiator``,
-and their partials are not kept.
+each in one ``_partials`` sweep into term dicts that are not kept.
+
+Each set of sums is one call of expr's kernel ``_sums_of_products`` on term
+dicts, each product a (sum, sign, factor, factor): the six signed minors of
+``flaschka_ratiu`` (``_minors``, which ``det4`` uses too), the four
+Jacobiator components with the Pfaffian when k is given (from the static
+table ``_JACOBIATOR_PRODUCTS``), and the four rows of ``_contract``, which
+``casimir_check`` and ``hamiltonian_field`` share.
 
 numpy is imported only inside ``bivector_matrix_at`` and the ``as_array``
 helpers (see ``expr``); the sign probe of k and the rank at a point run on
@@ -43,8 +50,8 @@ import math
 import warnings
 from typing import Optional, Sequence
 
-from .expr import COORD_NAMES, VARS, Expr, Point4, Record, _fused_closure, parse
-from .expr import _is_negation, _sum_of_products
+from .expr import COORD_NAMES, Expr, Point4, Record, _fused_closure, parse
+from .expr import _is_negation, _partials, _sums_of_products
 
 __all__ = [
     "CasimirPair",
@@ -84,6 +91,19 @@ _LAPLACE = (
 )
 # Index pairs i < j, in the order of the upper triangle.
 COORD_PAIRS = tuple(pair for pair, _, _ in _LAPLACE)
+# Entry n of the upper triangle is det(e_i, e_j, dC1, dC2) for its (i, j):
+# the minor of dC1, dC2 on the complement (u, v), with the sign of _LAPLACE.
+_ENTRY_MINORS = tuple((u, v, sign) for _, (u, v), sign in _LAPLACE)
+# The Jacobiator as products (t, sign, a, b) over the factors m[r][c] at
+# 4r + c and d_l of upper entry n at 16 + 4n + l.  Sums 0-3 are J^{ijk} for
+# the triples in order; sum 4, the last three products, is Pf(pi).
+_JACOBIATOR_PRODUCTS = tuple(
+    (t, sign, 4 * row + l, 16 + 4 * COORD_PAIRS.index(pair) + l)
+    for t, (i, j, k) in enumerate(TRIPLES)
+    for row, pair, sign in ((i, (j, k), 1), (j, (i, k), -1), (k, (i, j), 1))
+    for l in range(4)
+    if l != row
+) + tuple((4, sign, 4 * r + s, 4 * u + v) for (r, s), (u, v), sign in _LAPLACE[:3])
 
 RANK_RELATIVE_THRESHOLD = 1e-9
 
@@ -263,18 +283,29 @@ def det4(columns: Sequence[Sequence[Expr]]) -> Expr:
 
     Laplace expansion by complementary minors: the sum over ``_LAPLACE`` of
     sign * (a[r]*b[s] - a[s]*b[r]) * (c[u]*d[v] - c[v]*d[u]), skipping a term
-    whose first minor is zero.  Each minor and the outer sum are one
-    ``_sum_of_products``.  With basis columns a = e_i, b = e_j only the
-    minor of c, d on the rows other than i and j is formed.
+    whose first minor is zero.  The six first minors, the second minors that
+    are needed (each set one :func:`_minors`) and the outer sum are one
+    ``_sums_of_products`` each.  With basis columns a = e_i, b = e_j only
+    the minor of c, d on the rows other than i and j is formed.
     """
-    a, b, c, d = columns
-    terms = []
-    for (r, s), (u, v), sign in _LAPLACE:
-        first = _sum_of_products(((1, a[r], b[s]), (-1, a[s], b[r])))
-        if not first.is_zero:
-            second = _sum_of_products(((1, c[u], d[v]), (-1, c[v], d[u])))
-            terms.append((sign, first, second))
-    return _sum_of_products(terms)
+    a, b, c, d = ([e._terms for e in column] for column in columns)
+    firsts = _minors(a, b, [(r, s, 1) for r, s in COORD_PAIRS])
+    kept = [n for n, first in enumerate(firsts) if first]
+    seconds = _minors(c, d, [(*_LAPLACE[n][1], 1) for n in kept])
+    products = [(0, _LAPLACE[n][2], firsts[n], second) for n, second in zip(kept, seconds)]
+    return Expr._trusted(_sums_of_products(1, products)[0])
+
+
+def _minors(x: list, y: list, rows) -> list[dict]:
+    """sign * (x[u]*y[v] - x[v]*y[u]) for each (u, v, sign) of ``rows``.
+
+    The signed 2x2 minors of two columns of term dicts, one
+    ``_sums_of_products``.
+    """
+    products = []
+    for n, (u, v, sign) in enumerate(rows):
+        products += ((n, sign, x[u], y[v]), (n, -sign, x[v], y[u]))
+    return _sums_of_products(len(rows), products)
 
 
 @functools.lru_cache(maxsize=_PROBE_MEMO_SIZE)
@@ -318,8 +349,8 @@ def flaschka_ratiu(
 
     Entry (i, j) is det(e_i, e_j, dC1, dC2), formed as its one signed minor
     sign * (dC1[u]*dC2[v] - dC1[v]*dC2[u]) over the complement (u, v) of
-    (i, j), one ``_sum_of_products``; ``det4`` on basis columns gives the
-    same polynomial with more work.
+    (i, j); the six are one :func:`_minors` call.  ``det4`` on basis
+    columns gives the same polynomials with more work.
 
     Rejects an exactly-zero k.  A supplied k is additionally probed on a
     deterministic 10^4-point grid in [-2, 2]^4 (s = 0, Python floats); a sign
@@ -335,12 +366,11 @@ def flaschka_ratiu(
         message = _k_probe_warning(k)
         if message is not None:
             warnings.warn(message, ConformalFactorWarning, stacklevel=2)
-    d1, d2 = cas.c1.partials(), cas.c2.partials()
-    entries = {
-        ij: _sum_of_products(((sign, d1[u], d2[v]), (-sign, d1[v], d2[u])))
-        for ij, (u, v), sign in _LAPLACE
-    }
-    return Bivector.from_upper(entries, conformal=k, casimirs=cas)
+    d1, d2 = ([d._terms for d in c.partials()] for c in (cas.c1, cas.c2))
+    minors = _minors(d1, d2, _ENTRY_MINORS)
+    return Bivector.from_upper(
+        dict(zip(COORD_PAIRS, map(Expr._trusted, minors))), conformal=k, casimirs=cas
+    )
 
 
 def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
@@ -349,50 +379,44 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     J^{ijk} = sum_l ( pi^{il} d_l pi^{jk} + pi^{jl} d_l pi^{ki}
                       + pi^{kl} d_l pi^{ij} );
     the bivector is Poisson iff all four vanish identically.  Only the six
-    entries above the diagonal are differentiated: d_l pi^{ki} is read as
+    entries above the diagonal are differentiated, each in one ``_partials``
+    sweep whose term dicts are not kept: d_l pi^{ki} is read as
     -d_l pi^{ik}, and the terms with l equal to the row index, whose factor
-    is a zero diagonal entry, are left out: each component is one
-    ``_sum_of_products`` of 9 products.  With a factor k, the product rule
-    gives k^2 * J(pi)^{ijk} + s * k * Pf(pi) * d_l k, with l and s from
-    ``_PFAFFIAN_SIGNS``.  The Pfaffian is formed first; k^2 is formed only
-    when some J(pi) component is nonzero, and k * Pf(pi) and the partials of
-    k only when Pf(pi) is nonzero.  A term left out is k^2 * 0 or
-    k * 0 * d_l k, so the result is the same polynomial.  For every
-    :func:`flaschka_ratiu` output both are zero and no k term is formed.
+    is a zero diagonal entry, are left out, so each component is a sum of 9
+    products.  The four components, and the Pfaffian when there is a factor
+    k, are one ``_sums_of_products`` on the table ``_JACOBIATOR_PRODUCTS``.
+    With k, the product rule gives k^2 * J(pi)^{ijk} + s * k * Pf(pi) * d_l k,
+    with l and s from ``_PFAFFIAN_SIGNS``, a second call for the four sums;
+    k^2 is formed only when some J(pi) component is nonzero, and k * Pf(pi)
+    and the partials of k only when Pf(pi) is nonzero.  A term left out is
+    k^2 * 0 or k * 0 * d_l k, so the result is the same polynomial.  For
+    every :func:`flaschka_ratiu` output both are zero and no k term is formed.
     """
     m = b.components
-    # The entries are fresh and differentiated once here: their partials
-    # are not kept on them.
-    partials = {
-        ij: tuple(e.differentiate(v) for v in VARS)
-        for ij, e in b.upper_entries().items()
-    }
-    out: dict[tuple[int, int, int], Expr] = {}
-    for (i, j, k) in TRIPLES:
-        cyclic = ((i, partials[j, k], 1), (j, partials[i, k], -1), (k, partials[i, j], 1))
-        out[(i, j, k)] = _sum_of_products(
-            (sign, m[row][l], d[l])
-            for row, d, sign in cyclic
-            for l in range(4)
-            if l != row
-        )
+    factors = [e._terms for row in m for e in row]
+    for i, j in COORD_PAIRS:
+        factors += _partials(m[i][j]._terms)
     factor = b.conformal
-    if factor is None:
-        return out
-    pfaffian = _sum_of_products(
-        ((1, m[0][1], m[2][3]), (-1, m[0][2], m[1][3]), (1, m[0][3], m[1][2]))
+    n = 4 if factor is None else 5
+    sums = _sums_of_products(
+        n, [(t, sign, factors[a], factors[c]) for t, sign, a, c in _JACOBIATOR_PRODUCTS if t < n]
     )
-    scaled = {triple: [] for triple in TRIPLES}
-    if not all(e.is_zero for e in out.values()):
-        k2 = factor * factor
-        for triple, e in out.items():
-            scaled[triple].append((1, k2, e))
-    if not pfaffian.is_zero:
-        k_pfaffian = factor * pfaffian
-        dk = factor.partials()
-        for triple, (l, sign) in _PFAFFIAN_SIGNS.items():
-            scaled[triple].append((sign, k_pfaffian, dk[l]))
-    return {triple: _sum_of_products(t) for triple, t in scaled.items()}
+    if factor is not None:
+        *unscaled, pfaffian = sums
+        k = factor._terms
+        products = []
+        if any(unscaled):
+            k2 = _sums_of_products(1, ((0, 1, k, k),))[0]
+            products += [(t, 1, k2, e) for t, e in enumerate(unscaled)]
+        if pfaffian:
+            k_pfaffian = _sums_of_products(1, ((0, 1, k, pfaffian),))[0]
+            dk = factor.partials()
+            products += [
+                (t, sign, k_pfaffian, dk[l]._terms)
+                for t, (l, sign) in enumerate(_PFAFFIAN_SIGNS.values())
+            ]
+        sums = _sums_of_products(4, products)
+    return {triple: Expr._trusted(e) for triple, e in zip(TRIPLES, sums)}
 
 
 class PoissonVerdict(Record):
@@ -421,12 +445,18 @@ def casimir_check(b: Bivector, c: Expr) -> bool:
     Runs on the unscaled components: k never changes the answer because the
     factor multiplies every entry of the product.
     """
-    return all(e.is_zero for e in _contract(b.components, c.partials()))
+    return not any(_contract(b.components, c.partials()))
 
 
-def _contract(m, dh: Sequence[Expr]) -> tuple[Expr, ...]:
-    """The four sums sum_j m[i][j] * dh[j], each one ``_sum_of_products``."""
-    return tuple(_sum_of_products((1, e, d) for e, d in zip(row, dh)) for row in m)
+def _contract(m, dh: Sequence[Expr]) -> list[dict]:
+    """The term dicts of the four sums sum_j m[i][j] * dh[j], one ``_sums_of_products``.
+
+    The diagonal of m is zero and is left out.
+    """
+    return _sums_of_products(
+        4,
+        [(i, 1, row[j]._terms, dh[j]._terms) for i, row in enumerate(m) for j in range(4) if j != i],
+    )
 
 
 def _upper_at(b: Bivector, p: Point4) -> tuple[float, ...]:
@@ -506,7 +536,7 @@ def rank_at(b: Bivector, p: Point4) -> int:
 
 def hamiltonian_field(b: Bivector, h: Expr) -> Vector4:
     """The vector field X_h with components sum_j pi^{ij} d_j h (k folded in)."""
-    return Vector4(_contract(b.scaled_components(), h.partials()))
+    return Vector4(tuple(map(Expr._trusted, _contract(b.scaled_components(), h.partials()))))
 
 
 class StructureConstants(Record):

@@ -226,6 +226,21 @@ class TestLeafForm:
         assert data["chart"] == ["y", "z"]
         assert abs(data["coefficient"] + 1 / 3) < 1e-9
 
+    def test_without_numpy_one_line_and_exit_1(self, capsys, monkeypatch):
+        # None in sys.modules makes every later "import numpy" fail.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(
+                capsys, "leaf-form", "--model", "cusp", "--point", "0,1,1,1", "--format", fmt
+            )
+            assert (code, out) == (1, "")
+            assert err == "poisson4: leaf-form needs numpy, which is not installed\n"
+        # A usage error is still found first, and the other commands run.
+        code, out, err = run_cli(capsys, "leaf-form", "--model", "cusp", "--point", "0,1")
+        assert (code, out) == (2, "") and "numpy" not in err
+        code, out, _ = run_cli(capsys, "rank", "--model", "cusp", "--point", "0,1,1,1")
+        assert (code, out) == (0, "rank: 2\n")
+
 
 class TestFlow:
     def test_csv_output(self, capsys):
@@ -1054,4 +1069,24 @@ class TestClosedStdout:
         finally:
             os.close(write)
         assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("--help",), ("--version",), ("rank", "--help")])
+    def test_help_and_version_into_a_closed_pipe(self, argv, unbuffered):
+        # argparse ignores a failed write of its own messages, so unbuffered
+        # these once exited 0; buffered, the write fails at main's flush.
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "poisson4", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write)
         assert (proc.returncode, proc.stderr) == (1, "")

@@ -13,8 +13,11 @@ and lists the commands whose pins moved.
 import hashlib
 import json
 import shlex
+import signal
 import sys
 from pathlib import Path
+
+import pytest
 
 from poisson4.cli import main
 
@@ -49,6 +52,21 @@ def test_corpus_exit_contract_and_pins():
             moved.append(command)
     assert escaped == []
     assert moved == []
+
+
+def test_a_command_past_the_time_bound_is_named(monkeypatch):
+    def hang(argv):
+        while True:
+            pass
+
+    monkeypatch.setattr(cli_parity, "COMMAND_SECONDS", 0.05)
+    handler = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(cli_parity.CommandTimeout, match=r"^rank --point 1,0,0,1 ran past 0.05 s$"):
+        cli_parity.run_command(hang, ("rank", "--point", "1,0,0,1"))
+    # The timer and the handler are gone with the command.
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert cli_parity.run_command(lambda argv: 0, ("list-models",))["exit"] == 0
 
 
 def _result(code, stderr=""):

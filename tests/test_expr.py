@@ -22,7 +22,9 @@ from poisson4.expr import (
     Point4,
     Var,
     _Parser,
-    _sum_of_products,
+    _integral,
+    _partials,
+    _sums_of_products,
     parse,
 )
 
@@ -519,8 +521,17 @@ class TestReferenceEngine:
         assert [type(c) for _, c in Expr({(0, 0, 0, 0, 0): True}).terms()] == [int]
 
 
+def _sum(triples) -> Expr:
+    """The one-output kernel on (sign, a, b) triples of Expr."""
+    return Expr._trusted(
+        _sums_of_products(1, [(0, sign, a._terms, b._terms) for sign, a, b in triples])[0]
+    )
+
+
 class TestSumOfProducts:
-    """The one product loop against the reference engine, on signed triple lists."""
+    """The one product kernel against the reference engine, on signed product lists."""
+
+    OUTPUTS = 4
 
     @staticmethod
     def _reference(triples) -> dict:
@@ -536,61 +547,85 @@ class TestSumOfProducts:
         return all(table.get(m) is m for m, _ in e.terms())
 
     def test_matches_the_reference(self):
+        # Each drawn product goes to one of OUTPUTS sums.  Every sum of the
+        # n-output call must equal the one-output call on its own products
+        # (terms, coefficient types and keys) and the reference engine.
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         monomial = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1))
         coeff = st.one_of(
             st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)
         ).filter(bool)
-        terms = st.dictionaries(monomial, coeff, max_size=4)
-        triple = st.tuples(st.sampled_from((1, -1)), terms, terms)
+        terms = st.dictionaries(monomial, coeff, max_size=4)  # empty factors too
+        product_ = st.tuples(
+            st.integers(0, self.OUTPUTS - 1), st.sampled_from((1, -1)), terms, terms
+        )
         one = {(0, 0, 0, 0, 0): Fraction(1)}
 
-        def closed(triples: list, mode: int) -> list:
-            # 0: as drawn; 1: each product again with the other sign, so the
-            # sum cancels to zero; 2: one more product that tops each
-            # coefficient of the sum up to a whole number, or to zero.
+        def closed(products: list, mode: int) -> list:
+            # 0: as drawn; 1: each product again with the other sign, so
+            # every sum cancels to zero; 2: one more product per sum that
+            # tops each coefficient of it up to a whole number, or to zero.
             if mode == 1:
-                return triples + [(-sign, a, b) for sign, a, b in triples]
+                return products + [(i, -sign, a, b) for i, sign, a, b in products]
             if mode == 2:
-                ref = self._reference(
-                    [(sign, _reference_terms(Expr(a)), _reference_terms(Expr(b)))
-                     for sign, a, b in triples]
-                )
-                top = {
-                    m: math.floor(c) - c + n % 2 for n, (m, c) in enumerate(ref.items())
-                }
-                return triples + [(1, top, one)]
-            return triples
+                tops = []
+                for i in range(self.OUTPUTS):
+                    ref = self._reference(
+                        [(sign, _reference_terms(Expr(a)), _reference_terms(Expr(b)))
+                         for j, sign, a, b in products if j == i]
+                    )
+                    top = {
+                        m: math.floor(c) - c + n % 2 for n, (m, c) in enumerate(ref.items())
+                    }
+                    tops.append((i, 1, top, one))
+                return products + tops
+            return products
 
-        cases = st.builds(closed, st.lists(triple, max_size=5), st.integers(0, 2))
+        cases = st.builds(closed, st.lists(product_, max_size=8), st.integers(0, 2))
         phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
 
-        @hypothesis.settings(max_examples=300, deadline=None, database=None, phases=phases)
+        @hypothesis.settings(max_examples=200, deadline=None, database=None, phases=phases)
         @hypothesis.given(cases)
         def check(drawn):
-            triples = [(sign, Expr(a), Expr(b)) for sign, a, b in drawn]
-            got = _sum_of_products(triples)
-            want = self._reference(
-                [(sign, _reference_terms(a), _reference_terms(b)) for sign, a, b in triples]
+            products = [(i, sign, Expr(a), Expr(b)) for i, sign, a, b in drawn]
+            sums = _sums_of_products(
+                self.OUTPUTS, [(i, sign, a._terms, b._terms) for i, sign, a, b in products]
             )
-            _assert_matches(got, want)
-            assert self._keys_from_the_table(got)
+            assert len(sums) == self.OUTPUTS
+            for i, terms_ in enumerate(sums):
+                mine = [(sign, a, b) for j, sign, a, b in products if j == i]
+                got = Expr._trusted(terms_)
+                alone = _sum(mine)
+                assert _typed(got) == _typed(alone)
+                want = self._reference(
+                    [(sign, _reference_terms(a), _reference_terms(b)) for sign, a, b in mine]
+                )
+                _assert_matches(got, want)
+                assert self._keys_from_the_table(got)
 
         check()
 
     def test_cancellation_and_whole_sums(self):
         a, b = parse("1/2*x + y - 1/3"), parse("x*z - 2*t + 3/4")
-        assert _sum_of_products([(1, a, b), (-1, b, a)]).is_zero
-        assert _sum_of_products([]).is_zero
+        assert _sum([(1, a, b), (-1, b, a)]).is_zero
+        assert _sum([]).is_zero
+        assert _sums_of_products(3, []) == [{}, {}, {}]
         half = parse("1/2*x + 3/2*y*s")
-        whole = _sum_of_products([(1, half, Expr.one()), (1, Expr.one(), half)])
+        whole = _sum([(1, half, Expr.one()), (1, Expr.one(), half)])
         assert whole == parse("x + 3*y*s") and _int_exactly_when_integral(whole)
         assert self._keys_from_the_table(whole)
-        # The product is the one-product case, and - builds no -rhs.
-        assert a * b == _sum_of_products([(1, a, b)])
-        assert a - b == _sum_of_products([(1, a, Expr.one()), (-1, b, Expr.one())])
-        assert 1 - a == _sum_of_products([(1, Expr.one(), Expr.one()), (-1, a, Expr.one())])
+        # The product is the one-output case, and - builds no -rhs.
+        assert a * b == _sum([(1, a, b)])
+        assert a - b == _sum([(1, a, Expr.one()), (-1, b, Expr.one())])
+        assert 1 - a == _sum([(1, Expr.one(), Expr.one()), (-1, a, Expr.one())])
+        # Sums are formed apart: one that cancels leaves its neighbours whole.
+        sums = _sums_of_products(
+            3,
+            [(0, 1, a._terms, b._terms), (1, 1, half._terms, half._terms),
+             (2, 1, b._terms, a._terms), (0, -1, b._terms, a._terms)],
+        )
+        assert sums == [{}, (half * half)._terms, (a * b)._terms]
 
 
 class TestExponentTypes:
@@ -648,8 +683,21 @@ class TestSharedMonomials:
         assert len(expr_module._SHARED_MONOMIALS) == 3
 
 
+def _per_variable_partials(e: Expr) -> tuple:
+    """The four partials one variable at a time, one pass over the terms each."""
+    out = []
+    for i in range(4):
+        d = {}
+        for monomial, coeff in e._terms.items():
+            if monomial[i]:
+                lowered = monomial[:i] + (monomial[i] - 1,) + monomial[i + 1:]
+                d[lowered] = _integral(coeff * monomial[i])
+        out.append(Expr._trusted(d))
+    return tuple(out)
+
+
 class TestPartials:
-    """``partials`` differentiates once and keeps the four results."""
+    """``partials`` differentiates in one sweep and keeps the four results."""
 
     def test_partials_are_the_four_derivatives(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -661,10 +709,14 @@ class TestPartials:
         @hypothesis.settings(max_examples=200, deadline=None, database=None, phases=phases)
         @hypothesis.given(st.dictionaries(monomial, coeff, max_size=6).map(Expr))
         def check(e):
-            want = tuple(e.differentiate(v) for v in VARS)
+            want = _per_variable_partials(e)
             got = e.partials()
             assert got == want
             assert [_typed(d) for d in got] == [_typed(d) for d in want]
+            assert [e.differentiate(v) for v in VARS] == list(want)
+            assert tuple(map(Expr._trusted, _partials(e._terms))) == want
+            table = expr_module._SHARED_MONOMIALS
+            assert all(table.get(m) is m for d in got for m, _ in d.terms())
 
         check()
 

@@ -701,7 +701,7 @@ def _power_product(var: str, n: int) -> str:
 
 
 class TestDet4Oracle:
-    """det4 and flaschka_ratiu against sympy's determinant, expanded."""
+    """det4, flaschka_ratiu and jacobiator against sympy, expanded."""
 
     def setup_method(self):
         self.sympy = sympy = pytest.importorskip("sympy")
@@ -805,6 +805,46 @@ class TestDet4Oracle:
                 e_i, e_j = ([int(r == n) for r in range(4)] for n in (i, j))
                 rows = [list(row) for row in zip(e_i, e_j, *grads)]
                 assert self.det(rows) == self.poly(b.components[i][j])
+
+        check()
+
+    def test_jacobiator_on_non_decomposable_bivectors(self):
+        # Six free entries with a nonzero Pfaffian, with and without k:
+        # every component of the k-scaled Jacobiator, and is_poisson's
+        # witness, the first nonzero component in TRIPLES order.
+        coords = self.names[:4]
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        upper = self.st.tuples(*[self.exprs(0, 3)] * 6).filter(
+            lambda e: not (e[0] * e[5] - e[1] * e[4] + e[2] * e[3]).is_zero
+        )
+        k = self.st.none() | self.exprs(1, 3)
+
+        @self.given(60, upper, k)
+        def check(upper, k):
+            b = Bivector.from_upper(dict(zip(pairs, upper)), conformal=k)
+            scale = self.poly(Expr.one() if k is None else k)
+            pi = [[scale * self.poly(e) for e in row] for row in b.components]
+            want = {
+                (i, j, l): sum(
+                    (
+                        pi[i][m] * pi[j][l].diff(coords[m])
+                        + pi[j][m] * pi[l][i].diff(coords[m])
+                        + pi[l][m] * pi[i][j].diff(coords[m])
+                        for m in range(4)
+                    ),
+                    self.poly(Expr.zero()),
+                )
+                for (i, j, l) in TRIPLES
+            }
+            got = jacobiator(b)
+            assert {t: self.poly(e) for t, e in got.items()} == want
+            verdict = is_poisson(b)
+            nonzero = [t for t in TRIPLES if not want[t].is_zero]
+            if not nonzero:
+                assert verdict.holds and verdict.witness is None
+            else:
+                assert verdict.witness_triple == tuple(COORD_NAMES[i] for i in nonzero[0])
+                assert self.poly(verdict.witness) == want[nonzero[0]]
 
         check()
 

@@ -11,10 +11,12 @@ and ``--steps``; a k that makes the probe warn beside a usage error; an
 
 Each command runs in-process through ``poisson4.cli.main`` with warnings set
 to "always", so a repeated warning is reported every time and the result of
-a command does not depend on the ones before it.  A result is the exit code
-(or the exception that escaped ``main``), stdout, stderr, and the warnings
-raised: their category and message, with the ``file:line`` they cite kept
-apart, since it moves with any edit above it.
+a command does not depend on the ones before it.  A command that runs past
+``COMMAND_SECONDS`` of wall-clock time stops the run with ``CommandTimeout``,
+which names it.  A result is the exit code (or the exception that escaped
+``main``), stdout, stderr, and the warnings raised: their category and
+message, with the ``file:line`` they cite kept apart, since it moves with
+any edit above it.
 
 Usage::
 
@@ -49,8 +51,10 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -111,6 +115,10 @@ POINT_COMMANDS = ("rank", "leaf-form", "locus")
 
 # The exit of a command the worker did not run: leaf-form without numpy.
 NOT_RUN = "not run: numpy is not installed"
+
+# Wall-clock bound on one command in-process; the slowest, a leaf-form that
+# imports numpy, takes about 0.16 s, and the others under 0.02 s.
+COMMAND_SECONDS = 30
 
 # One command per option that takes a value, the value beginning with '-'.
 DASH_VALUES = (
@@ -274,14 +282,51 @@ def corpus() -> list[tuple[str, ...]]:
     return list(dict.fromkeys(commands))
 
 
+class CommandTimeout(BaseException):
+    """A corpus command ran past ``COMMAND_SECONDS``.
+
+    A ``BaseException``, so that no ``except Exception`` in the command, nor
+    the one in :func:`run_command` that records escapes, can take it.
+    """
+
+
+@contextlib.contextmanager
+def _time_bound(argv):
+    """Raise ``CommandTimeout`` naming ``argv`` once it has run ``COMMAND_SECONDS``.
+
+    The bound is a ``SIGALRM`` interval timer, which only the main thread can
+    set; on another thread, or where there is no such timer, the command runs
+    unbounded.
+    """
+    on_main = threading.current_thread() is threading.main_thread()
+    if not (on_main and hasattr(signal, "setitimer")):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise CommandTimeout(f"{shlex.join(argv)} ran past {COMMAND_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, COMMAND_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def run_command(main, argv) -> dict:
-    """One command in-process: exit, stdout, stderr, warnings and their sites."""
+    """One command in-process: exit, stdout, stderr, warnings and their sites.
+
+    A command still running after ``COMMAND_SECONDS`` raises ``CommandTimeout``.
+    """
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(list(argv))
+                with _time_bound(argv):
+                    code = main(list(argv))
             except Exception as exc:  # recorded: the contract allows none
                 code = f"exception: {type(exc).__name__}: {exc}"
     return {
