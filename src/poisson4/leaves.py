@@ -25,12 +25,15 @@ numpy is imported only inside the functions that solve (see ``expr``); the
 RK4 flow runs on Python floats, in one kernel generated from the source texts
 of the field and the tracked quantities and compiled once per bivector value
 and Hamiltonian.  A coordinate whose field component is the zero polynomial
-(t on the catalogue charts, where C1 = t; x when h = x) is held, not stepped
-(see :func:`flow`).  A :class:`Trajectory` keeps its
+(t on the catalogue charts, where C1 = t; x when h = x) is held, not stepped,
+and what reads only held coordinates is computed before the loop (see
+:func:`flow`).  A :class:`Trajectory` keeps its
 coordinates as four float columns; ``Trajectory.points``, one :class:`Point4`
 per step, is built from them on first access.  ``Trajectory.to_csv`` formats
 a constant nonzero column once: on the catalogue charts C1 = t, so the t and
-C1 columns of a flow are exactly constant, and so are x and H when h = x.
+C1 columns of a flow are exactly constant, and so are x and H when h = x.  It
+formats each distinct value of a conserved column that must repeat values,
+as C2 does when h = x, once.
 """
 
 from __future__ import annotations
@@ -302,28 +305,40 @@ class Trajectory(Record):
         """CSV export: step,x,y,z,t,C1,C2,H with 17 significant digits.
 
         A column whose values all equal its nonzero first value is formatted
-        once, into the row template; any other column is formatted per row.
-        A zero column stays per row, since 0.0 == -0.0 but the two print
-        differently.
+        once, into the row template.  A conserved column whose drift spans
+        fewer doubles around its first value than it has values repeats some,
+        and each of its distinct values is formatted once, unless one is zero
+        (0.0 == -0.0, but the two print differently); the drift only chooses
+        the way, and both give the same text.  Any other column is formatted
+        per row.
         """
         if "C1" not in self.conserved or "C2" not in self.conserved:
             raise ValueError(
                 "CSV export needs Casimir diagnostics; integrate with a "
                 "bivector that records its Casimir pair"
             )
-        columns = (*self.columns, *(self.conserved[key] for key in ("C1", "C2", "H")))
+        keys = ("C1", "C2", "H")
+        columns = (*self.columns, *(self.conserved[key] for key in keys))
+        drifts = (math.inf,) * 4 + tuple(self.drift.get(key, math.inf) for key in keys)
         rows = min(map(len, columns))
         fields, varying = ["%d"], []
-        for col in columns:
+        for col, drift in zip(columns, drifts):
             first = col[0] if rows else 0
-            if first != 0 and col.count(first) == len(col):
+            if first != 0 and col[-1] == first and col.count(first) == len(col):
                 fields.append("%.17g" % first)
-            else:
-                fields.append("%.17g")
-                varying.append(col)
+                continue
+            if abs(first) > drift and 2 * drift < (len(col) - 1) * math.ulp(abs(first) - drift):
+                distinct = set(col)
+                if 0 not in distinct:
+                    text = {v: "%.17g" % v for v in distinct}
+                    fields.append("%s")
+                    varying.append(map(text.__getitem__, col))
+                    continue
+            fields.append("%.17g")
+            varying.append(col)
         row = ",".join(fields) + "\n"
-        return "step,x,y,z,t,C1,C2,H\n" + "".join(
-            map(row.__mod__, zip(range(rows), *varying))
+        return "step,x,y,z,t,C1,C2,H\n" + (row * rows) % tuple(
+            chain.from_iterable(zip(range(rows), *varying))
         )
 
 
@@ -346,54 +361,114 @@ def _escape(n: int, *point: float) -> NonFiniteError:
     return NonFiniteError(message, step=n, last_point=Point4(*point))
 
 
+def _hoisted(src: str, moved: set[str], hoisted: dict[str, str]) -> str:
+    """``src`` with its leading run of terms free of the moved coordinates named.
+
+    Terms sum left to right, so the run is the left operand of the rest, and
+    its name stands for a whole operand of ``src``.  A run of one character
+    or free of variables stays.  ``hoisted`` maps each named text to its name
+    ``v<i>`` and gains the new one.
+    """
+    parts = src.split(" ")  # term, sign, term, ...: no term holds a space
+    free = [moved.isdisjoint(_COORD.findall(term)) for term in parts[::2]]
+    run = 2 * (free.index(False) if False in free else len(free)) - 1
+    head = " ".join(parts[:max(run, 0)])
+    if len(head) < 2 or set(head).isdisjoint("xyzts"):
+        return src
+    return " ".join([hoisted.setdefault(head, f"v{len(hoisted)}")] + parts[run:])
+
+
+def _renamed(text: str, names: dict[str, str]) -> str:
+    return _COORD.sub(lambda m: names[m[0]], text) if names else text
+
+
+def _block(lines: list[str], on_overflow: str) -> list[str]:
+    return ["try:"] + ["    " + line for line in lines] + ["except OverflowError:", "    " + on_overflow]
+
+
 @lru_cache(maxsize=_FLOW_MEMO_SIZE)
 def _flow_kernel(components, k, pair, h):
     """``(kernel, tracked keys)`` for the flow of h on this bivector.
 
     ``kernel(x, y, z, t, s, dt, steps)`` runs the RK4 loop of :func:`flow`
-    and returns the coordinate columns and those of C1, C2 (when ``pair`` is
-    given) and h.  It is generated as source, with the field components,
-    stage updates, finiteness checks and tracked quantities written out in
-    its loop, and compiled once.  The key is the bivector's values, not the
-    object: a :class:`Bivector` is unhashable, and its attributes can be
-    reassigned.
+    and returns the coordinate columns, the columns of C1, C2 (when ``pair``
+    is given) and h, and per tracked column the values it takes, first value
+    first: ``(q0, qh)`` for a constant column ``(q0,) + (qh,) * steps``, else
+    the column.  It is generated as source and compiled once.  Its loop does
+    only what changes per step:
+
+    * a hoisted value (see :func:`_hoisted`) of the field is computed before
+      the loop as ``v``, from the start, and as ``vh``, from the held values,
+      and ``v = vh`` follows stage 1: as with a held c, only stage 1 of step
+      1 reads the start's value.  A hoisted value of the tracked quantities
+      alone is computed once, from the held values;
+    * a tracked quantity free of the moved coordinates is a constant column.
+
+    An overflow in a hoisted value of the field ends the flow as in step 1.
+    One in another hoisted value, or in a ``qh``, makes them inf, so every
+    row that reads them is not finite, as the row of inf it gave in the loop.
+    The key is the bivector's values, not the object: a :class:`Bivector` is
+    unhashable, and its attributes can be reassigned.
     """
     b = Bivector(components, conformal=k, casimirs=pair)
     field = dict(zip(COORD_NAMES, map(_python_source, hamiltonian_field(b, h))))
     moved = [c for c in COORD_NAMES if field[c] != "0.0"]
     held = [c for c in COORD_NAMES if c not in moved]
+    moving = set(moved)
     tracked = {"H": h} if pair is None else {"C1": pair.c1, "C2": pair.c2, "H": h}
-    qs = [f"q{i}" for i in range(len(tracked))]
-    # The tracked values, all inf on an overflow.  A value free of x, y, z, t
-    # may be an int; the columns hold floats.
-    track = ["try:"]
-    for q, src in zip(qs, map(_python_source, tracked.values())):
-        track += [f"    {q} = {src}" if _COORD.search(src) else f"    {q} = float({src})"]
-    track += ["except OverflowError:", f"    {' = '.join(qs)} = inf"]
-    # Stage n reads the coordinates named in names; a held c is always c + "h".
-    step, names = ["try:"], {c: c for c in COORD_NAMES}
-    for n, weight in enumerate(("half", "half", "dt", None), 1):
-        step += [f"    k{n}{c} = " + _COORD.sub(lambda m: names[m[0]], field[c]) for c in moved]
-        step += [f"    {c}{n + 1} = {c} + {weight} * k{n}{c}" for c in moved if weight]
-        names = {c: c + (str(n + 1) if c in moved else "h") for c in COORD_NAMES}
-    step += ["except OverflowError:", "    raise escape(n, x, y, z, t, s) from None"]
-    step += [f"{c}1 = {c} + sixth * (k1{c} + 2.0 * (k2{c} + k3{c}) + k4{c})" for c in moved]
-    step += [f"if not ({' and '.join(f'isfinite({c}1)' for c in moved)}):"]
-    step += ["    raise escape(n, x, y, z, t, s)"]
-    step += [f"{c} = {c}1; {c.upper()}.append({c})" for c in moved]
+    # A value free of x, y, z, t may be an int; the columns hold floats.
+    sources = {
+        f"q{i}": src if _COORD.search(src) else f"float({src})"
+        for i, src in enumerate(map(_python_source, tracked.values()))
+    }
+    varying = [q for q, src in sources.items() if not moving.isdisjoint(_COORD.findall(src))]
+    hoisted: dict[str, str] = {}
+    fields = {c: _hoisted(field[c], moving, hoisted) for c in moved}
+    stepped = list(hoisted.values())  # the field's hoisted values
+    tracks = {q: _hoisted(sources[q], moving, hoisted) for q in varying}
+    at_held = {c: c + "h" for c in held}
 
     body = ["half, sixth = 0.5 * dt, dt / 6.0"]
     for c in held:  # c + dt*0.0 is finite exactly when c is
         body += [f"if not isfinite({c}): raise escape(1, x, y, z, t, s)"]
         body += [f"{c}h = {c} + dt * 0.0", f"{c.upper()} = ({c},) + ({c}h,) * steps"]
-    body += [f"{c.upper()} = [{c}]" for c in moved] + track
-    body += [f"{q.upper()} = [{q}]" for q in qs]
-    loop = (step if moved else []) + [f"{c} = {c}h" for c in held] + track
-    loop += [f"{q.upper()}.append({q})" for q in qs]
-    body += ["for n in range(1, steps + 1):"] + ["    " + line for line in loop]
+    body += [f"{c.upper()} = [{c}]" for c in moved]
+    lines = [line for text, v in hoisted.items() if v in stepped
+             for line in (f"{v} = {text}", f"{v}h = {_renamed(text, at_held)}")]
+    body += _block(lines, "raise escape(1, x, y, z, t, s) from None") if lines else []
+    late = {v: text for text, v in hoisted.items() if v not in stepped}
+    late.update((q + "h", src) for q, src in sources.items() if q not in varying)
+    lines = [f"{target} = {_renamed(text, at_held)}" for target, text in late.items()]
+    body += _block(lines, f"{' = '.join(late)} = inf") if late else []
+    body += _block([f"{q} = {src}" for q, src in sources.items()], f"{' = '.join(sources)} = inf")
+    body += [f"{q.upper()} = [{q}]" if q in varying else f"{q.upper()} = ({q},) + ({q}h,) * steps"
+             for q in sources]
+
+    # Stage n reads the names in names: stage 1 the step's own, and after it
+    # a moved c as c<n> and a held c as ch.  A hoisted v is the start's in
+    # stage 1 of step 1 and the held values' after it.
+    step, names = [], {}
+    for n, weight in enumerate(("half", "half", "dt", None), 1):
+        step += [f"k{n}{c} = {_renamed(fields[c], names)}" for c in moved]
+        step += [f"{c}{n + 1} = {c} + {weight} * k{n}{c}" for c in moved if weight]
+        step += [f"{v} = {v}h" for v in stepped if n == 1]
+        names = {**at_held, **{c: f"{c}{n + 1}" for c in moved}}
+    loop = _block(step, "raise escape(n, x, y, z, t, s) from None")
+    loop += [f"{c}1 = {c} + sixth * (k1{c} + 2.0 * (k2{c} + k3{c}) + k4{c})" for c in moved]
+    loop += [f"if not ({' and '.join(f'isfinite({c}1)' for c in moved)}):"]
+    loop += ["    raise escape(n, x, y, z, t, s)"]
+    loop += [f"{c} = {c}1; {c.upper()}.append({c})" for c in moved]
+    loop += [f"{c} = {c}h" for c in held]
+    if varying:
+        loop += _block([f"{q} = {tracks[q]}" for q in varying], f"{' = '.join(varying)} = inf")
+        loop += [f"{q.upper()}.append({q})" for q in varying]
+    if moved:
+        body += ["for n in range(1, steps + 1):"] + ["    " + line for line in loop]
+    body += [f"{q.upper()} = tuple({q.upper()})" for q in varying]
     columns = [c.upper() if c in held else f"tuple({c.upper()})" for c in COORD_NAMES]
-    values = [f"tuple({q.upper()})" for q in qs]
-    body += [f"return ({', '.join(columns)}), ({', '.join(values)},)"]
+    values = [q.upper() for q in sources]
+    taken = [q.upper() if q in varying else f"({q}, {q}h)" for q in sources]
+    body += [f"return ({', '.join(columns)}), ({', '.join(values)},), ({', '.join(taken)},)"]
     namespace = {"isfinite": math.isfinite, "inf": math.inf, "escape": _escape}
     exec("def kernel(x, y, z, t, s, dt, steps):\n    " + "\n    ".join(body), namespace)
     return namespace["kernel"], tuple(tracked)
@@ -417,11 +492,22 @@ def flow(b: Bivector, h: Expr, p0: Point4, dt: float, steps: int) -> Trajectory:
     exact: the zero polynomial's source is ``0.0``, and dt/2, dt and dt/6 are
     finite with the sign of dt, so every stage argument and update of the
     coordinate adds the same signed zero dt*0.0 (which changes x0 only when
-    x0 is -0.0 and dt is not).  A float power that overflows raises
-    ``OverflowError`` instead of giving inf, so an overflow inside a step
-    ends the flow as a non-finite coordinate does, and one in the tracked
-    quantities records a row of inf, which ends it after the last step as
-    any non-finite tracked value does.
+    x0 is -0.0 and dt is not): stage 1 of step 1 reads x0, and every later
+    stage x0 + dt*0.0.
+
+    What reads only held coordinates and s is computed once, before the
+    loop: the leading run of such terms of a field component or tracked
+    quantity.  Each run is computed by the same operations of the source
+    text on the same values (from x0 for stage 1 of step 1, from x0 + dt*0.0
+    elsewhere), so every float is as before.  A tracked quantity that reads
+    only held coordinates is a constant column, whose drift and finiteness
+    come from its first two values.
+
+    A float power that overflows raises ``OverflowError`` instead of giving
+    inf, so an overflow inside a step, or in a field value computed before
+    the loop, ends the flow as a non-finite coordinate does (the latter at
+    step 1).  One in the tracked quantities records a row of inf, which ends
+    the flow after the last step unless a coordinate escapes first.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")
@@ -432,10 +518,10 @@ def flow(b: Bivector, h: Expr, p0: Point4, dt: float, steps: int) -> Trajectory:
 
     key = tuple(map(tuple, b.components)), b.conformal, b.casimirs, h
     kernel, tracked = _flow_kernel(*key)
-    columns, values = kernel(*map(float, p0.coords()), p0.s, dt, steps)
-    drift = dict(zip(tracked, map(_drift, values)))
+    columns, values, taken = kernel(*map(float, p0.coords()), p0.s, dt, steps)
+    drift = dict(zip(tracked, map(_drift, taken)))
     # A NaN after the first value never wins max(), so every value is checked.
-    if not all(map(math.isfinite, chain(drift.values(), *values))):
+    if not all(map(math.isfinite, chain(drift.values(), *taken))):
         raise NonFiniteError("conserved quantities left double precision")
     conserved = dict(zip(tracked, values))
     return Trajectory(columns=columns, s=p0.s, dt=dt, conserved=conserved, drift=drift)

@@ -953,7 +953,7 @@ class TestInputContract:
         script = textwrap.dedent(
             """
             import contextlib, io, json, sys
-            costly = ("dataclasses", "inspect", "poisson4.leaves", "numpy")
+            costly = ("dataclasses", "inspect", "ast", "poisson4.leaves", "numpy")
             loaded = lambda: [name for name in costly if name in sys.modules]
             import poisson4, poisson4.cli
             seen = [["import", 0, loaded()]]

@@ -335,7 +335,7 @@ def _reference_flow(b, h, p0, dt, steps):
     except OverflowError:  # an int beyond the float range
         raise NonFiniteError(lost) from None
     conserved = dict(zip(tracked, columns))
-    drift = {key: _drift(col) for key, col in conserved.items()}
+    drift = {key: max(abs(v - col[0]) for v in col) for key, col in conserved.items()}
     # A NaN after the first value never wins max(), so every value is checked.
     finite = all(map(isfinite, drift.values())) and all(
         all(map(isfinite, col)) for col in columns
@@ -599,16 +599,7 @@ class TestKernelMatchesTheLoop:
             st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e150, 1e6]),
             st.floats(-2, 2),
         )
-        monomial = st.tuples(
-            st.sampled_from(["-2", "-1", "1", "3", "1/2"]),
-            st.lists(st.integers(0, 3), min_size=4, max_size=4),
-        )
-        drawn = st.lists(monomial, min_size=1, max_size=3).map(
-            lambda terms: " + ".join(
-                "*".join([c] + [f"{v}^{e}" for v, e in zip(COORD_NAMES, es) if e])
-                for c, es in terms
-            )
-        )
+        drawn = _drawn_polynomials(st, ["-2", "-1", "1", "3", "1/2"], 3)
         # h = x^60 and the 10^400 constant overflow as tracked quantities.
         fixed = ["x", "x + y*z", "y", "t", "1", "0", "x^2 - t", "z^3*y", "s*x + z",
                  "x^60", "1" + "0" * 400]
@@ -641,6 +632,100 @@ class TestKernelMatchesTheLoop:
 
         check()
 
+    def test_drawn_casimir_pairs(self):
+        # A coordinate C1 holds that coordinate, and a coordinate h holds
+        # that one too, so y, z or two coordinates at once are held.  The
+        # drawn terms free of the moved coordinates stand first, in the
+        # middle or last, in the field and in the tracked quantities, and
+        # 1e100 makes such a term overflow.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coord = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, -2.0, 1e6, 1e100, 1.7e308]), st.floats(-2, 2)
+        )
+        drawn = _drawn_polynomials(st, ["-2", "-1", "1", "3", "1/2", "-3/4", "s", "-2*s"], 5)
+        hamiltonians = st.one_of(st.sampled_from(COORD_NAMES + ("x + t", "y*z", "s*z")), drawn)
+        factors = [None, parse("x"), parse("1 + y^2")]
+        phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
+        start = (-0.0, 0.5, 0.0, -0.0)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None, phases=phases)
+        @hypothesis.given(
+            st.one_of(st.sampled_from(COORD_NAMES), drawn),
+            drawn,
+            st.sampled_from(factors),
+            hamiltonians,
+            st.lists(coord, min_size=4, max_size=4),
+            st.sampled_from([-1.0, -0.0, 0.5]),
+            st.sampled_from([0.0, -0.0, 1e-3, 0.1]),
+            st.integers(1, 30),
+        )
+        @hypothesis.example("t", "y^2 - x^3*z - z^2 + 1/2*x*t", None, "x", start, 0.5, 1e-3, 3)
+        @hypothesis.example("t", "x^3*t + y^2 - x*t - z^2 + s*x^2", None, "x", start, -1.0, 0.1, 3)
+        @hypothesis.example("y", "x^2*y - 3*x*z + y^3 - t", None, "y", start, 0.5, 1e-3, 3)
+        @hypothesis.example("z", "-x*y + s*z^2*t + t", parse("x"), "z", start, 0.5, 1e-3, 3)
+        # Stage 1 of step 1 must read the hoisted values of the -0.0 start,
+        # and the later stages those of the held +0.0.
+        @hypothesis.example(
+            "z", "-2*x^2*y^2*z^3*t + y*z^2*t^3", None, "t", (-0.0, -0.0, 0.0, -0.0), 0.5, 0.1, 2
+        )
+        @hypothesis.example("t", "x*y^2", None, "x", (0.0, -0.0, -0.0, -0.0), 0.5, 0.0, 3)
+        @hypothesis.example(
+            "y", "-x*y^3*t^3 + 1/2*x*y^3*z^2", None, "t", (-0.0, -0.0, -0.0, 0.0), 0.5, 0.1, 1
+        )
+        def check(c1, c2, k, h_text, coords, s_value, dt, steps):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # k = x vanishes on the probe
+                b = flaschka_ratiu(CasimirPair(parse(c1), parse(c2)), k=k)
+            args = (b, parse(h_text), Point4(*coords, s=s_value), dt, steps)
+            assert _flow_outcome(flow, *args) == _flow_outcome(_reference_flow, *args)
+
+        check()
+
+    def test_overflow_in_a_held_field_term_escapes_from_the_start(self):
+        # X^y = x^4 reads only the held x and t, and (1e100)**4 overflows.
+        b = flaschka_ratiu(CasimirPair(parse("t"), parse("y^2 - x^4*z")))
+        p0 = Point4(1e100, 0.5, 0.5, 0.5)
+        want = _flow_outcome(_reference_flow, b, parse("x"), p0, 1e-3, 5)
+        assert want == ("trajectory left double precision after 1 steps", 1, _signed(p0.values()))
+        assert _flow_outcome(flow, b, parse("x"), p0, 1e-3, 5) == want
+
+    @pytest.mark.parametrize("z0,step", [(0.5, None), (1.7e308, 1)])
+    def test_overflow_in_a_held_tracked_term(self, z0, step):
+        # C2's first term x^4 reads only the held x, and the field does not
+        # read it; a coordinate that escapes (-2*z overflows) comes first.
+        b = flaschka_ratiu(CasimirPair(parse("t"), parse("x^4 + y^2 - z^2")))
+        p0 = Point4(1e100, 0.5, z0, 0.5)
+        want = _flow_outcome(_reference_flow, b, parse("x"), p0, 1e-3, 5)
+        assert want[1] == step
+        assert step or want[0] == "conserved quantities left double precision"
+        assert _flow_outcome(flow, b, parse("x"), p0, 1e-3, 5) == want
+
+
+def test_drift_beyond_double_precision_raises():
+    # C1 = 10^308*x stays finite while x goes from -1 to about 1.17, but
+    # C1 - C1(start) passes the largest double.
+    pair = CasimirPair(parse("1" + "0" * 308 + "*x"), parse("t"))
+    args = (parse("x + y*z"), Point4(-1, 1, 1, 1), 1e-3, 520)
+    assert 1 < flow(CUSP_BIVECTOR, *args).columns[0][-1] < 1.7
+    b = Bivector(CUSP_BIVECTOR.components, casimirs=pair)
+    want = _flow_outcome(_reference_flow, b, *args)
+    assert want == ("conserved quantities left double precision", None, None)
+    assert _flow_outcome(flow, b, *args) == want
+
+
+def _drawn_polynomials(st, coefficients, most):
+    """Texts of sums of 1 to ``most`` monomials in x, y, z, t of degree <= 3 each."""
+    monomial = st.tuples(
+        st.sampled_from(coefficients), st.lists(st.integers(0, 3), min_size=4, max_size=4)
+    )
+    return st.lists(monomial, min_size=1, max_size=most).map(
+        lambda terms: " + ".join(
+            "*".join([c] + [f"{v}^{e}" for v, e in zip(COORD_NAMES, es) if e])
+            for c, es in terms
+        )
+    )
+
 
 def _reference_to_csv(traj):
     """Trajectory.to_csv as it was before constant columns: %.17g per value."""
@@ -664,6 +749,7 @@ CSV_COLUMNS = {
     "5e-324": (5e-324,) * 5,
     "constant but the last": (0.25, 0.25, 0.25, 0.25, 0.2500000000000001),
     "negative zero first": (-0.0, 0.0, 0.0, 0.0, 0.0),
+    "zeros of both signs after a nonzero": (0.25, 0.0, -0.0, 0.25, -0.0),
     "varying": (0.1, 0.2, 0.30000000000000004, -1.5, 2.0),
 }
 
