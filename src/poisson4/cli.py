@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import SCHEMA_VERSION, __version__
-from .expr import DigitLimitError, Expr, ParseError, Point4, parse
+from .expr import DegreeLimitError, DigitLimitError, Expr, ParseError, Point4, parse
 from .models import MODEL_NAMES, catalogue_json, model, on_critical_locus
 from .poisson import (
     Bivector,
@@ -395,7 +395,7 @@ def _run(argv: list[str]) -> int:
     except UsageError as err:
         print(f"poisson4: error: {err}", file=sys.stderr)
         return 2
-    except (MathError, DigitLimitError) as err:
+    except (MathError, DegreeLimitError, DigitLimitError) as err:
         print(f"poisson4: {err}", file=sys.stderr)
         return 1
     return 0

@@ -1,19 +1,24 @@
 """Exact sparse polynomials in x, y, z, t and the parameter s.
 
-A polynomial is a finite map from exponent vectors (e_x, e_y, e_z, e_t, e_s)
-to rational coefficients.  Zero coefficients are never stored, so every
-polynomial has exactly one representation and equality is a dictionary
-comparison.  A coefficient is an ``int`` when it is integral and a
-``fractions.Fraction`` only when its denominator is above 1; both are
-arbitrary-precision, which keeps determinant expansions and Jacobiator sums
-exact.  ``n`` and ``Fraction(n)`` compare and hash alike, so the choice never
-shows in equality, hashing or printing.
+A polynomial is a finite map from monomials x^a y^b z^c t^d s^e to rational
+coefficients.  Zero coefficients are never stored, so every polynomial has
+exactly one representation and equality is a dictionary comparison.  A
+coefficient is an ``int`` when it is integral and a ``fractions.Fraction``
+only when its denominator is above 1; both are arbitrary-precision, which
+keeps determinant expansions and Jacobiator sums exact.  ``n`` and
+``Fraction(n)`` compare and hash alike, so the choice never shows in
+equality, hashing or printing.
+
+A monomial is stored as one ``int`` key, its total degree above 16-bit
+fields for a, b, c, d and e (packed exponent vectors: Monagan & Pearce,
+CASC 2007), so a monomial product is one addition and integer order is
+graded-lex order.  A degree of ``DEGREE_LIMIT`` (2^16) raises
+:class:`DegreeLimitError`.  ``Expr(terms)`` takes exponent 5-tuples and
+``terms()`` yields them, from one shared table (``MAX_SHARED_MONOMIALS``).
 
 ``Expr(terms)`` is the one validating constructor.  The results of ``+``,
 ``-``, ``*``, ``differentiate`` and the other operations are canonical by
 construction and are wrapped by ``Expr._trusted`` without a second check.
-The monomial keys of those results are taken from one table, so polynomials
-that share a monomial share its tuple (see ``MAX_SHARED_MONOMIALS``).
 
 Every product runs one kernel on term dicts, ``_sums_of_products``: in one
 pass it forms n sums, adding sign * a * b for each (i, sign, a, b) into the
@@ -27,7 +32,7 @@ No operation changes a polynomial's terms after it is built, so an ``Expr``
 may keep values derived from them: its hash, its compiled closure and its
 four partial derivatives (``partials``, which ``differentiate`` reads when
 they are kept), each made on first use.  Pickling and copying rebuild an
-``Expr`` from its terms alone and leave those behind.
+``Expr`` from the exponent tuples of its terms alone and leave those behind.
 
 x, y, z, t are coordinates and may be differentiated; s is a deformation
 parameter and is deliberately excluded from :class:`Var`, so no code path can
@@ -61,9 +66,11 @@ __all__ = [
     "Point4",
     "Record",
     "ParseError",
+    "DegreeLimitError",
     "DigitLimitError",
     "parse",
     "COORD_NAMES",
+    "DEGREE_LIMIT",
     "MAX_EXPONENT",
     "MAX_LITERAL_DIGITS",
     "MAX_NESTING",
@@ -98,30 +105,47 @@ MAX_TERMS = 1000
 # 69,933 and parses in about 0.4 s; two copies of it summed are refused.
 MAX_TERM_PRODUCTS = 100_000
 
-# Bound on the table of shared monomials.  Each new monomial key of a
-# polynomial is looked up there first, so a kept polynomial holds one 5-tuple
-# (80 bytes) per distinct monomial of the process, not one per term.  Past
-# this many entries a new monomial is simply not shared, so a long-lived
-# process cannot grow the table without limit; a full table takes about
-# 4 MB.  Monomials of degree at most 20 in x, y, z, t and 2 in s number
-# 31,878.
+# A key holds the exponent of x, y, z, t or s at bit _SHIFTS[i] and the total
+# degree from bit 80.  Below DEGREE_LIMIT no field overflows, and a key sum
+# reaches _KEY_LIMIT exactly when its degree reaches DEGREE_LIMIT, since an
+# overflowing field can only carry into the degree.
+DEGREE_LIMIT = 1 << 16
+_MASK = DEGREE_LIMIT - 1
+_DEGREE_SHIFT = 80
+_SHIFTS = (64, 48, 32, 16, 0)
+_KEY_LIMIT = DEGREE_LIMIT << _DEGREE_SHIFT
+# The key of each variable, x to s.
+_UNITS = tuple((1 << _DEGREE_SHIFT) | (1 << shift) for shift in _SHIFTS)
+_S_UNIT = _UNITS[4]
+# (index, field shift, key) of each coordinate x, y, z, t.
+_COORD_FIELDS = tuple(zip(range(4), _SHIFTS, _UNITS))
+
+# Bound on the table that maps a key to the exponent tuple ``terms()``
+# yields, so kept term lists hold one 5-tuple (80 bytes) per distinct
+# monomial of the process, not one per term.  Past this many entries a new
+# tuple is simply not shared; a full table takes about 5 MB.  Monomials of
+# degree at most 20 in x, y, z, t and 2 in s number 31,878.
 MAX_SHARED_MONOMIALS = 1 << 15
 
 Monomial = tuple[int, int, int, int, int]
 Scalar = Union[int, Fraction]
 
-_SHARED_MONOMIALS: dict[Monomial, Monomial] = {}
+_SHARED_MONOMIALS: dict[int, Monomial] = {}
 
 
-def _shared(monomial: Monomial) -> Monomial:
-    """The table's tuple equal to ``monomial``; a new one is entered while there is room."""
-    table = _SHARED_MONOMIALS
-    found = table.get(monomial)
-    if found is not None:
-        return found
-    if len(table) < MAX_SHARED_MONOMIALS:
-        table[monomial] = monomial
-    return monomial
+def _pack(monomial: Monomial) -> int:
+    """The key of an exponent tuple; at least ``_KEY_LIMIT`` when its degree reaches the limit."""
+    key = sum(monomial)
+    for e in monomial:
+        key = key << 16 | e  # the next field down, as _SHIFTS lays them out
+    return key
+
+
+class DegreeLimitError(ArithmeticError):
+    """A monomial would reach total degree ``DEGREE_LIMIT``, beyond the packed key."""
+
+
+_OVER_THE_DEGREE_LIMIT = f"a monomial would reach the degree limit {DEGREE_LIMIT}"
 
 
 def _integral(q: Scalar) -> Scalar:
@@ -132,9 +156,6 @@ def _integral(q: Scalar) -> Scalar:
     computed coefficient that is not an int already passes through here.
     """
     return q.numerator if q.denominator == 1 else q
-
-
-_ZERO_MONOMIAL: Monomial = _shared((0, 0, 0, 0, 0))
 
 
 class Var(enum.Enum):
@@ -250,12 +271,6 @@ class Point4(Record):
         return (self.x, self.y, self.z, self.t, self.s)
 
 
-def _grlex_key(monomial: Monomial) -> tuple:
-    # Graded lexicographic with x > y > z > t > s: total degree first,
-    # then componentwise exponents.
-    return (sum(monomial), monomial)
-
-
 class Expr:
     """An immutable multivariate polynomial in canonical form.
 
@@ -270,30 +285,38 @@ class Expr:
     __slots__ = ("_terms", "_hash", "_compiled", "_partials")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        canon: dict[Monomial, Scalar] = {}
+        """The polynomial of a map from exponent 5-tuples to rational coefficients.
+
+        Exponents are plain non-negative ints of total degree below
+        ``DEGREE_LIMIT`` (else :class:`DegreeLimitError`); zero coefficients
+        are dropped and whole ones become ints.
+        """
+        canon: dict[int, Scalar] = {}
         if terms:
             for monomial, coeff in terms.items():
-                # Exactly int: a bool exponent would be entered in the shared
-                # table and become the key of later monomials equal to it.
                 if len(monomial) != 5 or any(
                     type(e) is not int or e < 0 for e in monomial
                 ):
                     raise ValueError(f"bad exponent vector {monomial!r}")
+                key = _pack(monomial)
+                if key >= _KEY_LIMIT:
+                    raise DegreeLimitError(_OVER_THE_DEGREE_LIMIT)
                 q = Fraction(coeff)
                 if q:
-                    canon[_shared(tuple(monomial))] = _integral(q)
+                    canon[key] = _integral(q)
         self._terms = canon
         self._hash = None
         self._compiled = None
         self._partials = None
 
     @classmethod
-    def _trusted(cls, terms: dict[Monomial, Scalar]) -> "Expr":
+    def _trusted(cls, terms: dict[int, Scalar]) -> "Expr":
         """Wrap a dict that is canonical already, without checking it.
 
-        Canonical: keys are 5-tuples of non-negative ints, taken from the
-        shared table while it had room; values are nonzero, an ``int`` when
-        integral and a ``Fraction`` otherwise.  The new Expr owns the dict.
+        Canonical: keys are packed monomials of total degree below
+        ``DEGREE_LIMIT``, the degree field equal to the sum of the exponent
+        fields; values are nonzero, an ``int`` when integral and a
+        ``Fraction`` otherwise.  The new Expr owns the dict.
         """
         e = object.__new__(cls)
         e._terms = terms
@@ -303,9 +326,9 @@ class Expr:
         return e
 
     def __reduce__(self):
-        # Rebuilt by the validating constructor: the keys come from the
-        # shared table again, and nothing derived travels with the terms.
-        return (Expr, (self._terms,))
+        # Rebuilt by the validating constructor from the exponent tuples,
+        # so nothing derived travels with the terms.
+        return (Expr, (dict(self.terms()),))
 
     # -- constructors -------------------------------------------------
 
@@ -315,11 +338,11 @@ class Expr:
 
     @staticmethod
     def one() -> "Expr":
-        return Expr._trusted({_ZERO_MONOMIAL: 1})
+        return Expr._trusted({0: 1})
 
     @staticmethod
     def constant(value: Scalar) -> "Expr":
-        return Expr({_ZERO_MONOMIAL: value})
+        return Expr({(0, 0, 0, 0, 0): value})
 
     @staticmethod
     def variable(which: Union[str, Var, int]) -> "Expr":
@@ -335,9 +358,7 @@ class Expr:
                 raise ValueError(f"unknown variable {which!r}") from None
         if not 0 <= idx < 5:
             raise ValueError(f"variable index {idx} out of range")
-        exps = [0, 0, 0, 0, 0]
-        exps[idx] = 1
-        return Expr({tuple(exps): 1})
+        return Expr._trusted({_UNITS[idx]: 1})
 
     # -- ring structure -----------------------------------------------
 
@@ -348,10 +369,18 @@ class Expr:
     def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         """Terms in descending graded-lex order (deterministic).
 
-        A coefficient is an ``int`` when integral, else a ``Fraction``.
+        Each monomial is the shared table's exponent 5-tuple, entered there
+        while the table has room.  A coefficient is an ``int`` when integral,
+        else a ``Fraction``.
         """
-        for monomial in sorted(self._terms, key=_grlex_key, reverse=True):
-            yield monomial, self._terms[monomial]
+        table = _SHARED_MONOMIALS
+        for key in sorted(self._terms, reverse=True):
+            monomial = table.get(key)
+            if monomial is None:
+                monomial = tuple(key >> shift & _MASK for shift in _SHIFTS)
+                if len(table) < MAX_SHARED_MONOMIALS:
+                    table[key] = monomial
+            yield monomial, self._terms[key]
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -418,10 +447,10 @@ class Expr:
         # A constant hashes as its scalar, since it compares equal to it.
         if self._hash is None:
             terms = self._terms
-            if terms.keys() <= {_ZERO_MONOMIAL}:
-                value = hash(terms.get(_ZERO_MONOMIAL, 0))
+            if terms.keys() <= {0}:
+                value = hash(terms.get(0, 0))
             else:
-                value = hash(frozenset(terms.items()))
+                value = hash(frozenset(self.terms()))
             object.__setattr__(self, "_hash", value)
         return self._hash
 
@@ -480,9 +509,10 @@ class Expr:
     def substitute_s(self, value: Scalar) -> "Expr":
         """Exactly substitute a rational value for the parameter s."""
         q = Fraction(value)
-        parts: dict[int, dict[Monomial, Scalar]] = {}
-        for monomial, coeff in self._terms.items():
-            parts.setdefault(monomial[4], {})[_shared(monomial[:4] + (0,))] = coeff
+        parts: dict[int, dict[int, Scalar]] = {}
+        for key, coeff in self._terms.items():
+            e = key & _MASK
+            parts.setdefault(e, {})[key - e * _S_UNIT] = coeff
         return Expr._trusted(
             _sums_of_products(
                 1, [(0, 1, part, Expr.constant(q**e)._terms) for e, part in parts.items()]
@@ -493,25 +523,30 @@ class Expr:
 
     def coordinate_degree_split(self) -> dict[int, "Expr"]:
         """Split into homogeneous parts by xyzt-degree (s kept symbolic)."""
-        buckets: dict[int, dict[Monomial, Scalar]] = {}
-        for monomial, coeff in self._terms.items():
-            buckets.setdefault(sum(monomial[:4]), {})[monomial] = coeff
+        buckets: dict[int, dict[int, Scalar]] = {}
+        for key, coeff in self._terms.items():
+            buckets.setdefault((key >> _DEGREE_SHIFT) - (key & _MASK), {})[key] = coeff
         return {deg: Expr._trusted(part) for deg, part in buckets.items()}
 
     def coefficient_of(self, var: Union[str, Var]) -> "Expr":
-        """Coefficient of the degree-one monomial in ``var`` (Expr in s)."""
+        """Coefficient of the degree-one monomial in ``var`` (Expr in s).
+
+        ``var`` is a :class:`Var` or one of the names x, y, z, t.
+        """
         if isinstance(var, Var):
             idx = var.index
         else:
-            idx = VAR_NAMES.index(var)
-        out: dict[Monomial, Scalar] = {}
-        for monomial, coeff in self._terms.items():
-            if monomial[idx] == 1 and sum(monomial[:4]) == 1:
-                out[_shared((0, 0, 0, 0, monomial[4]))] = coeff
+            idx = COORD_NAMES.index(var)
+        unit = _UNITS[idx]
+        out: dict[int, Scalar] = {}
+        for key, coeff in self._terms.items():
+            s_part = (key & _MASK) * _S_UNIT
+            if key - s_part == unit:
+                out[s_part] = coeff
         return Expr._trusted(out)
 
     def uses_s(self) -> bool:
-        return any(m[4] for m in self._terms)
+        return any(key & _MASK for key in self._terms)
 
     # -- printing ---------------------------------------------------------
 
@@ -543,56 +578,53 @@ class Expr:
         return f"Expr({self})"
 
 
-def _sums_of_products(n: int, products: Iterable[tuple]) -> list[dict[Monomial, Scalar]]:
+def _sums_of_products(n: int, products: Iterable[tuple]) -> list[dict[int, Scalar]]:
     """The term dicts of n sums: sum i adds sign * a * b over its (i, sign, a, b).
 
     ``a`` and ``b`` are term dicts, ``sign`` is 1 or -1 and ``i`` is below n.
-    Each term product is added in place into its sum's dict, whose new keys
-    are the shared table's tuples; whole coefficients become ints after the
-    last product.  The dicts are canonical and new, so the caller owns them.
+    Each term product is one key addition, added in place into its sum's
+    dict; a new key is compared once with the degree limit.  Whole
+    coefficients become ints after the last product.  The dicts are
+    canonical and new, so the caller owns them.
     """
     # A list display costs a fifth of a comprehension, and most calls form one sum.
     outs = [{}] if n == 1 else [{} for _ in range(n)]
-    shared = _SHARED_MONOMIALS.get
+    limit = _KEY_LIMIT
     for i, sign, a, b in products:
-        if not (a and b):
-            continue
         out = outs[i]
         get = out.get
         right = b.items()
-        for (a0, a1, a2, a3, a4), c1 in a.items():
+        for k1, c1 in a.items():
             if sign < 0:
                 c1 = -c1
-            for m2, c2 in right:
-                monomial = (a0 + m2[0], a1 + m2[1], a2 + m2[2], a3 + m2[3], a4 + m2[4])
-                acc = get(monomial)
+            for k2, c2 in right:
+                key = k1 + k2
+                acc = get(key)
                 if acc is None:
-                    out[shared(monomial) or _shared(monomial)] = c1 * c2
+                    if key >= limit:
+                        raise DegreeLimitError(_OVER_THE_DEGREE_LIMIT)
+                    out[key] = c1 * c2
                 else:
                     total = acc + c1 * c2
                     if total:
-                        out[monomial] = total
+                        out[key] = total
                     else:
-                        del out[monomial]
+                        del out[key]
     for out in outs:
-        for monomial, coeff in out.items():
+        for key, coeff in out.items():
             if coeff.__class__ is not int:
-                out[monomial] = _integral(coeff)
+                out[key] = _integral(coeff)
     return outs
 
 
-def _partials(terms: dict[Monomial, Scalar]) -> tuple[dict[Monomial, Scalar], ...]:
+def _partials(terms: dict[int, Scalar]) -> tuple[dict[int, Scalar], ...]:
     """The term dicts of d/dx, d/dy, d/dz and d/dt, in one pass over ``terms``."""
     outs = ({}, {}, {}, {})
-    shared = _SHARED_MONOMIALS.get
-    for monomial, coeff in terms.items():
-        for i in range(4):
-            e = monomial[i]
+    for key, coeff in terms.items():
+        for i, shift, unit in _COORD_FIELDS:
+            e = key >> shift & _MASK
             if e:
-                lowered = monomial[:i] + (e - 1,) + monomial[i + 1:]
-                outs[i][shared(lowered) or _shared(lowered)] = (
-                    coeff * e if coeff.__class__ is int else _integral(coeff * e)
-                )
+                outs[i][key - unit] = coeff * e if coeff.__class__ is int else _integral(coeff * e)
     return outs
 
 
@@ -603,7 +635,7 @@ def _is_negation(a: Expr, b: Expr) -> bool:
 
 
 # The terms of 1.
-_ONE = {_ZERO_MONOMIAL: 1}
+_ONE = {0: 1}
 
 
 def _power(base: Expr, n: int, multiply) -> Expr:
@@ -662,7 +694,8 @@ def _format_rational(q: Scalar) -> str:
 # rejected.  Nesting is bounded by MAX_NESTING, and products and powers by
 # MAX_TERMS: a^n has at most C(len(a) + n - 1, n) terms, a*b at most
 # len(a)*len(b).  The work of a whole parse is bounded by MAX_TERM_PRODUCTS
-# before each product.
+# before each product.  A product that reaches DEGREE_LIMIT, such as
+# ((x^64)^64)^16, is a ParseError at the column of its '*' or exponent.
 
 
 class ParseError(ValueError):
@@ -764,7 +797,10 @@ class _Parser:
             raise ParseError(
                 f"expansion needs more than {MAX_TERM_PRODUCTS} term products", col
             )
-        return a * b
+        try:
+            return a * b
+        except DegreeLimitError as err:
+            raise ParseError(str(err), col) from None
 
     def base(self) -> Expr:
         token = self.tokens[self.i]
@@ -823,7 +859,8 @@ def parse(text: str) -> Expr:
     an integer literal longer than ``MAX_LITERAL_DIGITS`` digits, on an
     exponent above ``MAX_EXPONENT``, on nesting deeper than ``MAX_NESTING``,
     on a product or power that could expand to more than ``MAX_TERMS`` terms,
-    and when its products would take more than ``MAX_TERM_PRODUCTS`` in all.
+    when its products would take more than ``MAX_TERM_PRODUCTS`` in all, and
+    on a product with a monomial of total degree ``DEGREE_LIMIT`` or more.
     """
     if not isinstance(text, str):
         raise TypeError("parse expects a string")

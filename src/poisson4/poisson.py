@@ -104,6 +104,10 @@ _JACOBIATOR_PRODUCTS = tuple(
     for l in range(4)
     if l != row
 ) + tuple((4, sign, 4 * r + s, 4 * u + v) for (r, s), (u, v), sign in _LAPLACE[:3])
+# The products of the four components alone, for a bivector without k.
+_JACOBIATOR_UNSCALED = _JACOBIATOR_PRODUCTS[:-3]
+# The partials of a zero entry, which no product reads.
+_NO_PARTIALS = ({}, {}, {}, {})
 
 RANK_RELATIVE_THRESHOLD = 1e-9
 
@@ -231,11 +235,12 @@ class Bivector:
     ) -> "Bivector":
         """Build from the entries above the diagonal; the rest is filled in.
 
-        Each entry below the diagonal is the negation of its mirror and every
-        unset entry is one shared zero, so the rows are antisymmetric by
-        construction and are wrapped without the check ``Bivector(rows)``
-        makes.  An index that is not above the diagonal raises ``ValueError``,
-        an entry that is not an ``Expr`` ``TypeError``.
+        Each entry below the diagonal is the negation of its mirror; the
+        mirror of a zero entry, and every unset entry, is one shared zero.
+        So the rows are antisymmetric by construction and are wrapped
+        without the check ``Bivector(rows)`` makes.  An index that is not
+        above the diagonal raises ``ValueError``, an entry that is not an
+        ``Expr`` ``TypeError``.
         """
         rows = [[_ZERO] * 4 for _ in range(4)]
         for (i, j), e in entries.items():
@@ -243,7 +248,7 @@ class Bivector:
                 raise ValueError(f"expected upper-triangular index, got {(i, j)}")
             _require_expr(e, i, j)
             rows[i][j] = e
-            rows[j][i] = -e
+            rows[j][i] = -e if e._terms else _ZERO
         return Bivector._trusted(tuple(map(tuple, rows)), conformal, casimirs)
 
     def scaled_components(self) -> tuple[tuple[Expr, ...], ...]:
@@ -300,11 +305,14 @@ def _minors(x: list, y: list, rows) -> list[dict]:
     """sign * (x[u]*y[v] - x[v]*y[u]) for each (u, v, sign) of ``rows``.
 
     The signed 2x2 minors of two columns of term dicts, one
-    ``_sums_of_products``.
+    ``_sums_of_products`` on the products whose two factors are nonzero.
     """
     products = []
     for n, (u, v, sign) in enumerate(rows):
-        products += ((n, sign, x[u], y[v]), (n, -sign, x[v], y[u]))
+        if x[u] and y[v]:
+            products.append((n, sign, x[u], y[v]))
+        if x[v] and y[u]:
+            products.append((n, -sign, x[v], y[u]))
     return _sums_of_products(len(rows), products)
 
 
@@ -382,9 +390,11 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     entries above the diagonal are differentiated, each in one ``_partials``
     sweep whose term dicts are not kept: d_l pi^{ki} is read as
     -d_l pi^{ik}, and the terms with l equal to the row index, whose factor
-    is a zero diagonal entry, are left out, so each component is a sum of 9
-    products.  The four components, and the Pfaffian when there is a factor
-    k, are one ``_sums_of_products`` on the table ``_JACOBIATOR_PRODUCTS``.
+    is a zero diagonal entry, are left out, so each component is a sum of at
+    most 9 products.  The four components, and the Pfaffian when there is a
+    factor k, are one ``_sums_of_products`` on the products of the table
+    ``_JACOBIATOR_PRODUCTS`` whose two factors are both nonzero: a product
+    with a zero factor is left out of the list, not skipped by the kernel.
     With k, the product rule gives k^2 * J(pi)^{ijk} + s * k * Pf(pi) * d_l k,
     with l and s from ``_PFAFFIAN_SIGNS``, a second call for the four sums;
     k^2 is formed only when some J(pi) component is nonzero, and k * Pf(pi)
@@ -395,25 +405,28 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     m = b.components
     factors = [e._terms for row in m for e in row]
     for i, j in COORD_PAIRS:
-        factors += _partials(m[i][j]._terms)
+        factors += _partials(m[i][j]._terms) if m[i][j]._terms else _NO_PARTIALS
     factor = b.conformal
-    n = 4 if factor is None else 5
-    sums = _sums_of_products(
-        n, [(t, sign, factors[a], factors[c]) for t, sign, a, c in _JACOBIATOR_PRODUCTS if t < n]
-    )
+    n, table = (4, _JACOBIATOR_UNSCALED) if factor is None else (5, _JACOBIATOR_PRODUCTS)
+    sums = _sums_of_products(n, [
+        (t, sign, fa, fc)
+        for t, sign, a, c in table
+        if (fa := factors[a]) and (fc := factors[c])
+    ])
     if factor is not None:
         *unscaled, pfaffian = sums
         k = factor._terms
         products = []
         if any(unscaled):
             k2 = _sums_of_products(1, ((0, 1, k, k),))[0]
-            products += [(t, 1, k2, e) for t, e in enumerate(unscaled)]
+            products += [(t, 1, k2, e) for t, e in enumerate(unscaled) if e]
         if pfaffian:
             k_pfaffian = _sums_of_products(1, ((0, 1, k, pfaffian),))[0]
             dk = factor.partials()
             products += [
                 (t, sign, k_pfaffian, dk[l]._terms)
                 for t, (l, sign) in enumerate(_PFAFFIAN_SIGNS.values())
+                if dk[l]._terms
             ]
         sums = _sums_of_products(4, products)
     return {triple: Expr._trusted(e) for triple, e in zip(TRIPLES, sums)}
@@ -430,13 +443,17 @@ class PoissonVerdict(Record):
         return self.holds
 
 
+# The one verdict of every bivector that is Poisson; a verdict is immutable.
+_HOLDS = PoissonVerdict(True)
+
+
 def is_poisson(b: Bivector) -> PoissonVerdict:
     """True iff every Jacobiator component is exactly the zero polynomial."""
     for (i, j, k), poly in jacobiator(b).items():
         if not poly.is_zero:
             names = (COORD_NAMES[i], COORD_NAMES[j], COORD_NAMES[k])
             return PoissonVerdict(False, names, poly)
-    return PoissonVerdict(True)
+    return _HOLDS
 
 
 def casimir_check(b: Bivector, c: Expr) -> bool:
@@ -451,12 +468,16 @@ def casimir_check(b: Bivector, c: Expr) -> bool:
 def _contract(m, dh: Sequence[Expr]) -> list[dict]:
     """The term dicts of the four sums sum_j m[i][j] * dh[j], one ``_sums_of_products``.
 
-    The diagonal of m is zero and is left out.
+    Only the products whose two factors are nonzero enter the list: the
+    diagonal of m, a zero entry and a zero dh[j] are left out.
     """
-    return _sums_of_products(
-        4,
-        [(i, 1, row[j]._terms, dh[j]._terms) for i, row in enumerate(m) for j in range(4) if j != i],
-    )
+    nonzero = [(j, d._terms) for j, d in enumerate(dh) if d._terms]
+    return _sums_of_products(4, [
+        (i, 1, e, d)
+        for i, row in enumerate(m)
+        for j, d in nonzero
+        if j != i and (e := row[j]._terms)
+    ])
 
 
 def _upper_at(b: Bivector, p: Point4) -> tuple[float, ...]:

@@ -209,3 +209,34 @@ def test_trajectory_fails_on_a_malformed_record(tmp_path, capsys, text):
     (tmp_path / "BENCH_bad.json").write_text(text)
     assert _trajectory_module()["main"]([str(tmp_path)]) == 1
     assert "BENCH_bad.json" in capsys.readouterr().err
+
+
+def test_bench_pairs_records_every_workload_given(monkeypatch, tmp_path, capsys):
+    # Each --workload runs over every seed and keeps its own section; before,
+    # only the last one given was run and recorded.
+    tools = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    main = runpy.run_path(str(tools))["main"]
+    calls = []
+
+    def compare(old, new, workload, seeds):
+        calls.append((workload, seeds))
+        return {"metrics": {}, "workload_seen": workload}
+
+    monkeypatch.setitem(main.__globals__, "compare", compare)
+    for tree in ("parent", "new"):
+        (tmp_path / tree).mkdir()
+    argv = [str(tmp_path / "parent"), str(tmp_path / "new"), "--seeds", "1-2", "--label", "t",
+            "--out-dir", str(tmp_path), "--old-commit", "a1", "--new-commit", "a1 + change"]
+    assert main(argv + ["--workload", "flow-rk4", "--workload", "cli-cold"]) == 0
+    assert calls == [("flow-rk4", [1, 2]), ("cli-cold", [1, 2])]
+    sections = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]
+    assert {name: s["workload_seen"] for name, s in sections.items()} == {
+        "flow-rk4": "flow-rk4", "cli-cold": "cli-cold",
+    }
+    # A workload named twice is a usage error, and nothing runs.
+    calls.clear()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--workload", "cli-cold", "--workload", "flow-rk4", "--workload", "cli-cold"])
+    assert exit_.value.code == 2 and calls == []
+    assert "--workload cli-cold is given more than once" in capsys.readouterr().err

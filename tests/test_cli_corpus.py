@@ -69,6 +69,26 @@ def test_a_command_past_the_time_bound_is_named(monkeypatch):
     assert cli_parity.run_command(lambda argv: 0, ("list-models",))["exit"] == 0
 
 
+def test_a_command_at_the_degree_limit_exits_1_with_one_line():
+    # Each of dC1 and dC2 has degree 32768, so the minor of the bracket
+    # reaches degree 2^16; one degree less in each stays below it.
+    over = ("bivector", "--c1", "((x^64)^64)^8*x", "--c2", "((y^64)^64)^8*y")
+    result = cli_parity.run_command(main, over)
+    assert result["exit"] == 1 and result["stdout"] == ""
+    assert result["stderr"] == (
+        "poisson4: a monomial would reach the degree limit 65536\n"
+    )
+    under = ("bivector", "--c1", "((x^64)^64)^8", "--c2", "((y^64)^64)^8")
+    result = cli_parity.run_command(main, under)
+    assert result["exit"] == 0 and result["stderr"] == ""
+    assert "1073741824*x^32767*y^32767" in result["stdout"]
+    # Past the limit in the text itself it is a usage error with the column.
+    result = cli_parity.run_command(main, ("rank", "--c1", "((x^64)^64)^16", "--c2", "y",
+                                           "--point", "1,0,0,1"))
+    assert result["exit"] == 2 and result["stderr"].count("\n") == 1
+    assert result["stderr"].endswith("the degree limit 65536 (column 13)\n")
+
+
 def _result(code, stderr=""):
     return {"exit": code, "stdout": "", "stderr": stderr, "warnings": [], "sites": []}
 

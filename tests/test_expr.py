@@ -12,17 +12,20 @@ import pytest
 
 from poisson4 import expr as expr_module
 from poisson4.expr import (
+    DEGREE_LIMIT,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERM_PRODUCTS,
     MAX_TERMS,
     VARS,
+    DegreeLimitError,
     Expr,
     ParseError,
     Point4,
     Var,
     _Parser,
     _integral,
+    _pack,
     _partials,
     _sums_of_products,
     parse,
@@ -443,6 +446,15 @@ def _reference_str(a: dict) -> str:
     return "".join(pieces)
 
 
+def _keys_packed_and_shared(e: Expr) -> bool:
+    """Each key of ``e`` packs the tuple ``terms()`` yields for it, the table's own."""
+    table = expr_module._SHARED_MONOMIALS
+    monomials = [m for m, _ in e.terms()]
+    return sorted(e._terms, reverse=True) == list(map(_pack, monomials)) and all(
+        table[_pack(m)] is m for m in monomials
+    )
+
+
 def _int_exactly_when_integral(e: Expr) -> bool:
     return all(
         type(c) is (int if Fraction(c).denominator == 1 else Fraction) for _, c in e.terms()
@@ -541,11 +553,6 @@ class TestSumOfProducts:
             out = _reference_add(out, {m: sign * c for m, c in product_.items()})
         return out
 
-    @staticmethod
-    def _keys_from_the_table(e: Expr) -> bool:
-        table = expr_module._SHARED_MONOMIALS
-        return all(table.get(m) is m for m, _ in e.terms())
-
     def test_matches_the_reference(self):
         # Each drawn product goes to one of OUTPUTS sums.  Every sum of the
         # n-output call must equal the one-output call on its own products
@@ -602,7 +609,7 @@ class TestSumOfProducts:
                     [(sign, _reference_terms(a), _reference_terms(b)) for sign, a, b in mine]
                 )
                 _assert_matches(got, want)
-                assert self._keys_from_the_table(got)
+                assert _keys_packed_and_shared(got)
 
         check()
 
@@ -614,7 +621,7 @@ class TestSumOfProducts:
         half = parse("1/2*x + 3/2*y*s")
         whole = _sum([(1, half, Expr.one()), (1, Expr.one(), half)])
         assert whole == parse("x + 3*y*s") and _int_exactly_when_integral(whole)
-        assert self._keys_from_the_table(whole)
+        assert _keys_packed_and_shared(whole)
         # The product is the one-output case, and - builds no -rhs.
         assert a * b == _sum([(1, a, b)])
         assert a - b == _sum([(1, a, Expr.one()), (-1, b, Expr.one())])
@@ -652,34 +659,39 @@ class TestExponentTypes:
 
 
 class TestSharedMonomials:
-    """Result keys are the table's tuples, so kept polynomials share them."""
-
-    @staticmethod
-    def _keys_shared(e: Expr) -> bool:
-        table = expr_module._SHARED_MONOMIALS
-        return all(table[m] is m for m, _ in e.terms())
+    """``terms()`` yields the table's tuples, so kept term lists share them."""
 
     def test_results_take_their_keys_from_the_table(self, monkeypatch):
         monkeypatch.setattr(expr_module, "_SHARED_MONOMIALS", {})
         a = Expr({(1, 0, 2, 0, 0): 3, (0, 1, 0, 0, 1): Fraction(1, 2)})
         b = Expr({(0, 0, 1, 1, 0): -1, (1, 1, 0, 0, 0): 2})
-        assert self._keys_shared(a) and self._keys_shared(b)
+        assert _keys_packed_and_shared(a) and _keys_packed_and_shared(b)
         for e in (a * b, (a * b).differentiate(Var.Z), a + b, a - b, -(a * b)):
-            assert not e.is_zero and self._keys_shared(e)
-        # A key made anew from equal exponents is the same object.
-        (m1, _), = Expr({(2, 0, 0, 0, 0): 1}).terms()
-        (m2, _), = (parse("x") * parse("x")).terms()
-        (m3, _), = parse("x^3").differentiate(Var.X).terms()
+            assert not e.is_zero and _keys_packed_and_shared(e)
+        # Equal exponents made three ways are one key, and one tuple.
+        made = (
+            Expr({(2, 0, 0, 0, 0): 1}), parse("x") * parse("x"), parse("x^3").differentiate(Var.X)
+        )
+        assert [list(e._terms) for e in made] == [[_pack((2, 0, 0, 0, 0))]] * 3
+        (m1, _), (m2, _), (m3, _) = (next(e.terms()) for e in made)
         assert m1 is m2 is m3
 
     def test_the_table_stops_growing_at_its_bound(self, monkeypatch):
         monkeypatch.setattr(expr_module, "_SHARED_MONOMIALS", {})
         monkeypatch.setattr(expr_module, "MAX_SHARED_MONOMIALS", 3)
         e = parse("(x + y + z + t + s)^2")
+        assert str(e) == (
+            "x^2 + 2*x*y + 2*x*z + 2*x*t + 2*x*s + y^2 + 2*y*z + 2*y*t + 2*y*s"
+            " + z^2 + 2*z*t + 2*z*s + t^2 + 2*t*s + s^2"
+        )
         assert len(expr_module._SHARED_MONOMIALS) == 3
         assert len(e) == 15 and e == parse("x^2 + y^2 + z^2 + t^2 + s^2") + 2 * (
             parse("x*y + x*z + x*t + x*s + y*z + y*t + y*s + z*t + z*s + t*s")
         )
+        # Past the bound a tuple is made anew, equal but not shared.
+        again = [m for m, _ in e.terms()]
+        assert again == [m for m, _ in e.terms()]
+        assert sum(m is expr_module._SHARED_MONOMIALS.get(_pack(m)) for m in again) == 3
         assert len(expr_module._SHARED_MONOMIALS) == 3
 
 
@@ -688,11 +700,11 @@ def _per_variable_partials(e: Expr) -> tuple:
     out = []
     for i in range(4):
         d = {}
-        for monomial, coeff in e._terms.items():
+        for monomial, coeff in e.terms():
             if monomial[i]:
                 lowered = monomial[:i] + (monomial[i] - 1,) + monomial[i + 1:]
                 d[lowered] = _integral(coeff * monomial[i])
-        out.append(Expr._trusted(d))
+        out.append(Expr(d))
     return tuple(out)
 
 
@@ -715,8 +727,7 @@ class TestPartials:
             assert [_typed(d) for d in got] == [_typed(d) for d in want]
             assert [e.differentiate(v) for v in VARS] == list(want)
             assert tuple(map(Expr._trusted, _partials(e._terms))) == want
-            table = expr_module._SHARED_MONOMIALS
-            assert all(table.get(m) is m for d in got for m, _ in d.terms())
+            assert all(map(_keys_packed_and_shared, got))
 
         check()
 
@@ -756,12 +767,13 @@ class TestCopies:
             e.partials()
         if derived in ("hash", "all"):
             hash(e)
-        table = expr_module._SHARED_MONOMIALS
+        # The pickled form holds the exponent tuples, not the packed keys.
+        assert e.__reduce__() == (Expr, (dict(e.terms()),))
         for copied in self._round_trips(e):
             assert copied == e and hash(copied) == hash(e)
             assert _typed(copied) == _typed(e)
             assert copied._compiled is None and copied._partials is None
-            assert all(table[m] is m for m, _ in copied.terms())
+            assert copied._terms == e._terms and _keys_packed_and_shared(copied)
             assert copied.partials() == e.partials()
             assert copied.evaluate(Point4(0.5, -1, 2, 3, s=0.25)) == e.evaluate(
                 Point4(0.5, -1, 2, 3, s=0.25)
@@ -771,3 +783,136 @@ class TestCopies:
         e = parse("x^3*t + s*y")
         dx = pickle.loads(pickle.dumps(e.partials()))[0]
         assert dx == parse("3*x^2*t") and dx._partials is None
+
+
+class TestGuards:
+    """The argument checks of the constructors, queries and the parser."""
+
+    def test_a_variable_by_var_index_or_name(self):
+        for i, (var, name) in enumerate(zip(VARS, "xyzt")):
+            assert Expr.variable(var) == Expr.variable(i) == Expr.variable(name) == parse(name)
+        assert Expr.variable(4) == Expr.variable("s") == parse("s")
+
+    @pytest.mark.parametrize("which", ["w", "X", ""])
+    def test_an_unknown_variable_name_is_refused(self, which):
+        with pytest.raises(ValueError, match=f"^unknown variable {which!r}$"):
+            Expr.variable(which)
+
+    @pytest.mark.parametrize("which", [5, -1])
+    def test_a_variable_index_out_of_range_is_refused(self, which):
+        with pytest.raises(ValueError, match=f"^variable index {which} out of range$"):
+            Expr.variable(which)
+
+    def test_coefficient_of_a_var_or_a_name(self):
+        e = parse("3*x + 2*s*x - 5*y*s^2 + x^2 + x*y + 7")
+        for var, want in zip(VARS, ("3 + 2*s", "-5*s^2", "0", "0")):
+            assert e.coefficient_of(var) == e.coefficient_of(var.name_lower) == parse(want)
+        with pytest.raises(ValueError):
+            e.coefficient_of("s")  # a parameter, not a coordinate
+
+    @pytest.mark.parametrize("n", [-1, 1.0, 2.5, "2", None])
+    def test_a_power_takes_a_non_negative_int(self, n):
+        with pytest.raises(ValueError, match="^exponent must be a non-negative integer$"):
+            parse("x + 1") ** n
+
+    @pytest.mark.parametrize("text", [b"x", 3, None, ["x"]])
+    def test_parse_takes_a_str(self, text):
+        with pytest.raises(TypeError, match="^parse expects a string$"):
+            parse(text)
+
+
+def _grlex(m: tuple) -> tuple:
+    """The graded-lex sort key of an exponent tuple, x > y > z > t > s."""
+    return (sum(m), m)
+
+
+class TestPackedKeys:
+    """The int key of a monomial: total degree, then x, y, z, t, s, 16 bits each."""
+
+    @staticmethod
+    def _exponents(st, top=DEGREE_LIMIT - 1):
+        # Tuples of total degree at most top, with the exponents near the
+        # field width drawn as often as the small ones.
+        exponent = st.one_of(st.integers(0, 3), st.integers(0, top))
+        return st.tuples(*[exponent] * 5).filter(lambda m: sum(m) <= top)
+
+    def test_pack_and_unpack_round_trip(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=500, deadline=None, database=None)
+        @hypothesis.given(self._exponents(st))
+        def check(m):
+            a, b, c, d, e = m
+            key = sum(m) << 80 | a << 64 | b << 48 | c << 32 | d << 16 | e
+            assert _pack(m) == key
+            (got, coeff), = Expr({m: 3}).terms()
+            assert got == m and type(got) is tuple and coeff == 3
+            assert list(Expr({m: 3})._terms) == [key]
+
+        check()
+
+    def test_integer_order_is_graded_lex_order(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.lists(self._exponents(st, 40), max_size=12, unique=True))
+        def check(monomials):
+            want = sorted(monomials, key=_grlex, reverse=True)
+            assert sorted(map(_pack, monomials), reverse=True) == list(map(_pack, want))
+            e = Expr({m: n + 1 for n, m in enumerate(monomials)})
+            assert [m for m, _ in e.terms()] == want
+            assert str(e) == _reference_str({m: Fraction(c) for m, c in e.terms()})
+
+        check()
+
+    def test_a_key_sum_is_the_product_monomial(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        half = (DEGREE_LIMIT - 1) // 2
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(self._exponents(st, half), self._exponents(st, half))
+        def check(a, b):
+            assert _pack(a) + _pack(b) == _pack(tuple(map(sum, zip(a, b))))
+
+        check()
+
+    def test_the_degree_limit(self):
+        limit = DEGREE_LIMIT
+        over = f"a monomial would reach the degree limit {limit}"
+        x = parse("x")
+        below = Expr({(limit - 2, 0, 0, 0, 0): 1}) * x
+        assert list(below.terms()) == [((limit - 1, 0, 0, 0, 0), 1)]
+        with pytest.raises(DegreeLimitError, match=f"^{over}$"):
+            below * x
+        with pytest.raises(DegreeLimitError):
+            Expr({(0, 0, 0, 1, limit - 1): 1}) * parse("y")
+        with pytest.raises(DegreeLimitError, match=f"^{over}$"):
+            Expr({(limit, 0, 0, 0, 0): 1})
+        with pytest.raises(DegreeLimitError):
+            Expr({(1, 1, 1, 1, limit - 4): 1})
+        assert issubclass(DegreeLimitError, ArithmeticError)
+        assert "DegreeLimitError" in expr_module.__all__
+
+    def test_a_field_at_its_top_does_not_spill(self):
+        # Two exponents whose field sum passes 2^16 - 1 only with a degree
+        # past the limit, which the one compare refuses.
+        top = DEGREE_LIMIT - 1
+        a, b = Expr({(0, top, 0, 0, 0): 1}), Expr({(0, 1, 0, 0, 0): 1})
+        with pytest.raises(DegreeLimitError):
+            a * b
+        for near_top in (Expr({(0, top - 1, 0, 0, 0): 2}), Expr({(0, 0, 0, 0, top - 1): 2})):
+            (monomial, coeff), = (near_top * b).terms()
+            assert sum(monomial) == top and coeff == 2
+
+    def test_parse_past_the_limit_names_the_column(self):
+        assert list(parse("((x^64)^64)^15").terms()) == [((61440, 0, 0, 0, 0), 1)]
+        over = r"^a monomial would reach the degree limit 65536 \(column 13\)$"
+        with pytest.raises(ParseError, match=over) as err:
+            parse("((x^64)^64)^16")
+        assert err.value.column == 13
+        with pytest.raises(ParseError) as err:
+            parse("y + ((x^64)^64)^8 * ((x^64)^64)^8")
+        assert err.value.column == 19 and "degree limit" in str(err.value)

@@ -6,6 +6,11 @@ Usage::
         --seeds 1-10 --label exact_int_engine \\
         --old-commit c5967f3 --new-commit "c5967f3 + uncommitted change"
 
+``--workload`` may be given more than once: the workloads run one after the
+other, each over every seed, and each gets its own section of the record,
+written as soon as its last pair has run.  A workload named twice is a usage
+error (exit 2).
+
 Each tree is a checkout holding ``src/poisson4`` and ``perfbench/``, for
 example one made with ``git archive``.  Such an export holds no commit id,
 so ``--old-commit`` and ``--new-commit`` name the commit each tree was
@@ -158,8 +163,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("old", type=Path, help="the tree before the change")
     parser.add_argument("new", type=Path, help="the tree with the change")
-    parser.add_argument("--workload", required=True,
-                        choices=("exact-catalogue", "leaf-sweep", "flow-rk4", "cli-cold"))
+    parser.add_argument("--workload", required=True, action="append",
+                        choices=("exact-catalogue", "leaf-sweep", "flow-rk4", "cli-cold"),
+                        help="a workload to compare; repeat the option for several")
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="seed list, e.g. 1101-1110 or 5,7,9")
     parser.add_argument("--label", required=True)
@@ -171,18 +177,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("give at least two seeds: the IQR needs two pairs")
+    for workload in args.workload:
+        if args.workload.count(workload) > 1:
+            parser.error(f"--workload {workload} is given more than once")
 
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         paths = copy_trees(args.old, args.new, work)
-        load = os.getloadavg()
-        record = compare(paths["old"], paths["new"], args.workload, args.seeds)
+        for workload in args.workload:
+            started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+            load = os.getloadavg()
+            record = compare(paths["old"], paths["new"], workload, args.seeds)
+            record.update(started=started, load_average_at_start=load,
+                          run_trees={side: str(path) for side, path in paths.items()})
+            write_record(args, workload, record)
     finally:
         shutil.rmtree(work)
-    record.update(started=started, load_average_at_start=load,
-                  run_trees={side: str(path) for side, path in paths.items()})
+    return 0
 
+
+def write_record(args, workload: str, record: dict) -> None:
+    """Put ``record`` into BENCH_<label>.json as the section of ``workload`` and print it."""
     path = args.out_dir / f"BENCH_{args.label}.json"
     data = json.loads(path.read_text()) if path.exists() else {}
     data["label"] = args.label
@@ -197,17 +212,16 @@ def main(argv=None) -> int:
         "old": args.old.resolve().name, "new": args.new.resolve().name,
         "old_commit": args.old_commit, "new_commit": args.new_commit,
     }
-    data.setdefault("workloads", {})[args.workload] = record
+    data.setdefault("workloads", {})[workload] = record
     path.write_text(json.dumps(data, indent=2) + "\n")
     for name, m in record["metrics"].items():
         ratio = m["pair_ratio"]
         paired = "" if ratio is None else (
             f", pair ratio new/old {ratio['median']:.4g} (IQR {ratio['iqr']:.3g})"
         )
-        print(f"{args.workload} {name}: {m['old']['median']:.4g} -> {m['new']['median']:.4g} "
+        print(f"{workload} {name}: {m['old']['median']:.4g} -> {m['new']['median']:.4g} "
               f"({m['median_change_pct']:+.1f} %), new wins {m['new_wins']}/{m['pairs']}, "
               f"old IQR {m['old']['iqr']:.3g}{paired}")
-    return 0
 
 
 if __name__ == "__main__":
