@@ -5,8 +5,10 @@ for a pair of Casimir functions, verify the Poisson axioms by exact
 polynomial identities, and recover the symplectic form on the leaves
 numerically (frames, anchor solves, coefficients, Hamiltonian flow).
 
-The names of the leaf module (``poisson4.leaves``) are loaded on first use,
-so that a command that needs no leaf geometry starts without compiling it.
+The names of the flow module (``poisson4.rk4``) and of the leaf-form module
+(``poisson4.leaves``, which imports numpy) are loaded on first use, each from
+its own module, so that a command starts without compiling what it does not
+run: ``poisson4.flow`` loads only the flow module.
 """
 
 from .expr import (
@@ -47,17 +49,15 @@ from .poisson import (
 __version__ = "0.1.0"
 SCHEMA_VERSION = 1
 
+_FLOW_NAMES = ("Trajectory", "NonFiniteError", "flow")
 _LEAF_NAMES = (
     "LeafFrame",
     "LeafFormResult",
-    "Trajectory",
     "SingularPointError",
     "NotInImageError",
-    "NonFiniteError",
     "leaf_tangent_frame",
     "solve_anchor",
     "leaf_form_coefficient",
-    "flow",
 )
 
 __all__ = [
@@ -90,17 +90,20 @@ __all__ = [
     "expected_bivector",
     "catalogue_json",
     *_LEAF_NAMES,
+    *_FLOW_NAMES,
     "__version__",
     "SCHEMA_VERSION",
 ]
 
 
 def __getattr__(name: str):
-    if name in _LEAF_NAMES:
-        from . import leaves
-
-        return getattr(leaves, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _FLOW_NAMES:
+        from . import rk4 as module
+    elif name in _LEAF_NAMES:
+        from . import leaves as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 def __dir__() -> list[str]:

@@ -13,9 +13,9 @@ verdict under --expect-poisson, non-finite trajectory, an evaluation that
 overflows, a coefficient too long to print), ``leaf-form`` where numpy is
 not installed, or a stdout whose reader has closed, 2 usage error.
 
-``leaves`` is imported inside ``flow`` and ``leaf-form``, the two commands
-that use it.  numpy is imported only by ``leaf-form``, for its least-squares
-and linear solves; ``rank`` takes its singular values in closed form on
+The flow module ``rk4`` is imported inside ``flow``, and the leaf-form module
+``leaves``, which imports numpy for its least-squares and linear solves, only
+inside ``leaf-form``.  ``rank`` takes its singular values in closed form on
 Python floats, so every other command starts without numpy.
 """
 
@@ -266,11 +266,13 @@ def _cmd_rank(args) -> None:
 
 
 def _cmd_leaf_form(args) -> None:
-    from .leaves import NotInImageError, SingularPointError, leaf_form_coefficient
-
     b, p, _ = _source(args)
     try:
-        import numpy  # noqa: F401  (the solves of leaf_form_coefficient)
+        # leaves first: a fresh process compiles it more slowly once numpy is loaded.
+        from .leaves import NotInImageError, SingularPointError, leaf_form_coefficient
+
+        # Probed on its own: leaves may have been loaded while numpy was there.
+        import numpy  # noqa: F401
     except ModuleNotFoundError as err:
         if err.name != "numpy":
             raise
@@ -298,7 +300,7 @@ def _cmd_leaf_form(args) -> None:
 
 
 def _cmd_flow(args) -> None:
-    from .leaves import NonFiniteError, flow
+    from .rk4 import NonFiniteError, flow
 
     b, p0, h = _source(args)
     try:

@@ -46,9 +46,10 @@ the sign of a zero following Python arithmetic.  ``evaluate``,
 ``parse`` reads its text once, with one regular expression, into a list of
 tokens, and parses that list by recursive descent (see the parsing section).
 
-numpy is imported inside the functions that use it, here and in the other
-modules, so that a command doing no floating-point linear algebra starts
-without it.
+numpy is imported inside the functions that use it, here and in
+``poisson``; ``leaves``, where every function solves with it, imports it at
+the top and is loaded only by ``leaf-form``.  So a command doing no
+floating-point linear algebra starts without it.
 """
 
 from __future__ import annotations
@@ -349,7 +350,7 @@ class Expr:
         """The polynomial x, y, z, t or s (s is allowed as a symbol here)."""
         if isinstance(which, Var):
             idx = which.index
-        elif isinstance(which, int):
+        elif isinstance(which, int) and not isinstance(which, bool):
             idx = which
         else:
             try:

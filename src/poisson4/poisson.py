@@ -39,8 +39,8 @@ table ``_JACOBIATOR_PRODUCTS``), and the four rows of ``_contract``, which
 ``casimir_check`` and ``hamiltonian_field`` share.
 
 numpy is imported only inside ``bivector_matrix_at`` and the ``as_array``
-helpers (see ``expr``); the sign probe of k and the rank at a point run on
-Python floats.
+helpers, which only the leaf-form module ``leaves`` calls (see ``expr``); the
+sign probe of k and the rank at a point run on Python floats.
 """
 
 from __future__ import annotations

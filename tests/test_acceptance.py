@@ -23,12 +23,7 @@ import numpy as np
 import pytest
 
 from poisson4.expr import Expr, Point4, parse
-from poisson4.leaves import (
-    NonFiniteError,
-    flow,
-    leaf_form_coefficient,
-    leaf_tangent_frame,
-)
+from poisson4.leaves import leaf_form_coefficient, leaf_tangent_frame
 from poisson4.models import (
     MODEL_NAMES,
     SINGULAR_MODELS,
@@ -44,6 +39,7 @@ from poisson4.poisson import (
     linear_part,
     rank_at,
 )
+from poisson4.rk4 import NonFiniteError, flow
 
 S_VALUES = (-1, 0, 1)
 EVEN_K = "1 + x^2 + y^2 + z^2 + t^2"

@@ -49,11 +49,11 @@ def test_leaf_matrix_evaluations_go_through_the_traced_name():
 
 def test_flow_fields_go_through_the_traced_name():
     # poisson.hamiltonian_field.self_ms counts the field builds of flow's
-    # closure memo, which looks the name up in poisson4.leaves.
-    import poisson4.leaves
+    # closure memo, which looks the name up in poisson4.rk4.
     import poisson4.poisson
+    import poisson4.rk4
 
-    assert poisson4.leaves.hamiltonian_field is poisson4.poisson.hamiltonian_field
+    assert poisson4.rk4.hamiltonian_field is poisson4.poisson.hamiltonian_field
 
 
 def test_bench_pairs_reports_the_per_pair_ratio(monkeypatch):

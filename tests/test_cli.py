@@ -241,6 +241,47 @@ class TestLeafForm:
         code, out, _ = run_cli(capsys, "rank", "--model", "cusp", "--point", "0,1,1,1")
         assert (code, out) == (0, "rank: 2\n")
 
+    def test_another_missing_module_is_not_reported_as_numpy(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "poisson4.leaves", None)
+        with pytest.raises(ModuleNotFoundError) as info:
+            main(["leaf-form", "--model", "cusp", "--point", "0,1,1,1"])
+        assert info.value.name == "poisson4.leaves"
+
+    def test_without_numpy_in_a_fresh_interpreter(self, capsys):
+        # numpy is gone before poisson4 is imported, so leaves' own top-level
+        # import is what fails; the flow module runs without numpy.
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, sys
+            sys.modules["numpy"] = None
+            import poisson4, poisson4.cli
+            seen = []
+            for argv in json.loads(sys.argv[1]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = poisson4.cli.main(argv)
+                seen.append([code, out.getvalue(), err.getvalue()])
+            print(json.dumps({"seen": seen, "flow": poisson4.flow.__module__}))
+            """
+        )
+        flow = ["flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--steps", "10"]
+        commands = [
+            ["leaf-form", "--model", "cusp", "--point", "0,1,1,1"],
+            ["leaf-form", "--model", "cusp", "--point", "0,1"],
+            flow,
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True, text=True, check=True,
+        )
+        result = json.loads(proc.stdout)
+        (code, out, err), (usage_code, usage_out, usage_err), flowed = result["seen"]
+        assert (code, out) == (1, "")
+        assert err == "poisson4: leaf-form needs numpy, which is not installed\n"
+        assert (usage_code, usage_out) == (2, "") and "numpy" not in usage_err
+        assert flowed == [0, run_cli(capsys, *flow)[1], ""]
+        assert result["flow"] == "poisson4.rk4"
+
 
 class TestFlow:
     def test_csv_output(self, capsys):
@@ -953,7 +994,7 @@ class TestInputContract:
         script = textwrap.dedent(
             """
             import contextlib, io, json, sys
-            costly = ("dataclasses", "inspect", "ast", "poisson4.leaves", "numpy")
+            costly = ("dataclasses", "inspect", "ast", "poisson4.rk4", "poisson4.leaves", "numpy")
             loaded = lambda: [name for name in costly if name in sys.modules]
             import poisson4, poisson4.cli
             seen = [["import", 0, loaded()]]
@@ -990,26 +1031,30 @@ class TestInputContract:
             ["locus", 0, []],
             ["rank", 0, []],
             ["bivector", 2, []],
-            ["flow", 0, ["poisson4.leaves"]],
+            ["flow", 0, ["poisson4.rk4"]],
         ]
         # numpy may import inspect itself.
         assert seen[-1][:2] == ["leaf-form", 0]
-        assert {"poisson4.leaves", "numpy"} <= set(seen[-1][2])
+        assert {"poisson4.rk4", "poisson4.leaves", "numpy"} <= set(seen[-1][2])
 
     def test_package_names_resolve_lazily(self):
         script = textwrap.dedent(
             """
             import json, sys
             import poisson4
-            before = "poisson4.leaves" in sys.modules
+            loaded = lambda: [m for m in ("poisson4.rk4", "poisson4.leaves") if m in sys.modules]
+            before = loaded()
+            flow = poisson4.flow is sys.modules["poisson4.rk4"].flow
+            after_flow = loaded()
             listed = set(dir(poisson4))
             namespace = {}
             exec("from poisson4 import *", namespace)
             print(json.dumps({
                 "before": before,
+                "flow": flow,
+                "after_flow": after_flow,
                 "dir": sorted(set(poisson4.__all__) - listed),
                 "star": sorted(set(poisson4.__all__) - set(namespace)),
-                "flow": poisson4.flow is sys.modules["poisson4.leaves"].flow,
             }))
             """
         )
@@ -1017,7 +1062,7 @@ class TestInputContract:
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
         assert json.loads(proc.stdout) == {
-            "before": False, "dir": [], "star": [], "flow": True
+            "before": [], "flow": True, "after_flow": ["poisson4.rk4"], "dir": [], "star": []
         }
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             poisson4.no_such_name

@@ -793,7 +793,7 @@ class TestGuards:
             assert Expr.variable(var) == Expr.variable(i) == Expr.variable(name) == parse(name)
         assert Expr.variable(4) == Expr.variable("s") == parse("s")
 
-    @pytest.mark.parametrize("which", ["w", "X", ""])
+    @pytest.mark.parametrize("which", ["w", "X", "", True, False])
     def test_an_unknown_variable_name_is_refused(self, which):
         with pytest.raises(ValueError, match=f"^unknown variable {which!r}$"):
             Expr.variable(which)
@@ -814,6 +814,13 @@ class TestGuards:
     def test_a_power_takes_a_non_negative_int(self, n):
         with pytest.raises(ValueError, match="^exponent must be a non-negative integer$"):
             parse("x + 1") ** n
+
+    def test_sums_and_products_take_exact_scalars_or_expr(self):
+        # A str or float operand is not coerced: both sides give NotImplemented.
+        with pytest.raises(TypeError, match="unsupported operand"):
+            parse("x") + "y"
+        with pytest.raises(TypeError, match="unsupported operand"):
+            parse("x") * 1.5
 
     @pytest.mark.parametrize("text", [b"x", 3, None, ["x"]])
     def test_parse_takes_a_str(self, text):

@@ -11,14 +11,9 @@ import pytest
 
 from poisson4.expr import COORD_NAMES, Expr, Point4, _fused_closure, parse
 from poisson4.leaves import (
-    NonFiniteError,
     NotInImageError,
     OpenLeafError,
     SingularPointError,
-    Trajectory,
-    _drift,
-    _flow_kernel,
-    flow,
     leaf_form_coefficient,
     leaf_tangent_frame,
     solve_anchor,
@@ -34,6 +29,7 @@ from poisson4.poisson import (
     hamiltonian_field,
     rank_at,
 )
+from poisson4.rk4 import NonFiniteError, Trajectory, _drift, _flow_kernel, flow
 
 CUSP = model("cusp")
 CUSP_BIVECTOR = flaschka_ratiu(CUSP.casimirs)
@@ -222,6 +218,11 @@ class TestFlow:
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
             flow(CUSP_BIVECTOR, parse("x"), Point4(0, 1, 1, 1), -1e-3, 10)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_fewer_than_one_step_rejected(self, steps):
+        with pytest.raises(ValueError, match="^steps must be at least 1$"):
+            flow(CUSP_BIVECTOR, parse("x"), Point4(0, 1, 1, 1), 1e-3, steps)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_raises_non_finite(self):

@@ -1108,6 +1108,7 @@ class TestLinearPart:
         assert sc.linear[(1, 2)] == parse("3*t")
         assert sc.constant(0, 1, "z") == Expr.constant(2)
         assert sc.constant(1, 0, "z") == Expr.constant(-2)
+        assert all(sc.bracket(i, i) == Expr.zero() for i in range(4))
         assert not sc.dropped
 
     def test_wrinkle_at_zero_parameter(self):
@@ -1203,6 +1204,23 @@ class TestBivectorType:
         rows[1][0] = parse("x")  # wrong sign
         with pytest.raises(ValueError):
             Bivector(rows)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (5, 5)])
+    def test_a_matrix_that_is_not_4x4_is_refused(self, shape):
+        rows = [[Expr.zero()] * shape[1] for _ in range(shape[0])]
+        with pytest.raises(ValueError, match="^components must be a 4x4 matrix of Expr$"):
+            Bivector(rows)
+
+    def test_equality_with_another_type_is_false(self):
+        b = flaschka_ratiu(CUSP)
+        assert (b == 1) is False and (b != 1) is True
+        assert b == flaschka_ratiu(CUSP)
+
+    def test_json_of_another_chart_is_refused(self):
+        data = bivector_to_json_dict(flaschka_ratiu(CUSP))
+        data["coords"] = ["t", "z", "y", "x"]
+        with pytest.raises(ValueError, match="^unsupported coordinate chart"):
+            bivector_from_json_dict(data)
 
     def test_json_round_trip(self):
         b = flaschka_ratiu(CUSP, k=parse("1 + t^2"))

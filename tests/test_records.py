@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from poisson4 import (
+    Bivector,
     CasimirPair,
     Covector4,
     LeafFormResult,
@@ -168,6 +169,17 @@ def test_pickle_and_deepcopy_round_trips(cls, args, fields, text):
         assert type(twin) is cls and twin is not record
         assert twin == record and repr(twin) == text
     assert copy.copy(record) == record
+
+
+def test_text_and_indexing_beside_the_repr():
+    # A closed-form coefficient prints as a quotient, a bivector as its
+    # nonzero entries above the diagonal and k, and covectors and vectors
+    # index their entries.
+    assert str(RationalForm(parse("1"), parse("3*x^2 - 3*t"))) == "(1) / (3*x^2 - 3*t)"
+    b = Bivector.from_upper({(0, 1): parse("z"), (2, 3): parse("1 - 2*x*y")}, parse("1 + t^2"))
+    assert repr(b) == "Bivector({'xy': 'z', 'zt': '-2*x*y + 1'}, k=t^2 + 1)"
+    assert repr(Bivector.from_upper({})) == "Bivector({}, k=None)"
+    assert (FRAME.alpha[0], FRAME.beta[1], FRAME.u[-1]) == (0.5, -0.5, 0.0)
 
 
 def test_trajectory_points_are_built_once():
