@@ -42,7 +42,7 @@ from .poisson import (
     rank_at,
 )
 
-# A flow keeps every step: 100,000 cusp steps take 0.42 s and 50 MB.  --s counts
+# A flow keeps every step: 100,000 cusp steps take 0.4 s and 50 MB.  --s counts
 # mantissa digits plus exponent magnitude, so s < 10^308 and 1e99999999 is not built.
 MAX_STEPS = 100_000
 MAX_S_DIGITS = 308

@@ -1,5 +1,6 @@
 """Tests for leaf frames, anchor solves, leaf coefficients and flow."""
 
+import dis
 import math
 import random
 import warnings
@@ -559,6 +560,14 @@ def _flow_outcome(run, *args):
     return csv, repr(traj.drift), repr(traj.columns), repr(traj.conserved)
 
 
+# Coefficients the kernel writes as float literals, or leaves as they are:
+# 2^53 + 1 rounds to 2^53, 10^20 is a double, 10^308 - 1 (308 digits) rounds
+# to 1e308, 10^309 - 1 stays an int no float holds, and a rational is one
+# constant.
+ODD_COEFFICIENTS = ["9007199254740993", "-100000000000000000000", "9" * 308, "-" + "9" * 309,
+                    "1/3", "-7/9"]
+
+
 class TestKernelMatchesTheLoop:
     """The generated kernel of ``flow`` against ``_reference_flow``.
 
@@ -600,7 +609,7 @@ class TestKernelMatchesTheLoop:
             st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e150, 1e6]),
             st.floats(-2, 2),
         )
-        drawn = _drawn_polynomials(st, ["-2", "-1", "1", "3", "1/2"], 3)
+        drawn = _drawn_polynomials(st, ["-2", "-1", "1", "3", "1/2", *ODD_COEFFICIENTS], 3)
         # h = x^60 and the 10^400 constant overflow as tracked quantities.
         fixed = ["x", "x + y*z", "y", "t", "1", "0", "x^2 - t", "z^3*y", "s*x + z",
                  "x^60", "1" + "0" * 400]
@@ -644,7 +653,9 @@ class TestKernelMatchesTheLoop:
         coord = st.one_of(
             st.sampled_from([0.0, -0.0, 0.5, -2.0, 1e6, 1e100, 1.7e308]), st.floats(-2, 2)
         )
-        drawn = _drawn_polynomials(st, ["-2", "-1", "1", "3", "1/2", "-3/4", "s", "-2*s"], 5)
+        drawn = _drawn_polynomials(
+            st, ["-2", "-1", "1", "3", "1/2", "-3/4", "s", "-2*s", *ODD_COEFFICIENTS], 5
+        )
         hamiltonians = st.one_of(st.sampled_from(COORD_NAMES + ("x + t", "y*z", "s*z")), drawn)
         factors = [None, parse("x"), parse("1 + y^2")]
         phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
@@ -691,6 +702,36 @@ class TestKernelMatchesTheLoop:
         assert want == ("trajectory left double precision after 1 steps", 1, _signed(p0.values()))
         assert _flow_outcome(flow, b, parse("x"), p0, 1e-3, 5) == want
 
+    def test_a_coefficient_beyond_the_float_range_escapes_at_step_one(self):
+        # X^z = -2*10^400*y: the coefficient stays an int, so its product
+        # with y raises OverflowError in stage 1 of step 1.
+        big = "1" + "0" * 400
+        b = flaschka_ratiu(CasimirPair(parse("t"), parse(big + "*y^2 - z^2")))
+        p0 = Point4(*FLOW_ORIGIN)
+        want = _flow_outcome(_reference_flow, b, parse("x"), p0, 1e-3, 5)
+        assert want == ("trajectory left double precision after 1 steps", 1, _signed(p0.values()))
+        assert _flow_outcome(flow, b, parse("x"), p0, 1e-3, 5) == want
+
+    def test_a_coefficient_beyond_the_float_range_in_a_tracked_quantity(self):
+        big = "1" + "0" * 400
+        pair = CasimirPair(parse("t"), parse(big + "*y^2 - z^2"))
+        b = Bivector(CUSP_BIVECTOR.components, casimirs=pair)
+        args = (b, parse("x + y*z"), Point4(*FLOW_ORIGIN), 1e-3, 5)
+        want = _flow_outcome(_reference_flow, *args)
+        assert want == ("conserved quantities left double precision", None, None)
+        assert _flow_outcome(flow, *args) == want
+
+    @pytest.mark.parametrize("c2", ["3/8*x*y^2 - z^2", "1/9007199254740993*x*y^2 - z^2"])
+    def test_a_rational_coefficient_of_a_moved_term(self, c2):
+        # X^z = -3/4*x*y, or -2/9007199254740993*x*y, whose denominator is
+        # no double: 2/9007199254740993.0 would differ.  From z = 0 the
+        # value's own digits reach the z and C2 columns.
+        b = flaschka_ratiu(CasimirPair(parse("t"), parse(c2)))
+        args = (b, parse("x"), Point4(0.1, 0.5, 0.0, 0.5), 1e-3, 20)
+        want = _flow_outcome(_reference_flow, *args)
+        assert want[0].startswith("step,x,y,z,t,C1,C2,H\n")
+        assert _flow_outcome(flow, *args) == want
+
     @pytest.mark.parametrize("z0,step", [(0.5, None), (1.7e308, 1)])
     def test_overflow_in_a_held_tracked_term(self, z0, step):
         # C2's first term x^4 reads only the held x, and the field does not
@@ -713,6 +754,59 @@ def test_drift_beyond_double_precision_raises():
     want = _flow_outcome(_reference_flow, b, *args)
     assert want == ("conserved quantities left double precision", None, None)
     assert _flow_outcome(flow, b, *args) == want
+
+
+def _loop_arithmetic(code):
+    """The operands of each multiply in the kernel's loop, and its count of powers.
+
+    A constant operand is its value, any other one None.  The operands are
+    followed on a model of the stack through loads and arithmetic; any other
+    instruction empties it, so an operand it cannot place is missing.
+    """
+    instructions = list(dis.get_instructions(code))
+    loop = next(i for i in instructions if i.opname == "FOR_ITER")
+    stack, multiplies, powers = [], [], 0
+    for ins in instructions:
+        if not loop.offset < ins.offset < loop.argval:
+            continue
+        op = ins.argrepr if ins.opname == "BINARY_OP" else ins.opname  # 3.10: BINARY_<OP>
+        if ins.opname in ("LOAD_CONST", "LOAD_SMALL_INT"):
+            stack.append(ins.argval)
+        elif ins.opname in ("LOAD_FAST", "LOAD_FAST_CHECK", "LOAD_DEREF", "LOAD_GLOBAL"):
+            stack.append(None)
+        elif ins.opname == "LOAD_FAST_LOAD_FAST":  # 3.13
+            stack += [None, None]
+        elif ins.opname == "UNARY_NEGATIVE":
+            stack[-1:] = [None]
+        elif op in ("*", "BINARY_MULTIPLY", "**", "BINARY_POWER", "+", "BINARY_ADD",
+                    "-", "BINARY_SUBTRACT"):
+            if op in ("*", "BINARY_MULTIPLY"):
+                multiplies.append(stack[-2:])
+            powers += op in ("**", "BINARY_POWER")
+            stack[-2:] = [None]
+        else:
+            stack = []
+    return multiplies, powers
+
+
+@pytest.mark.parametrize("c2,powers", [
+    # Per stage x^2, y^2 and z^2 (x^2 in X^y and X^z); x^3, y^2, z^2 after it.
+    (None, 4 * 3 + 3),
+    # The same field; C2 takes x^2 twice, and H = x + y*z no power.
+    ("x^2*y - x^2*z", 4 * 3 + 1),
+])
+def test_the_loop_multiplies_floats_and_takes_each_power_once(c2, powers):
+    # The speed of the kernel, which no output shows: no int coefficient
+    # is converted per product, and a power shared by components of one
+    # stage, or by tracked quantities, is taken once.
+    pair = CUSP.casimirs if c2 is None else CasimirPair(parse("t"), parse(c2))
+    b = Bivector(CUSP_BIVECTOR.components, casimirs=pair)
+    key = tuple(map(tuple, b.components)), b.conformal, b.casimirs, parse("x + y*z")
+    multiplies, counted = _loop_arithmetic(_flow_kernel(*key)[0].__code__)
+    assert len(multiplies) > 40
+    assert all(len(operands) == 2 for operands in multiplies)
+    assert not [v for operands in multiplies for v in operands if type(v) is int]
+    assert counted == powers
 
 
 def _drawn_polynomials(st, coefficients, most):
