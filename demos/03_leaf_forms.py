@@ -16,21 +16,21 @@ from poisson4 import (
     Point4,
     flaschka_ratiu,
     leaf_form_coefficient,
-    leaf_tangent_frame,
     model,
 )
 
-# Frames: orthonormal, tangent (annihilated by both dC), oriented.
+# Frames: orthonormal, tangent (annihilated by both dC), oriented; the
+# leaf-form result carries the frame it was computed on.
 cusp = model("cusp")
 b = flaschka_ratiu(cusp.casimirs)
 p = Point4(0, 1, 1, 1)
-frame = leaf_tangent_frame(b, p)
+r = leaf_form_coefficient(b, p)
+frame = r.frame
 print("cusp frame at", p.coords())
 print("  u =", np.round(frame.u.as_array(), 6))
 print("  v =", np.round(frame.v.as_array(), 6))
 print("  alpha =", np.round(frame.alpha.as_array(), 6))
 
-r = leaf_form_coefficient(b, p)
 print("\ncusp leaf form at", p.coords())
 print("  chart plane:        ", r.chart)
 print("  chart coefficient:  ", r.coefficient, " (closed form 1/(3(x^2-t)) = -1/3)")

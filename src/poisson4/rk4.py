@@ -3,8 +3,9 @@
 The flow runs in one kernel generated from the source texts of the field and
 the tracked quantities and compiled once per bivector value and Hamiltonian.
 A coordinate whose field component is the zero polynomial (t on the
-catalogue charts, where C1 = t; x when h = x) is held, not stepped, and what
-reads only held coordinates is computed before the loop (see :func:`flow`).
+catalogue charts, where C1 = t; x when h = x) is held, not stepped, and the
+part of a tracked quantity that reads only held coordinates is computed before
+the loop (see :func:`flow`).
 A :class:`Trajectory` keeps its coordinates as four float columns;
 ``Trajectory.points``, one :class:`Point4` per step, is built from them on
 first access.  ``Trajectory.to_csv`` formats a constant nonzero column once:
@@ -204,16 +205,16 @@ def _flow_kernel(components, k, pair, h):
     the column.  It is generated as source and compiled once.  Its loop does
     only what changes per step:
 
-    * a hoisted value (see :func:`_hoisted`) of the field is computed before
-      the loop as ``v``, from the start, and as ``vh``, from the held values,
-      and ``v = vh`` follows stage 1: as with a held c, only stage 1 of step
-      1 reads the start's value.  A hoisted value of the tracked quantities
-      alone is computed once, from the held values;
+    * a held coordinate c is checked once, and stage 1 of step 1 reads c,
+      every later stage ``ch``, its value from step 1 on;
+    * a tracked quantity's leading run of terms free of the moved
+      coordinates (see :func:`_hoisted`) is computed once, from the held
+      values;
     * a tracked quantity free of the moved coordinates is a constant column.
 
-    An overflow in a hoisted value of the field ends the flow as in step 1.
-    One in another hoisted value, or in a ``qh``, makes them inf, so every
-    row that reads them is not finite, as the row of inf it gave in the loop.
+    An overflow in a hoisted run, or in a ``qh``, makes all of them inf, so
+    every row that reads them is not finite, as the row of inf it gave in the
+    loop.
 
     Two rewrites of the source texts spare work per step and keep every
     float, and every escape, as the texts give them:
@@ -246,8 +247,6 @@ def _flow_kernel(components, k, pair, h):
     }
     varying = [q for q, src in sources.items() if not moving.isdisjoint(_COORD.findall(src))]
     hoisted: dict[str, str] = {}
-    fields = {c: _hoisted(field[c], moving, hoisted) for c in moved}
-    stepped = list(hoisted.values())  # the field's hoisted values
     tracks = {q: _hoisted(sources[q], moving, hoisted) for q in varying}
     at_held = {c: c + "h" for c in held}
 
@@ -256,25 +255,20 @@ def _flow_kernel(components, k, pair, h):
         body += [f"if not isfinite({c}): raise escape(1, x, y, z, t, s)"]
         body += [f"{c}h = {c} + dt * 0.0", f"{c.upper()} = ({c},) + ({c}h,) * steps"]
     body += [f"{c.upper()} = [{c}]" for c in moved]
-    lines = [line for text, v in hoisted.items() if v in stepped
-             for line in (f"{v} = {text}", f"{v}h = {_renamed(text, at_held)}")]
-    body += _block(lines, "raise escape(1, x, y, z, t, s) from None") if lines else []
-    late = {v: text for text, v in hoisted.items() if v not in stepped}
-    late.update((q + "h", src) for q, src in sources.items() if q not in varying)
-    lines = [f"{target} = {_renamed(text, at_held)}" for target, text in late.items()]
-    body += _block(lines, f"{' = '.join(late)} = inf") if late else []
+    once = {v: text for text, v in hoisted.items()}
+    once.update((q + "h", src) for q, src in sources.items() if q not in varying)
+    lines = [f"{target} = {_renamed(text, at_held)}" for target, text in once.items()]
+    body += _block(lines, f"{' = '.join(once)} = inf") if once else []
     body += _block([f"{q} = {src}" for q, src in sources.items()], f"{' = '.join(sources)} = inf")
     body += [f"{q.upper()} = [{q}]" if q in varying else f"{q.upper()} = ({q},) + ({q}h,) * steps"
              for q in sources]
 
     # Stage n reads the names in names: stage 1 the step's own, and after it
-    # a moved c as c<n> and a held c as ch.  A hoisted v is the start's in
-    # stage 1 of step 1 and the held values' after it.
+    # a moved c as c<n> and a held c as ch.
     step, names = [], {}
     for n, weight in enumerate(("half", "half", "dt", None), 1):
-        step += _shared_powers([f"k{n}{c} = {_renamed(fields[c], names)}" for c in moved])
+        step += _shared_powers([f"k{n}{c} = {_renamed(field[c], names)}" for c in moved])
         step += [f"{c}{n + 1} = {c} + {weight} * k{n}{c}" for c in moved if weight]
-        step += [f"{v} = {v}h" for v in stepped if n == 1]
         names = {**at_held, **{c: f"{c}{n + 1}" for c in moved}}
     loop = _block(step, "raise escape(n, x, y, z, t, s) from None")
     loop += [f"{c}1 = {c} + sixth * (k1{c} + 2.0 * (k2{c} + k3{c}) + k4{c})" for c in moved]
@@ -319,13 +313,13 @@ def flow(b: Bivector, h: Expr, p0: Point4, dt: float, steps: int) -> Trajectory:
     x0 is -0.0 and dt is not): stage 1 of step 1 reads x0, and every later
     stage x0 + dt*0.0.
 
-    What reads only held coordinates and s is computed once, before the
-    loop: the leading run of such terms of a field component or tracked
-    quantity.  Each run is computed by the same operations of the source
-    text on the same values (from x0 for stage 1 of step 1, from x0 + dt*0.0
-    elsewhere), so every float is as before.  A tracked quantity that reads
-    only held coordinates is a constant column, whose drift and finiteness
-    come from its first two values.
+    What a tracked quantity reads only of held coordinates and s is computed
+    once, before the loop: the leading run of such terms, by the same
+    operations of the source text on the same values (x0 + dt*0.0, which
+    every row after the first reads), so every float is as before.  A
+    tracked quantity that reads only held coordinates is a constant column,
+    whose drift and finiteness come from its first two values.  The field
+    components are computed whole in every stage.
 
     Within a stage, a power that several terms take is computed once, and
     an integer coefficient of a coordinate is written as a float: ``n*x``
@@ -338,10 +332,9 @@ def flow(b: Bivector, h: Expr, p0: Point4, dt: float, steps: int) -> Trajectory:
 
     A float power that overflows raises ``OverflowError`` instead of giving
     inf, and so does an int coefficient that no float holds, so an overflow
-    inside a step, or in a field value computed before the loop, ends the
-    flow as a non-finite coordinate does (the latter at step 1).  One in the
-    tracked quantities records a row of inf, which ends the flow after the
-    last step unless a coordinate escapes first.
+    inside a step ends the flow as a non-finite coordinate does.  One in the
+    tracked quantities, in the loop or before it, records a row of inf, which
+    ends the flow after the last step unless a coordinate escapes first.
     """
     if not math.isfinite(dt):
         raise ValueError("dt must be finite")

@@ -8,7 +8,11 @@ a package module, so nothing is written under ``perfbench/``.
 
 import importlib
 import json
+import os
+import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,3 +244,60 @@ def test_bench_pairs_records_every_workload_given(monkeypatch, tmp_path, capsys)
         main(argv + ["--workload", "cli-cold", "--workload", "flow-rk4", "--workload", "cli-cold"])
     assert exit_.value.code == 2 and calls == []
     assert "--workload cli-cold is given more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing", "file", "bad-record", "list-record"])
+def test_bench_pairs_refuses_a_bad_out_dir_before_the_first_pair(monkeypatch, tmp_path, capsys, case):
+    # A record that cannot be written stops the command before the first
+    # pair: a workload's pairs take minutes, and their runs would be lost.
+    tools = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    main = runpy.run_path(str(tools))["main"]
+
+    def compare(*args):
+        raise AssertionError("a pair ran")
+
+    monkeypatch.setitem(main.__globals__, "compare", compare)
+    for tree in ("parent", "new"):
+        (tmp_path / tree).mkdir()
+    out = tmp_path / "out"
+    if case == "file":
+        out.write_text("")
+    elif case != "missing":
+        out.mkdir()
+        (out / "BENCH_t.json").write_text("{not json" if case == "bad-record" else "[]")
+    argv = [str(tmp_path / "parent"), str(tmp_path / "new"), "--workload", "flow-rk4",
+            "--seeds", "1-2", "--label", "t", "--out-dir", str(out),
+            "--old-commit", "a1", "--new-commit", "a1 + change"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert str(out) in capsys.readouterr().err
+
+
+FLOW_OPS = Path(__file__).resolve().parent.parent / "tools" / "flow_ops.py"
+
+
+def _flow_ops(*args):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, str(FLOW_OPS), *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_flow_ops_times_every_flow_rk4_input_once():
+    root = FLOW_OPS.parent.parent
+    proc = _flow_ops(root, "--passes", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["input", "flow", "ms", "csv", "ms"]
+    rows = lines[1:-1]
+    assert len(rows) == 34
+    for row in rows:
+        flow_ms, csv_ms = map(float, row.split()[-2:])
+        assert flow_ms > 0 and csv_ms > 0, row
+    assert re.fullmatch(r"flow \+ csv over 34 inputs: p50 [\d.]+ ms, p90 [\d.]+ ms", lines[-1])
+
+
+def test_flow_ops_refuses_three_trees():
+    proc = _flow_ops("a", "b", "c")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "give one or two trees" in proc.stderr

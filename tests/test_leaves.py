@@ -676,8 +676,9 @@ class TestKernelMatchesTheLoop:
         @hypothesis.example("t", "x^3*t + y^2 - x*t - z^2 + s*x^2", None, "x", start, -1.0, 0.1, 3)
         @hypothesis.example("y", "x^2*y - 3*x*z + y^3 - t", None, "y", start, 0.5, 1e-3, 3)
         @hypothesis.example("z", "-x*y + s*z^2*t + t", parse("x"), "z", start, 0.5, 1e-3, 3)
-        # Stage 1 of step 1 must read the hoisted values of the -0.0 start,
-        # and the later stages those of the held +0.0.
+        # A field term that reads only held coordinates must take them from
+        # the -0.0 start in stage 1 of step 1, and from the held +0.0 in the
+        # later stages.
         @hypothesis.example(
             "z", "-2*x^2*y^2*z^3*t + y*z^2*t^3", None, "t", (-0.0, -0.0, 0.0, -0.0), 0.5, 0.1, 2
         )

@@ -9,7 +9,8 @@ Usage::
 ``--workload`` may be given more than once: the workloads run one after the
 other, each over every seed, and each gets its own section of the record,
 written as soon as its last pair has run.  A workload named twice is a usage
-error (exit 2).
+error (exit 2), and so are an ``--out-dir`` that is not a directory and a
+record there that is not a JSON object: nothing runs.
 
 Each tree is a checkout holding ``src/poisson4`` and ``perfbench/``, for
 example one made with ``git archive``.  Such an export holds no commit id,
@@ -180,6 +181,17 @@ def main(argv=None) -> int:
     for workload in args.workload:
         if args.workload.count(workload) > 1:
             parser.error(f"--workload {workload} is given more than once")
+    # A record that cannot be written would be found only after the first
+    # workload's last pair.
+    if not args.out_dir.is_dir():
+        parser.error(f"--out-dir {args.out_dir} is not a directory")
+    path = record_path(args)
+    try:
+        kept = json.loads(path.read_text()) if path.exists() else {}
+    except (OSError, ValueError):
+        kept = None
+    if not isinstance(kept, dict):
+        parser.error(f"{path} exists and is not a JSON object")
 
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -196,9 +208,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def record_path(args) -> Path:
+    return args.out_dir / f"BENCH_{args.label}.json"
+
+
 def write_record(args, workload: str, record: dict) -> None:
     """Put ``record`` into BENCH_<label>.json as the section of ``workload`` and print it."""
-    path = args.out_dir / f"BENCH_{args.label}.json"
+    path = record_path(args)
     data = json.loads(path.read_text()) if path.exists() else {}
     data["label"] = args.label
     data["environment"] = {
