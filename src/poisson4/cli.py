@@ -10,8 +10,9 @@ library operation and prints the payload; the commands that take ``--point``
 evaluate there through :func:`_at_point`.  Exit codes: 0 success, 1
 mathematical failure (singular point, anchor not in the image, non-Poisson
 verdict under --expect-poisson, non-finite trajectory, an evaluation that
-overflows, a coefficient too long to print), ``leaf-form`` where numpy is
-not installed, or a stdout whose reader has closed, 2 usage error.
+overflows, a coefficient too long to print, exact work past the bracket
+layer's limit), ``leaf-form`` where numpy is not installed, or a stdout
+whose reader has closed, 2 usage error.
 
 The flow module ``rk4`` is imported inside ``flow``, and the leaf-form module
 ``leaves``, which imports numpy for its least-squares and linear solves, only
@@ -27,10 +28,10 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import SCHEMA_VERSION, __version__
 from .expr import DegreeLimitError, DigitLimitError, Expr, ParseError, Point4, parse
+from .expr import WorkLimitError
 from .models import MODEL_NAMES, catalogue_json, model, on_critical_locus
 from .poisson import (
     Bivector,
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_s(text: Optional[str]) -> Optional[Fraction]:
+def _parse_s(text: str | None) -> Fraction | None:
     if text is None:
         return None
     mantissa, _, exponent = text.lower().partition("e")
@@ -147,7 +148,7 @@ def _parse_s(text: Optional[str]) -> Optional[Fraction]:
     raise UsageError(f"--s: more than {MAX_S_DIGITS} digits with the exponent")
 
 
-def _parse_point(text: str, s: Optional[Fraction]) -> Point4:
+def _parse_point(text: str, s: Fraction | None) -> Point4:
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError("--point: expected four comma-separated coordinates")
@@ -160,7 +161,7 @@ def _parse_point(text: str, s: Optional[Fraction]) -> Point4:
     return Point4(*coords, s=0.0 if s is None else float(s))
 
 
-def _expr(args, flag: str, s: Optional[Fraction]) -> Optional[Expr]:
+def _expr(args, flag: str, s: Fraction | None) -> Expr | None:
     """The expression option ``flag`` with s substituted; None when absent."""
     text = getattr(args, flag[2:])
     if text is None:
@@ -172,7 +173,7 @@ def _expr(args, flag: str, s: Optional[Fraction]) -> Optional[Expr]:
     return e if s is None else e.substitute_s(s)
 
 
-def _source(args) -> tuple[Bivector, Optional[Point4], Optional[Expr]]:
+def _source(args) -> tuple[Bivector, Point4 | None, Expr | None]:
     """The bivector of --model or --c1/--c2 with --k, --point and --h.
 
     Every option the command takes (--s, the source, --k, --point, --h, --dt
@@ -397,13 +398,13 @@ def _run(argv: list[str]) -> int:
     except UsageError as err:
         print(f"poisson4: error: {err}", file=sys.stderr)
         return 2
-    except (MathError, DegreeLimitError, DigitLimitError) as err:
+    except (MathError, DegreeLimitError, DigitLimitError, WorkLimitError) as err:
         print(f"poisson4: {err}", file=sys.stderr)
         return 1
     return 0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()  # a pipe is block-buffered: a closed one fails here

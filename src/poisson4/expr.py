@@ -58,8 +58,8 @@ import enum
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "Expr",
@@ -69,9 +69,11 @@ __all__ = [
     "ParseError",
     "DegreeLimitError",
     "DigitLimitError",
+    "WorkLimitError",
     "parse",
     "COORD_NAMES",
     "DEGREE_LIMIT",
+    "MAX_BRACKET_PRODUCTS",
     "MAX_EXPONENT",
     "MAX_LITERAL_DIGITS",
     "MAX_NESTING",
@@ -106,6 +108,14 @@ MAX_TERMS = 1000
 # 69,933 and parses in about 0.4 s; two copies of it summed are refused.
 MAX_TERM_PRODUCTS = 100_000
 
+# Bound on the work of one set of sums in the bracket layer (the minors of a
+# bivector, its Jacobiator, a contraction with a gradient): the sum of
+# len(a) * len(b) over its products, checked before they are formed.  At
+# 0.3-0.4 us a product it stands for 3-4 s.  The Jacobiator of
+# (x+y+z+t+1)^6 and (x-y+2*z-t+3)^5 takes 8,360,960; with both to the
+# sixth power it would take 15,758,288 and is refused.
+MAX_BRACKET_PRODUCTS = 10_000_000
+
 # A key holds the exponent of x, y, z, t or s at bit _SHIFTS[i] and the total
 # degree from bit 80.  Below DEGREE_LIMIT no field overflows, and a key sum
 # reaches _KEY_LIMIT exactly when its degree reaches DEGREE_LIMIT, since an
@@ -129,7 +139,7 @@ _COORD_FIELDS = tuple(zip(range(4), _SHIFTS, _UNITS))
 MAX_SHARED_MONOMIALS = 1 << 15
 
 Monomial = tuple[int, int, int, int, int]
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 _SHARED_MONOMIALS: dict[int, Monomial] = {}
 
@@ -147,6 +157,10 @@ class DegreeLimitError(ArithmeticError):
 
 
 _OVER_THE_DEGREE_LIMIT = f"a monomial would reach the degree limit {DEGREE_LIMIT}"
+
+
+class WorkLimitError(ArithmeticError):
+    """A set of sums would take more than ``MAX_BRACKET_PRODUCTS`` term products."""
 
 
 def _integral(q: Scalar) -> Scalar:
@@ -346,7 +360,7 @@ class Expr:
         return Expr({(0, 0, 0, 0, 0): value})
 
     @staticmethod
-    def variable(which: Union[str, Var, int]) -> "Expr":
+    def variable(which: str | Var | int) -> "Expr":
         """The polynomial x, y, z, t or s (s is allowed as a symbol here)."""
         if isinstance(which, Var):
             idx = which.index
@@ -529,7 +543,7 @@ class Expr:
             buckets.setdefault((key >> _DEGREE_SHIFT) - (key & _MASK), {})[key] = coeff
         return {deg: Expr._trusted(part) for deg, part in buckets.items()}
 
-    def coefficient_of(self, var: Union[str, Var]) -> "Expr":
+    def coefficient_of(self, var: str | Var) -> "Expr":
         """Coefficient of the degree-one monomial in ``var`` (Expr in s).
 
         ``var`` is a :class:`Var` or one of the names x, y, z, t.

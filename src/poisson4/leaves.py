@@ -29,7 +29,6 @@ which runs on Python floats, is in ``rk4``.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 # Re-exported because perfbench/spans.py resolves poisson4.leaves.flow and
 # poisson4.leaves.Trajectory.to_csv.  Imported before numpy, since a fresh
@@ -157,7 +156,7 @@ def leaf_tangent_frame(b: Bivector, p: Point4) -> LeafFrame:
     return _frame(p, _regular_matrix(b, p), b.casimirs)
 
 
-def _frame(p: Point4, m: np.ndarray, pair: Optional[CasimirPair]) -> LeafFrame:
+def _frame(p: Point4, m: np.ndarray, pair: CasimirPair | None) -> LeafFrame:
     # The Gram determinants are fourth powers of the entries and the column
     # norms squares, so both are taken on m scaled by an exact power of two
     # to max|m| in [1/2, 1).  The scale cannot overflow them, and the unit

@@ -26,9 +26,8 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from typing import Optional, Union
 
-from .expr import COORD_NAMES, Expr, Point4, Record, parse
+from .expr import COORD_NAMES, Expr, Point4, Record, Scalar, parse
 from .poisson import Bivector, CasimirPair, bivector_to_json_dict
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "catalogue_json",
 ]
 
-Scalar = Union[int, float, Fraction]
-
 LOCUS_TOLERANCE = 1e-9
 
 
@@ -56,7 +53,7 @@ class RationalForm(Record):
     def evaluate(self, p: Point4) -> float:
         return self.numerator.evaluate(p) / self.denominator.evaluate(p)
 
-    def substitute_s(self, value: Scalar) -> "RationalForm":
+    def substitute_s(self, value: Scalar | float) -> "RationalForm":
         return RationalForm(
             self.numerator.substitute_s(value),
             self.denominator.substitute_s(value),
@@ -176,12 +173,12 @@ class ModelSpec(Record):
 
     name: str
     uses_s: bool
-    s_value: Optional[Fraction]
+    s_value: Fraction | None
     casimirs: CasimirPair
-    coordinate_casimir: Optional[str]
-    expected_bivector: Optional[Bivector]
-    leaf_coefficient: Optional[RationalForm]
-    leaf_coefficient_chart: Optional[RationalForm]
+    coordinate_casimir: str | None
+    expected_bivector: Bivector | None
+    leaf_coefficient: RationalForm | None
+    leaf_coefficient_chart: RationalForm | None
     critical_locus: tuple[Expr, ...]
 
 
@@ -195,7 +192,7 @@ def _parsed(name: str) -> dict:
         raise ValueError(f"unknown model {name!r} (known: {known})") from None
     c1, c2 = parse(data["c1"]), parse(data["c2"])
 
-    def form(pair) -> Optional[RationalForm]:
+    def form(pair) -> RationalForm | None:
         return None if pair is None else RationalForm(parse(pair[0]), parse(pair[1]))
 
     return {
@@ -210,12 +207,12 @@ def _parsed(name: str) -> dict:
     }
 
 
-def _maybe_substitute(e, s_value: Optional[Fraction]):
+def _maybe_substitute(e, s_value: Fraction | None):
     """``e`` (an Expr, a RationalForm or None) with s bound, if s is given."""
     return e if s_value is None or e is None else e.substitute_s(s_value)
 
 
-def model(name: str, s_value: Optional[Scalar] = None) -> ModelSpec:
+def model(name: str, s_value: Scalar | float | None = None) -> ModelSpec:
     """Look up a model by name, optionally binding the parameter s exactly.
 
     Models without a parameter reject a supplied s.  For parametric models a
@@ -239,7 +236,7 @@ def model(name: str, s_value: Optional[Scalar] = None) -> ModelSpec:
     )
 
 
-def expected_bivector(name: str, s_value: Optional[Scalar] = None) -> Bivector:
+def expected_bivector(name: str, s_value: Scalar | float | None = None) -> Bivector:
     """The catalogue's k = 1 component matrix, transcribed exactly."""
     parsed = _parsed(name)
     if s_value is not None and not parsed["uses_s"]:
@@ -284,7 +281,7 @@ def catalogue_json_dict() -> dict:
     return {"schema": 1, "models": models}
 
 
-def _form_json(rf: Optional[RationalForm]) -> Optional[dict]:
+def _form_json(rf: RationalForm | None) -> dict | None:
     if rf is None:
         return None
     return {"numerator": str(rf.numerator), "denominator": str(rf.denominator)}

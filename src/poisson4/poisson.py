@@ -36,7 +36,10 @@ dicts, each product a (sum, sign, factor, factor): the six signed minors of
 ``flaschka_ratiu`` (``_minors``, which ``det4`` uses too), the four
 Jacobiator components with the Pfaffian when k is given (from the static
 table ``_JACOBIATOR_PRODUCTS``), and the four rows of ``_contract``, which
-``casimir_check`` and ``hamiltonian_field`` share.
+``casimir_check`` and ``hamiltonian_field`` share.  Each call goes through
+``_bounded_sums``, which raises ``WorkLimitError`` before a set of sums that
+would take more than ``MAX_BRACKET_PRODUCTS`` term products, as the parser
+refuses an expansion past ``MAX_TERM_PRODUCTS``.
 
 numpy is imported only inside ``bivector_matrix_at`` and the ``as_array``
 helpers, which only the leaf-form module ``leaves`` calls (see ``expr``); the
@@ -48,10 +51,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from .expr import COORD_NAMES, Expr, Point4, Record, _fused_closure, parse
-from .expr import _is_negation, _partials, _sums_of_products
+from .expr import COORD_NAMES, MAX_BRACKET_PRODUCTS, Expr, Point4, Record, WorkLimitError
+from .expr import _fused_closure, _is_negation, _partials, _sums_of_products, parse
 
 __all__ = [
     "CasimirPair",
@@ -188,16 +191,18 @@ class Bivector:
     ``components[i][j]`` is the bracket {x^i, x^j} of the unscaled structure;
     ``conformal`` is the multiplicative factor k (``None`` means "symbolic k",
     treated as 1 numerically).  ``casimirs`` records the generating pair when
-    the bivector came out of :func:`flaschka_ratiu`.
+    the bivector came out of :func:`flaschka_ratiu`.  ``_longest`` is the
+    term count of its longest entry, which bounds the work of the bracket
+    layer's sums before they are formed.
     """
 
-    __slots__ = ("components", "conformal", "casimirs")
+    __slots__ = ("components", "conformal", "casimirs", "_longest")
 
     def __init__(
         self,
         components: Sequence[Sequence[Expr]],
-        conformal: Optional[Expr] = None,
-        casimirs: Optional[CasimirPair] = None,
+        conformal: Expr | None = None,
+        casimirs: CasimirPair | None = None,
     ):
         rows = tuple(tuple(row) for row in components)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
@@ -212,26 +217,32 @@ class Bivector:
         self.components = rows
         self.conformal = conformal
         self.casimirs = casimirs
+        self._longest = max(len(e._terms) for row in rows for e in row)
 
     @classmethod
     def _trusted(
         cls,
         rows: tuple[tuple[Expr, ...], ...],
-        conformal: Optional[Expr] = None,
-        casimirs: Optional[CasimirPair] = None,
+        conformal: Expr | None,
+        casimirs: CasimirPair | None,
+        longest: int,
     ) -> "Bivector":
-        """Wrap 4x4 rows of Expr that are antisymmetric already, without checking them."""
+        """Wrap 4x4 rows of Expr that are antisymmetric already, without checking them.
+
+        ``longest`` is the term count of the longest entry.
+        """
         b = object.__new__(cls)
         b.components = rows
         b.conformal = conformal
         b.casimirs = casimirs
+        b._longest = longest
         return b
 
     @staticmethod
     def from_upper(
         entries: dict[tuple[int, int], Expr],
-        conformal: Optional[Expr] = None,
-        casimirs: Optional[CasimirPair] = None,
+        conformal: Expr | None = None,
+        casimirs: CasimirPair | None = None,
     ) -> "Bivector":
         """Build from the entries above the diagonal; the rest is filled in.
 
@@ -243,13 +254,16 @@ class Bivector:
         ``Expr`` ``TypeError``.
         """
         rows = [[_ZERO] * 4 for _ in range(4)]
+        longest = 0
         for (i, j), e in entries.items():
             if not 0 <= i < j < 4:
                 raise ValueError(f"expected upper-triangular index, got {(i, j)}")
             _require_expr(e, i, j)
             rows[i][j] = e
             rows[j][i] = -e if e._terms else _ZERO
-        return Bivector._trusted(tuple(map(tuple, rows)), conformal, casimirs)
+            if len(e._terms) > longest:
+                longest = len(e._terms)
+        return Bivector._trusted(tuple(map(tuple, rows)), conformal, casimirs, longest)
 
     def scaled_components(self) -> tuple[tuple[Expr, ...], ...]:
         """Components with the conformal factor folded in (absent k -> 1)."""
@@ -298,14 +312,15 @@ def det4(columns: Sequence[Sequence[Expr]]) -> Expr:
     kept = [n for n, first in enumerate(firsts) if first]
     seconds = _minors(c, d, [(*_LAPLACE[n][1], 1) for n in kept])
     products = [(0, _LAPLACE[n][2], firsts[n], second) for n, second in zip(kept, seconds)]
-    return Expr._trusted(_sums_of_products(1, products)[0])
+    return Expr._trusted(_bounded_sums(1, products, "the determinant")[0])
 
 
-def _minors(x: list, y: list, rows) -> list[dict]:
+def _minors(x: list, y: list, rows, bound: int | None = None) -> list[dict]:
     """sign * (x[u]*y[v] - x[v]*y[u]) for each (u, v, sign) of ``rows``.
 
     The signed 2x2 minors of two columns of term dicts, one
-    ``_sums_of_products`` on the products whose two factors are nonzero.
+    ``_sums_of_products`` on the products whose two factors are nonzero,
+    within the work limit (``bound`` as in :func:`_bounded_sums`).
     """
     products = []
     for n, (u, v, sign) in enumerate(rows):
@@ -313,11 +328,29 @@ def _minors(x: list, y: list, rows) -> list[dict]:
             products.append((n, sign, x[u], y[v]))
         if x[v] and y[u]:
             products.append((n, -sign, x[v], y[u]))
-    return _sums_of_products(len(rows), products)
+    return _bounded_sums(len(rows), products, "the 2x2 minors", bound)
+
+
+def _bounded_sums(n: int, products: list, what: str, bound: int | None = None) -> list[dict]:
+    """``_sums_of_products(n, products)``, or ``WorkLimitError`` before it starts.
+
+    The error is raised when the products take more than
+    ``MAX_BRACKET_PRODUCTS`` term products, sum len(a) * len(b).  ``bound``
+    is a cheap upper bound on that count, taken from the longest factors; the
+    exact count is summed only when there is no bound or it is over the limit.
+    """
+    if bound is None or bound > MAX_BRACKET_PRODUCTS:
+        work = sum(len(a) * len(b) for _, _, a, b in products)
+        if work > MAX_BRACKET_PRODUCTS:
+            raise WorkLimitError(
+                f"{what} would take {work} term products, over the work limit "
+                f"{MAX_BRACKET_PRODUCTS}"
+            )
+    return _sums_of_products(n, products)
 
 
 @functools.lru_cache(maxsize=_PROBE_MEMO_SIZE)
-def _k_probe_warning(k: Expr) -> Optional[str]:
+def _k_probe_warning(k: Expr) -> str | None:
     """Why k looks degenerate on the 10^4-point grid of [-2, 2]^4, or None.
 
     k is evaluated at s = 0 on every point of ``_PROBE_AXIS``^4.  It looks
@@ -351,7 +384,7 @@ def _k_probe_warning(k: Expr) -> Optional[str]:
 
 
 def flaschka_ratiu(
-    cas: CasimirPair, k: Optional[Expr] = None
+    cas: CasimirPair, k: Expr | None = None
 ) -> Bivector:
     """Bivector with prescribed Casimirs C1, C2 and conformal factor k.
 
@@ -366,7 +399,7 @@ def flaschka_ratiu(
     :class:`ConformalFactorWarning`, worded for the overflow apart from the
     other two, since non-vanishing on the whole chart is the caller's
     responsibility.  The verdict is remembered per k; the warning is raised
-    on every call.
+    on every call.  Minors past the work limit raise ``WorkLimitError``.
     """
     if k is not None:
         if k.is_zero:
@@ -375,7 +408,8 @@ def flaschka_ratiu(
         if message is not None:
             warnings.warn(message, ConformalFactorWarning, stacklevel=2)
     d1, d2 = ([d._terms for d in c.partials()] for c in (cas.c1, cas.c2))
-    minors = _minors(d1, d2, _ENTRY_MINORS)
+    # Twelve products, and a partial has at most the terms of its polynomial.
+    minors = _minors(d1, d2, _ENTRY_MINORS, 12 * len(cas.c1._terms) * len(cas.c2._terms))
     return Bivector.from_upper(
         dict(zip(COORD_PAIRS, map(Expr._trusted, minors))), conformal=k, casimirs=cas
     )
@@ -401,6 +435,8 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     and the partials of k only when Pf(pi) is nonzero.  A term left out is
     k^2 * 0 or k * 0 * d_l k, so the result is the same polynomial.  For
     every :func:`flaschka_ratiu` output both are zero and no k term is formed.
+    A set of sums past the work limit raises ``WorkLimitError`` before it is
+    formed.
     """
     m = b.components
     factors = [e._terms for row in m for e in row]
@@ -408,27 +444,29 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
         factors += _partials(m[i][j]._terms) if m[i][j]._terms else _NO_PARTIALS
     factor = b.conformal
     n, table = (4, _JACOBIATOR_UNSCALED) if factor is None else (5, _JACOBIATOR_PRODUCTS)
-    sums = _sums_of_products(n, [
+    products = [
         (t, sign, fa, fc)
         for t, sign, a, c in table
         if (fa := factors[a]) and (fc := factors[c])
-    ])
+    ]
+    # At most 39 products, and a partial has at most the terms of its entry.
+    sums = _bounded_sums(n, products, "the Jacobiator", 39 * b._longest * b._longest)
     if factor is not None:
         *unscaled, pfaffian = sums
         k = factor._terms
         products = []
         if any(unscaled):
-            k2 = _sums_of_products(1, ((0, 1, k, k),))[0]
+            k2 = _bounded_sums(1, [(0, 1, k, k)], "k^2")[0]
             products += [(t, 1, k2, e) for t, e in enumerate(unscaled) if e]
         if pfaffian:
-            k_pfaffian = _sums_of_products(1, ((0, 1, k, pfaffian),))[0]
+            k_pfaffian = _bounded_sums(1, [(0, 1, k, pfaffian)], "k * Pf")[0]
             dk = factor.partials()
             products += [
                 (t, sign, k_pfaffian, dk[l]._terms)
                 for t, (l, sign) in enumerate(_PFAFFIAN_SIGNS.values())
                 if dk[l]._terms
             ]
-        sums = _sums_of_products(4, products)
+        sums = _bounded_sums(4, products, "the Jacobiator of k * pi")
     return {triple: Expr._trusted(e) for triple, e in zip(TRIPLES, sums)}
 
 
@@ -436,8 +474,8 @@ class PoissonVerdict(Record):
     """Outcome of the Jacobi-identity check, with a witness on failure."""
 
     holds: bool
-    witness_triple: Optional[tuple[str, str, str]] = None
-    witness: Optional[Expr] = None
+    witness_triple: tuple[str, str, str] | None = None
+    witness: Expr | None = None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -462,22 +500,25 @@ def casimir_check(b: Bivector, c: Expr) -> bool:
     Runs on the unscaled components: k never changes the answer because the
     factor multiplies every entry of the product.
     """
-    return not any(_contract(b.components, c.partials()))
+    return not any(_contract(b.components, c.partials(), b._longest * len(c._terms)))
 
 
-def _contract(m, dh: Sequence[Expr]) -> list[dict]:
+def _contract(m, dh: Sequence[Expr], largest: int) -> list[dict]:
     """The term dicts of the four sums sum_j m[i][j] * dh[j], one ``_sums_of_products``.
 
     Only the products whose two factors are nonzero enter the list: the
-    diagonal of m, a zero entry and a zero dh[j] are left out.
+    diagonal of m, a zero entry and a zero dh[j] are left out.  ``largest``
+    bounds len(m[i][j]) * len(dh[j]); past the work limit it raises
+    ``WorkLimitError``.
     """
     nonzero = [(j, d._terms) for j, d in enumerate(dh) if d._terms]
-    return _sums_of_products(4, [
+    products = [
         (i, 1, e, d)
         for i, row in enumerate(m)
         for j, d in nonzero
         if j != i and (e := row[j]._terms)
-    ])
+    ]
+    return _bounded_sums(4, products, "the contraction with a gradient", 12 * largest)
 
 
 def _upper_at(b: Bivector, p: Point4) -> tuple[float, ...]:
@@ -557,7 +598,9 @@ def rank_at(b: Bivector, p: Point4) -> int:
 
 def hamiltonian_field(b: Bivector, h: Expr) -> Vector4:
     """The vector field X_h with components sum_j pi^{ij} d_j h (k folded in)."""
-    return Vector4(tuple(map(Expr._trusted, _contract(b.scaled_components(), h.partials()))))
+    longest = b._longest * (1 if b.conformal is None else len(b.conformal._terms))
+    field = _contract(b.scaled_components(), h.partials(), longest * len(h._terms))
+    return Vector4(tuple(map(Expr._trusted, field)))
 
 
 class StructureConstants(Record):

@@ -23,7 +23,6 @@ import math
 import re
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Optional
 
 from .expr import COORD_NAMES, Expr, Point4, Record, _python_source
 from .poisson import Bivector, hamiltonian_field
@@ -47,8 +46,8 @@ class NonFiniteError(ArithmeticError):
     def __init__(
         self,
         message: str,
-        step: Optional[int] = None,
-        last_point: Optional[Point4] = None,
+        step: int | None = None,
+        last_point: Point4 | None = None,
     ):
         super().__init__(message)
         self.step = step

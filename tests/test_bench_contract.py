@@ -83,6 +83,38 @@ def test_bench_pairs_reports_the_per_pair_ratio(monkeypatch):
     assert record["metrics"]["op_p50_ms"]["new_wins"] == 0
 
 
+def test_trajectory_prints_an_aa_record_as_the_null_spread(tmp_path, capsys):
+    # One tree given as both sides: its ratio and IQR are printed as the
+    # null spread, and the chained product leaves it out.
+    aa = _record("aa", "2026-01-02T00:00:00+00:00", 1.25, ("a1", "a1"))
+    aa["workloads"]["exact-catalogue"]["metrics"]["op_p50_ms"]["pair_ratio"]["iqr"] = 0.21
+    (tmp_path / "BENCH_aa.json").write_text(json.dumps(aa))
+    (tmp_path / "BENCH_b.json").write_text(json.dumps(
+        _record("b", "2026-01-01T00:00:00+00:00", 0.8, ("a0", "a1"))))
+    module = _trajectory_module()
+    assert module["read_record"](tmp_path / "BENCH_aa.json")["null"] is True
+    assert module["main"]([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "exact-catalogue op_p50_ms: chained pair ratio 0.8 over 1 record(s)",
+        "  null     1.25  IQR 0.21  BENCH_aa.json  a1 -> a1 (A/A, not chained)",
+        "       0.8  BENCH_b.json  a0 -> a1",
+    ]
+
+
+@pytest.mark.parametrize("drop", ["pair_ratio", "iqr"])
+def test_trajectory_fails_on_a_malformed_aa_record(tmp_path, capsys, drop):
+    aa = _record("aa", "", 1.0, ("a1", "a1"))
+    metric = aa["workloads"]["exact-catalogue"]["metrics"]["op_p50_ms"]
+    if drop == "pair_ratio":
+        del metric["pair_ratio"]
+    else:
+        del metric["pair_ratio"]["iqr"]
+    (tmp_path / "BENCH_good.json").write_text(json.dumps(_record("good", "", 0.9)))
+    (tmp_path / "BENCH_aa.json").write_text(json.dumps(aa))
+    assert _trajectory_module()["main"]([str(tmp_path)]) == 1
+    assert "BENCH_aa.json: exact-catalogue op_p50_ms: A/A" in capsys.readouterr().err
+
+
 def test_bench_pairs_records_the_compared_commits(monkeypatch, tmp_path):
     # An exported tree holds no commit id: the record takes it from the
     # command line, next to the directory names it kept before.
@@ -163,7 +195,8 @@ def _record(label, started, ratio, commits=("a1", "a1 + change")):
 
 def test_trajectory_chains_the_committed_records(capsys):
     # Every committed record reads; the chained ratio is the product of the
-    # per-record medians, and a record without pair_ratio is only skipped.
+    # per-record medians but those of A/A records (one commit on both
+    # sides), and a record without pair_ratio is only skipped.
     module = _trajectory_module()
     root = TRAJECTORY.parent.parent
     assert module["main"]([str(root)]) == 0
@@ -175,6 +208,8 @@ def test_trajectory_chains_the_committed_records(capsys):
         want = 1.0
         for path in paths:
             data = json.loads(path.read_text())
+            if data["trees"].get("old_commit", 0) == data["trees"].get("new_commit"):
+                continue
             m = data["workloads"].get(workload, {}).get("metrics", {}).get(metric)
             if m is not None and m.get("pair_ratio") is not None:
                 want *= m["pair_ratio"]["median"]

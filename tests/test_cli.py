@@ -528,7 +528,13 @@ def test_drawn_flow_commands_keep_the_exit_contract():
 # CPU seconds any one drawn command of the other subcommands may take: the
 # slowest drawn ones take about 0.05 s once numpy is imported, and a cold
 # leaf-form (the numpy import) or an unmemoised k probe adds about 0.2 s.
+# On OVER_THE_WORK_LIMIT, casimir-check takes about 1 s.
 FUZZ_CPU_S = 5.0
+
+# A source whose Jacobiator would take 15.8 M term products, past the work
+# limit, so jacobi exits 1 before forming it; at 0.3 us a product it would
+# take about 5 s.
+OVER_THE_WORK_LIMIT = ("--c1", "(x+y+z+t+1)^6", "--c2", "(x-y+2*z-t+3)^6")
 
 
 @pytest.mark.parametrize(
@@ -572,7 +578,9 @@ def test_drawn_commands_keep_the_exit_contract(command):
     phases = (hypothesis.Phase.explicit, hypothesis.Phase.generate)
 
     def source(draw) -> list:
-        shape = draw(mostly(["model", "pair"], ["both", "c1 only", "none"]))
+        shape = draw(mostly(["model", "pair"], ["both", "c1 only", "none", "over the work limit"]))
+        if shape == "over the work limit":
+            return list(OVER_THE_WORK_LIMIT)
         argv = []
         if shape in ("model", "both"):
             name = draw(mostly(list(models.MODEL_NAMES), ["nosuch"]))
@@ -614,6 +622,8 @@ def test_drawn_commands_keep_the_exit_contract(command):
         _run_drawn(argv, FUZZ_CPU_S)
 
     check()
+    if command != "list-models":  # not drawn in about one run in seven
+        _run_drawn([command, *OVER_THE_WORK_LIMIT], FUZZ_CPU_S)
 
 
 class TestDeterminism:
@@ -994,7 +1004,7 @@ class TestInputContract:
         script = textwrap.dedent(
             """
             import contextlib, io, json, sys
-            costly = ("dataclasses", "inspect", "ast", "poisson4.rk4", "poisson4.leaves", "numpy")
+            costly = ("typing", "dataclasses", "inspect", "ast", "poisson4.rk4", "poisson4.leaves", "numpy")
             loaded = lambda: [name for name in costly if name in sys.modules]
             import poisson4, poisson4.cli
             seen = [["import", 0, loaded()]]
@@ -1006,7 +1016,17 @@ class TestInputContract:
             print(json.dumps(seen))
             """
         )
-        commands = [
+
+        def seen(flags: list, commands: list) -> list:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", script, json.dumps(commands)],
+                capture_output=True, text=True, check=True,
+            )
+            return json.loads(proc.stdout)
+
+        # -S keeps the site hooks out, since a .pth file may import typing
+        # before poisson4 loads.
+        assert seen(["-S"], [
             ["list-models"],
             ["bivector", "--model", "wrinkle", "--s", "1", "--format", "json"],
             ["jacobi", "--model", "cusp", "--k", "1 + x^2 + y^2 + z^2 + t^2"],
@@ -1015,14 +1035,8 @@ class TestInputContract:
             ["rank", "--model", "cusp", "--point", "1,0,0,1"],
             ["bivector", "--c1", "t"],
             ["flow", "--model", "cusp", "--h", "x", "--point", "0,1,1,1", "--steps", "10"],
-            ["leaf-form", "--model", "cusp", "--point", "0,1,1,1"],
-        ]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(commands)],
-            capture_output=True, text=True, check=True,
-        )
-        seen = json.loads(proc.stdout)
-        assert seen[:-1] == [
+            ["flow", "--model", "cusp", "--h", "x + y*z", "--point", "0,1,1,1", "--steps", "10"],
+        ]) == [
             ["import", 0, []],
             ["list-models", 0, []],
             ["bivector", 0, []],
@@ -1032,10 +1046,13 @@ class TestInputContract:
             ["rank", 0, []],
             ["bivector", 2, []],
             ["flow", 0, ["poisson4.rk4"]],
+            ["flow", 0, ["poisson4.rk4"]],
         ]
+        # -S also puts numpy out of reach, so leaf-form runs with site.
         # numpy may import inspect itself.
-        assert seen[-1][:2] == ["leaf-form", 0]
-        assert {"poisson4.rk4", "poisson4.leaves", "numpy"} <= set(seen[-1][2])
+        last = seen([], [["leaf-form", "--model", "cusp", "--point", "0,1,1,1"]])[-1]
+        assert last[:2] == ["leaf-form", 0]
+        assert {"poisson4.rk4", "poisson4.leaves", "numpy"} <= set(last[2])
 
     def test_package_names_resolve_lazily(self):
         script = textwrap.dedent(

@@ -15,6 +15,7 @@ import json
 import shlex
 import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,21 @@ def test_a_command_at_the_degree_limit_exits_1_with_one_line():
                                            "--point", "1,0,0,1"))
     assert result["exit"] == 2 and result["stderr"].count("\n") == 1
     assert result["stderr"].endswith("the degree limit 65536 (column 13)\n")
+
+
+def test_a_command_past_the_work_limit_exits_1_with_one_line():
+    # The corpus pins its exit and empty stdout; the line and the time are
+    # checked here.  Refused before the Jacobiator is formed, it takes about
+    # the time of the bracket itself (about 0.1 s against 4-5 s to finish).
+    over = ("jacobi", "--c1", "(x+y+z+t+1)^6", "--c2", "(x-y+2*z-t+3)^6")
+    start = time.process_time()
+    result = cli_parity.run_command(main, over)
+    assert time.process_time() - start < 1.0
+    assert result["exit"] == 1 and result["stdout"] == ""
+    assert result["stderr"] == (
+        "poisson4: the Jacobiator would take 15758288 term products, over the "
+        "work limit 10000000\n"
+    )
 
 
 def _result(code, stderr=""):

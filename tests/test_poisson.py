@@ -10,7 +10,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from poisson4.expr import COORD_NAMES, VARS, Expr, Point4, parse
+import poisson4.expr as expr_module
+import poisson4.poisson as poisson_module
+from poisson4.expr import COORD_NAMES, VARS, Expr, Point4, WorkLimitError, parse
 from poisson4.models import MODEL_NAMES, model
 from test_expr import (
     _int_exactly_when_integral,
@@ -1098,6 +1100,83 @@ class TestHamiltonianField:
             want = m @ dh
             got = np.array([e.evaluate(p) for e in field])
             assert np.allclose(got, want, rtol=1e-10, atol=1e-9)
+
+
+def _work_limit_cases():
+    """(id, function, argument) of every bracket-layer call the work limit guards."""
+    k = parse("1 + x^2 + y^2 + z^2 + t^2")
+    cases = []
+    for name in MODEL_NAMES:
+        cas = model(name, 1 if model(name).uses_s else None).casimirs
+        b = flaschka_ratiu(cas)
+        cases += [
+            (f"flaschka_ratiu {name}", flaschka_ratiu, cas),
+            (f"jacobiator {name}", jacobiator, b),
+            (f"casimir_check {name}", lambda b, c=cas.c1: casimir_check(b, c), b),
+            (f"hamiltonian_field {name}", lambda b: hamiltonian_field(b, parse("x*y + z*t")), b),
+        ]
+    scaled = Bivector.from_upper(non_poisson_example().upper_entries(), conformal=k)
+    cases.append(("jacobiator with k, J and Pf nonzero", jacobiator, scaled))
+    one, zero = Expr.one(), Expr.zero()
+    columns = [(one, zero, zero, zero), (zero, one, zero, zero)]
+    columns += [gradient(WRINKLE.c1).entries, gradient(WRINKLE.c2).entries]
+    cases.append(("det4", det4, columns))
+    return cases
+
+
+class TestWorkLimit:
+    """Each set of sums is refused before it is formed when it would pass the limit."""
+
+    @staticmethod
+    def _works(monkeypatch, function, argument) -> list[int]:
+        """The term products of each ``_sums_of_products`` call ``function`` makes."""
+        works = []
+        kernel = poisson_module._sums_of_products
+
+        def counting(n, products):
+            products = list(products)
+            works.append(sum(len(a) * len(b) for _, _, a, b in products))
+            return kernel(n, products)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(poisson_module, "_sums_of_products", counting)
+            function(argument)
+        return works
+
+    @pytest.mark.parametrize(
+        "function,argument",
+        [case[1:] for case in _work_limit_cases()],
+        ids=[case[0] for case in _work_limit_cases()],
+    )
+    def test_the_largest_set_of_sums_meets_the_limit(self, monkeypatch, function, argument):
+        want = function(argument)
+        largest = max(self._works(monkeypatch, function, argument))
+        monkeypatch.setattr(poisson_module, "MAX_BRACKET_PRODUCTS", largest)
+        assert function(argument) == want
+        monkeypatch.setattr(poisson_module, "MAX_BRACKET_PRODUCTS", largest - 1)
+        over = f" would take {largest} term products, over the work limit {largest - 1}$"
+        with pytest.raises(WorkLimitError, match=over):
+            function(argument)
+
+    def test_each_stage_is_named(self, monkeypatch):
+        monkeypatch.setattr(poisson_module, "MAX_BRACKET_PRODUCTS", 0)
+        for stage, call in [
+            ("the 2x2 minors", lambda: flaschka_ratiu(WRINKLE)),
+            ("the Jacobiator", lambda: jacobiator(non_poisson_example())),
+            ("the contraction with a gradient", lambda: casimir_check(non_poisson_example(), parse("x"))),
+        ]:
+            with pytest.raises(WorkLimitError, match=f"^{stage} would take [1-9][0-9]* term products"):
+                call()
+
+    def test_the_limit_and_the_pair_just_past_it(self):
+        # One constant, in expr beside the parser's limits; the pair that the
+        # CLI corpus pins past it is refused at its Jacobiator.
+        assert poisson_module.MAX_BRACKET_PRODUCTS == expr_module.MAX_BRACKET_PRODUCTS == 10_000_000
+        assert issubclass(WorkLimitError, ArithmeticError)
+        assert {"WorkLimitError", "MAX_BRACKET_PRODUCTS"} <= set(expr_module.__all__)
+        b = flaschka_ratiu(CasimirPair(parse("(x+y+z+t+1)^6"), parse("(x-y+2*z-t+3)^6")))
+        with pytest.raises(WorkLimitError, match="^the Jacobiator would take 15758288 term products"):
+            is_poisson(b)
 
 
 class TestLinearPart:

@@ -14,6 +14,13 @@ commits it compared, oldest record first, and their product: the chained
 ratio.  The product is taken over the records listed; it is a trajectory
 only as far as their commits follow one another.
 
+A record whose ``old_commit`` equals its ``new_commit`` is an A/A record:
+one tree run as both sides, so its ratios show how far a pair ratio moves
+with no change at all.  It is printed as the null spread of each of its
+metrics, the median and interquartile range of its pair ratio, and left out
+of the product.  Every metric of an A/A record needs a ``pair_ratio`` with
+both.
+
 A record, or one of its workloads or metrics, without a ``pair_ratio`` is
 listed as skipped.  Its figure is never filled in from anywhere else.  A
 file that is not a well-formed record makes the script exit 1.
@@ -39,22 +46,32 @@ def _require(condition: bool, path: Path, what: str) -> None:
         raise RecordError(f"{path.name}: {what}")
 
 
-def _commits(path: Path, data: dict) -> str:
-    """``old -> new`` from the record's ``trees``, or a note that it has none."""
+def _finite(value, positive: bool) -> bool:
+    return type(value) in (int, float) and math.isfinite(value) and (
+        value > 0 if positive else value >= 0
+    )
+
+
+def _commits(path: Path, data: dict) -> tuple[str, bool]:
+    """``old -> new`` from the record's ``trees``, or a note that it has none,
+    and whether it is an A/A record (the two commits equal)."""
     trees = data.get("trees", {})
     _require(isinstance(trees, dict), path, "'trees' is not an object")
     if "old_commit" in trees and "new_commit" in trees:
-        return f"{trees['old_commit']} -> {trees['new_commit']}"
+        old, new = trees["old_commit"], trees["new_commit"]
+        return f"{old} -> {new}", old == new
     return "commits not recorded (trees {} -> {})".format(
         trees.get("old", "?"), trees.get("new", "?")
-    )
+    ), False
 
 
 def read_record(path: Path) -> dict:
     """One record: its label, compared commits, start time and median ratios.
 
     ``ratios`` maps (workload, metric) to the median pair ratio, or to None
-    where the record has no ``pair_ratio``.
+    where the record has no ``pair_ratio``.  ``null`` says whether it is an
+    A/A record; if so, ``iqrs`` maps each (workload, metric) to the
+    interquartile range of its pair ratio.
     """
     try:
         data = json.loads(path.read_text())
@@ -62,9 +79,10 @@ def read_record(path: Path) -> dict:
         raise RecordError(f"{path.name}: not JSON ({err})") from None
     _require(isinstance(data, dict), path, "not a JSON object")
     _require(isinstance(data.get("label"), str), path, "no 'label'")
+    commits, null = _commits(path, data)
     workloads = data.get("workloads")
     _require(isinstance(workloads, dict) and workloads, path, "no 'workloads'")
-    ratios, started = {}, []
+    ratios, iqrs, started = {}, {}, []
     for workload, run in workloads.items():
         _require(isinstance(run, dict), path, f"{workload}: not an object")
         metrics = run.get("metrics")
@@ -76,20 +94,28 @@ def read_record(path: Path) -> dict:
             _require(isinstance(m, dict), path, f"{where}: not an object")
             _require(m.get("better") in ("higher", "lower"), path, f"{where}: bad 'better'")
             ratio = m.get("pair_ratio")
+            _require(ratio is not None or not null, path, f"{where}: A/A record without 'pair_ratio'")
             if ratio is not None:
                 _require(isinstance(ratio, dict), path, f"{where}: 'pair_ratio' is not an object")
-                median = ratio.get("median")
                 _require(
-                    type(median) in (int, float) and math.isfinite(median) and median > 0,
+                    _finite(ratio.get("median"), positive=True),
                     path, f"{where}: 'pair_ratio' has no positive finite median",
                 )
+                if null:
+                    _require(
+                        _finite(ratio.get("iqr"), positive=False),
+                        path, f"{where}: A/A 'pair_ratio' has no finite IQR",
+                    )
+                    iqrs[(workload, metric)] = ratio["iqr"]
             ratios[(workload, metric)] = None if ratio is None else ratio["median"]
     return {
         "file": path.name,
         "label": data["label"],
-        "commits": _commits(path, data),
+        "commits": commits,
         "started": min(started, default=""),
         "ratios": ratios,
+        "null": null,
+        "iqrs": iqrs,
     }
 
 
@@ -97,13 +123,16 @@ def trajectory(records: list[dict]) -> dict:
     """Per (workload, metric): the records with a ratio, in order, and their product.
 
     Returns ``{(workload, metric): {"steps": [(record, ratio)], "chained": float,
-    "skipped": [record]}}``.
+    "skipped": [record], "null": [(record, ratio, iqr)]}}``; the A/A records
+    are under ``"null"`` alone.
     """
     out: dict = {}
     for record in sorted(records, key=lambda r: (r["started"], r["file"])):
         for key, ratio in record["ratios"].items():
-            entry = out.setdefault(key, {"steps": [], "chained": 1.0, "skipped": []})
-            if ratio is None:
+            entry = out.setdefault(key, {"steps": [], "chained": 1.0, "skipped": [], "null": []})
+            if record["null"]:
+                entry["null"].append((record, ratio, record["iqrs"][key]))
+            elif ratio is None:
                 entry["skipped"].append(record)
             else:
                 entry["steps"].append((record, ratio))
@@ -127,6 +156,9 @@ def main(argv=None) -> int:
     for (workload, metric), entry in sorted(trajectory(records).items()):
         print(f"{workload} {metric}: chained pair ratio {entry['chained']:.4g} "
               f"over {len(entry['steps'])} record(s)")
+        for record, ratio, iqr in entry["null"]:
+            print(f"  null {ratio:8.4g}  IQR {iqr:.4g}  {record['file']}  {record['commits']} "
+                  "(A/A, not chained)")
         for record, ratio in entry["steps"]:
             print(f"  {ratio:8.4g}  {record['file']}  {record['commits']}")
         for record in entry["skipped"]:

@@ -5,9 +5,10 @@ every model and value of s, and on user-supplied Casimir pairs; the factor k
 absent, valid, malformed and zero; every ``--format``; a lone ``--c1`` or
 ``--c2`` beside ``--model``; non-finite and overflowing points; bad ``--dt``
 and ``--steps``; a k that makes the probe warn beside a usage error; an
-``--s`` or a literal too large to build; option values that begin with
-``-`` after a space, the options also abbreviated; and the README's
-"Command line" block.
+``--s`` or a literal too large to build; a Jacobiator just past and one
+just under the work limit; option values that begin with ``-`` after a
+space, the options also abbreviated; and the README's "Command line"
+block.
 
 Each command runs in-process through ``poisson4.cli.main`` with warnings set
 to "always", so a repeated warning is reported every time and the result of
@@ -116,8 +117,9 @@ POINT_COMMANDS = ("rank", "leaf-form", "locus")
 # The exit of a command the worker did not run: leaf-form without numpy.
 NOT_RUN = "not run: numpy is not installed"
 
-# Wall-clock bound on one command in-process; the slowest, a leaf-form that
-# imports numpy, takes about 0.16 s, and the others under 0.02 s.
+# Wall-clock bound on one command in-process; the slowest, the Jacobiator
+# just under the work limit, takes 3-4 s, a leaf-form that imports numpy
+# about 0.16 s, and the others under 0.02 s.
 COMMAND_SECONDS = 30
 
 # One command per option that takes a value, the value beginning with '-'.
@@ -229,6 +231,11 @@ def _other_commands() -> list[tuple[str, ...]]:
          "--point=0.1,0.5,0.5,0.5", "--steps", "3"),
         ("bivector", "--c1", "(x*" + "9" * 900 + ")^3", "--c2", "(y*" + "9" * 900 + ")^3"),
         ("rank", "--c1", "(x*" + "9" * 900 + ")^5", "--c2", "y", "--point", "1,1,1,1"),
+        # The Jacobiator of two sextics would take 15.8 M term products, past
+        # the bracket layer's work limit: exit 1.  With a quintic it takes
+        # 8.4 M, under the limit, and runs.
+        ("jacobi", "--c1", "(x+y+z+t+1)^6", "--c2", "(x-y+2*z-t+3)^6"),
+        ("jacobi", "--c1", "(x+y+z+t+1)^6", "--c2", "(x-y+2*z-t+3)^5"),
         # A k that makes the probe warn beside a usage error: the usage
         # error is reported alone, with no warning before it.
         ("rank", "--model", "cusp", "--k", "x", "--point", "0,1,1"),
