@@ -32,14 +32,15 @@ and C2.  The bivector's entries are differentiated once, by ``jacobiator``,
 each in one ``_partials`` sweep into term dicts that are not kept.
 
 Each set of sums is one call of expr's kernel ``_sums_of_products`` on term
-dicts, each product a (sum, sign, factor, factor): the six signed minors of
-``flaschka_ratiu`` (``_minors``, which ``det4`` uses too), the four
-Jacobiator components with the Pfaffian when k is given (from the static
-table ``_JACOBIATOR_PRODUCTS``), and the four rows of ``_contract``, which
-``casimir_check`` and ``hamiltonian_field`` share.  Each call goes through
-``_bounded_sums``, which raises ``WorkLimitError`` before a set of sums that
-would take more than ``MAX_BRACKET_PRODUCTS`` term products, as the parser
-refuses an expansion past ``MAX_TERM_PRODUCTS``.
+dicts, each product a (sum, sign, factor, factor), pi^{ji} read as the stored
+pi^{ij} with its sign folded in: the six signed minors of ``flaschka_ratiu``
+(``_minors``, which ``det4`` uses too), the four Jacobiator components with
+the Pfaffian when k is given (table ``_JACOBIATOR_PRODUCTS``), the four
+unscaled rows of ``_contract`` (table ``_CONTRACTION``), which
+``casimir_check`` and ``hamiltonian_field`` share, and k times the field.
+Each call goes through ``_bounded_sums``, which raises ``WorkLimitError``
+before a set of sums that would take more than ``MAX_BRACKET_PRODUCTS`` term
+products, as the parser refuses an expansion past ``MAX_TERM_PRODUCTS``.
 
 numpy is imported only inside ``bivector_matrix_at`` and the ``as_array``
 helpers, which only the leaf-form module ``leaves`` calls (see ``expr``); the
@@ -92,23 +93,30 @@ _LAPLACE = (
     ((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
     ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1),
 )
-# Index pairs i < j, in the order of the upper triangle.
+# Index pairs i < j, in the order of the upper triangle, the position n of
+# each, and (sign, n) per pair i != j with pi^{ij} = sign * upper entry n.
 COORD_PAIRS = tuple(pair for pair, _, _ in _LAPLACE)
+_PAIR_INDEX = {pair: n for n, pair in enumerate(COORD_PAIRS)}
+_SIGNED = {pair: (1, n) for pair, n in _PAIR_INDEX.items()}
+_SIGNED.update({(j, i): (-1, n) for (i, j), n in _PAIR_INDEX.items()})
 # Entry n of the upper triangle is det(e_i, e_j, dC1, dC2) for its (i, j):
 # the minor of dC1, dC2 on the complement (u, v), with the sign of _LAPLACE.
 _ENTRY_MINORS = tuple((u, v, sign) for _, (u, v), sign in _LAPLACE)
-# The Jacobiator as products (t, sign, a, b) over the factors m[r][c] at
-# 4r + c and d_l of upper entry n at 16 + 4n + l.  Sums 0-3 are J^{ijk} for
+# The Jacobiator as products (t, sign, a, b) over the factors upper entry n
+# at n and d_l of upper entry n at 6 + 4n + l.  Sums 0-3 are J^{ijk} for
 # the triples in order; sum 4, the last three products, is Pf(pi).
 _JACOBIATOR_PRODUCTS = tuple(
-    (t, sign, 4 * row + l, 16 + 4 * COORD_PAIRS.index(pair) + l)
+    (t, sign * s, n, 6 + 4 * _PAIR_INDEX[pair] + l)
     for t, (i, j, k) in enumerate(TRIPLES)
     for row, pair, sign in ((i, (j, k), 1), (j, (i, k), -1), (k, (i, j), 1))
     for l in range(4)
     if l != row
-) + tuple((4, sign, 4 * r + s, 4 * u + v) for (r, s), (u, v), sign in _LAPLACE[:3])
+    for s, n in [_SIGNED[row, l]]
+) + tuple((4, sign, n, _PAIR_INDEX[uv]) for n, (_, uv, sign) in enumerate(_LAPLACE[:3]))
 # The products of the four components alone, for a bivector without k.
 _JACOBIATOR_UNSCALED = _JACOBIATOR_PRODUCTS[:-3]
+# The contraction sum_j pi^{ij} d_j h as products (i, sign, n, j).
+_CONTRACTION = tuple((i, *_SIGNED[i, j], j) for i in range(4) for j in range(4) if j != i)
 # The partials of a zero entry, which no product reads.
 _NO_PARTIALS = ({}, {}, {}, {})
 
@@ -188,15 +196,16 @@ def _require_expr(e, i: int, j: int) -> None:
 class Bivector:
     """Antisymmetric 4x4 matrix of polynomials plus an optional factor k.
 
-    ``components[i][j]`` is the bracket {x^i, x^j} of the unscaled structure;
-    ``conformal`` is the multiplicative factor k (``None`` means "symbolic k",
+    ``upper`` holds the brackets {x^i, x^j}, i < j, of the unscaled structure
+    in ``COORD_PAIRS`` order; ``components`` builds the 4x4 rows from them on
+    each access.  ``conformal`` is the factor k (``None`` means "symbolic k",
     treated as 1 numerically).  ``casimirs`` records the generating pair when
     the bivector came out of :func:`flaschka_ratiu`.  ``_longest`` is the
     term count of its longest entry, which bounds the work of the bracket
     layer's sums before they are formed.
     """
 
-    __slots__ = ("components", "conformal", "casimirs", "_longest")
+    __slots__ = ("upper", "conformal", "casimirs", "_longest")
 
     def __init__(
         self,
@@ -214,29 +223,14 @@ class Bivector:
             for j in range(i, 4):  # a diagonal entry must be its own negation
                 if not _is_negation(rows[i][j], rows[j][i]):
                     raise ValueError(f"antisymmetry violated at ({i},{j})")
-        self.components = rows
+        self._set(tuple(rows[i][j] for i, j in COORD_PAIRS), conformal, casimirs)
+
+    def _set(self, upper: tuple[Expr, ...], conformal, casimirs) -> "Bivector":
+        self.upper = upper
         self.conformal = conformal
         self.casimirs = casimirs
-        self._longest = max(len(e._terms) for row in rows for e in row)
-
-    @classmethod
-    def _trusted(
-        cls,
-        rows: tuple[tuple[Expr, ...], ...],
-        conformal: Expr | None,
-        casimirs: CasimirPair | None,
-        longest: int,
-    ) -> "Bivector":
-        """Wrap 4x4 rows of Expr that are antisymmetric already, without checking them.
-
-        ``longest`` is the term count of the longest entry.
-        """
-        b = object.__new__(cls)
-        b.components = rows
-        b.conformal = conformal
-        b.casimirs = casimirs
-        b._longest = longest
-        return b
+        self._longest = max(len(e._terms) for e in upper)
+        return self
 
     @staticmethod
     def from_upper(
@@ -244,26 +238,30 @@ class Bivector:
         conformal: Expr | None = None,
         casimirs: CasimirPair | None = None,
     ) -> "Bivector":
-        """Build from the entries above the diagonal; the rest is filled in.
+        """Build from the entries above the diagonal, keyed by (i, j), i < j.
 
-        Each entry below the diagonal is the negation of its mirror; the
-        mirror of a zero entry, and every unset entry, is one shared zero.
-        So the rows are antisymmetric by construction and are wrapped
-        without the check ``Bivector(rows)`` makes.  An index that is not
-        above the diagonal raises ``ValueError``, an entry that is not an
-        ``Expr`` ``TypeError``.
+        An unset entry is one shared zero.  The six entries determine an
+        antisymmetric matrix, so nothing is checked beyond them: an index
+        that is not above the diagonal raises ``ValueError``, an entry that
+        is not an ``Expr`` ``TypeError``.
         """
-        rows = [[_ZERO] * 4 for _ in range(4)]
-        longest = 0
+        upper = [_ZERO] * 6
         for (i, j), e in entries.items():
-            if not 0 <= i < j < 4:
+            n = _PAIR_INDEX.get((i, j))
+            if n is None:
                 raise ValueError(f"expected upper-triangular index, got {(i, j)}")
             _require_expr(e, i, j)
+            upper[n] = e
+        return object.__new__(Bivector)._set(tuple(upper), conformal, casimirs)
+
+    @property
+    def components(self) -> tuple[tuple[Expr, ...], ...]:
+        """The 4x4 rows: ``upper`` above the diagonal, its negations below, zeros on it."""
+        rows = [[_ZERO] * 4 for _ in range(4)]
+        for (i, j), e in zip(COORD_PAIRS, self.upper):
             rows[i][j] = e
             rows[j][i] = -e if e._terms else _ZERO
-            if len(e._terms) > longest:
-                longest = len(e._terms)
-        return Bivector._trusted(tuple(map(tuple, rows)), conformal, casimirs, longest)
+        return tuple(map(tuple, rows))
 
     def scaled_components(self) -> tuple[tuple[Expr, ...], ...]:
         """Components with the conformal factor folded in (absent k -> 1)."""
@@ -273,15 +271,12 @@ class Bivector:
         return tuple(tuple(k * e for e in row) for row in self.components)
 
     def upper_entries(self) -> dict[tuple[int, int], Expr]:
-        return {(i, j): self.components[i][j] for i, j in COORD_PAIRS}
+        return dict(zip(COORD_PAIRS, self.upper))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bivector):
             return NotImplemented
-        return (
-            self.components == other.components
-            and self.conformal == other.conformal
-        )
+        return self.upper == other.upper and self.conformal == other.conformal
 
     def __repr__(self) -> str:
         nonzero = {
@@ -421,14 +416,15 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     J^{ijk} = sum_l ( pi^{il} d_l pi^{jk} + pi^{jl} d_l pi^{ki}
                       + pi^{kl} d_l pi^{ij} );
     the bivector is Poisson iff all four vanish identically.  Only the six
-    entries above the diagonal are differentiated, each in one ``_partials``
-    sweep whose term dicts are not kept: d_l pi^{ki} is read as
-    -d_l pi^{ik}, and the terms with l equal to the row index, whose factor
-    is a zero diagonal entry, are left out, so each component is a sum of at
-    most 9 products.  The four components, and the Pfaffian when there is a
-    factor k, are one ``_sums_of_products`` on the products of the table
-    ``_JACOBIATOR_PRODUCTS`` whose two factors are both nonzero: a product
-    with a zero factor is left out of the list, not skipped by the kernel.
+    entries of ``upper`` are differentiated, each in one ``_partials`` sweep
+    whose term dicts are not kept: pi^{jl}, j > l, is read as -pi^{lj} and
+    d_l pi^{ki} as -d_l pi^{ik}, and the terms with l equal to the row index,
+    whose factor is a zero diagonal entry, are left out, so each component
+    is a sum of at most 9 products.  The four components, and the Pfaffian
+    when there is a factor k, are one ``_sums_of_products`` on the products
+    of the table ``_JACOBIATOR_PRODUCTS`` whose two factors are both nonzero:
+    a product with a zero factor is left out of the list, not skipped by the
+    kernel.
     With k, the product rule gives k^2 * J(pi)^{ijk} + s * k * Pf(pi) * d_l k,
     with l and s from ``_PFAFFIAN_SIGNS``, a second call for the four sums;
     k^2 is formed only when some J(pi) component is nonzero, and k * Pf(pi)
@@ -438,10 +434,9 @@ def jacobiator(b: Bivector) -> dict[tuple[int, int, int], Expr]:
     A set of sums past the work limit raises ``WorkLimitError`` before it is
     formed.
     """
-    m = b.components
-    factors = [e._terms for row in m for e in row]
-    for i, j in COORD_PAIRS:
-        factors += _partials(m[i][j]._terms) if m[i][j]._terms else _NO_PARTIALS
+    factors = [e._terms for e in b.upper]
+    for e in b.upper:
+        factors += _partials(e._terms) if e._terms else _NO_PARTIALS
     factor = b.conformal
     n, table = (4, _JACOBIATOR_UNSCALED) if factor is None else (5, _JACOBIATOR_PRODUCTS)
     products = [
@@ -497,28 +492,28 @@ def is_poisson(b: Bivector) -> PoissonVerdict:
 def casimir_check(b: Bivector, c: Expr) -> bool:
     """True iff components . grad(c) is exactly the zero 4-tuple.
 
-    Runs on the unscaled components: k never changes the answer because the
+    Runs on the unscaled entries: k never changes the answer because the
     factor multiplies every entry of the product.
     """
-    return not any(_contract(b.components, c.partials(), b._longest * len(c._terms)))
+    return not any(_contract(b, c))
 
 
-def _contract(m, dh: Sequence[Expr], largest: int) -> list[dict]:
-    """The term dicts of the four sums sum_j m[i][j] * dh[j], one ``_sums_of_products``.
+def _contract(b: Bivector, h: Expr) -> list[dict]:
+    """The term dicts of the four unscaled sums sum_j pi^{ij} * d_j h.
 
-    Only the products whose two factors are nonzero enter the list: the
-    diagonal of m, a zero entry and a zero dh[j] are left out.  ``largest``
-    bounds len(m[i][j]) * len(dh[j]); past the work limit it raises
-    ``WorkLimitError``.
+    One ``_sums_of_products`` on the products of ``_CONTRACTION`` whose two
+    factors are nonzero, each at most 12 * ``_longest`` * len(h) term
+    products; past the work limit it raises ``WorkLimitError``.
     """
-    nonzero = [(j, d._terms) for j, d in enumerate(dh) if d._terms]
+    upper = [e._terms for e in b.upper]
+    dh = [d._terms for d in h.partials()]
     products = [
-        (i, 1, e, d)
-        for i, row in enumerate(m)
-        for j, d in nonzero
-        if j != i and (e := row[j]._terms)
+        (i, sign, e, d)
+        for i, sign, n, j in _CONTRACTION
+        if (d := dh[j]) and (e := upper[n])
     ]
-    return _bounded_sums(4, products, "the contraction with a gradient", 12 * largest)
+    bound = 12 * b._longest * len(h._terms)
+    return _bounded_sums(4, products, "the contraction with a gradient", bound)
 
 
 def _upper_at(b: Bivector, p: Point4) -> tuple[float, ...]:
@@ -528,7 +523,7 @@ def _upper_at(b: Bivector, p: Point4) -> tuple[float, ...]:
     ``OverflowError``.
     """
     scale = 1.0 if b.conformal is None else b.conformal.evaluate(p)
-    upper = tuple(b.components[i][j].evaluate(p) * scale for i, j in COORD_PAIRS)
+    upper = tuple(e.evaluate(p) * scale for e in b.upper)
     if not all(map(math.isfinite, upper)):
         raise OverflowError(f"bracket matrix at {p} is not finite")
     return upper
@@ -597,9 +592,12 @@ def rank_at(b: Bivector, p: Point4) -> int:
 
 
 def hamiltonian_field(b: Bivector, h: Expr) -> Vector4:
-    """The vector field X_h with components sum_j pi^{ij} d_j h (k folded in)."""
-    longest = b._longest * (1 if b.conformal is None else len(b.conformal._terms))
-    field = _contract(b.scaled_components(), h.partials(), longest * len(h._terms))
+    """The field X_h: k * sum_j pi^{ij} d_j h (absent k -> 1), k applied after the sums."""
+    field = _contract(b, h)
+    if b.conformal is not None:
+        k = b.conformal._terms
+        products = [(i, 1, k, e) for i, e in enumerate(field) if e]
+        field = _bounded_sums(4, products, "k times the field")
     return Vector4(tuple(map(Expr._trusted, field)))
 
 

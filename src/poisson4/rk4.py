@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from .expr import COORD_NAMES, Expr, Point4, Record, _python_source
-from .poisson import Bivector, hamiltonian_field
+from .expr import COORD_NAMES, Expr, Point4, Record, _compile, _python_source
+from .poisson import COORD_PAIRS, Bivector, hamiltonian_field
 
 __all__ = ["NonFiniteError", "Trajectory", "flow"]
 
@@ -155,8 +156,8 @@ def _shared_powers(lines: list[str]) -> list[str]:
     tighter than ``*`` and unary ``-``, so each occurrence is a whole operand.
     """
     text = "\n".join(lines)
-    found = _POWER.findall(text)
-    shared = {p: p.replace("**", "_") for p in found if found.count(p) > 1}
+    counts = Counter(_POWER.findall(text))  # in first-seen order
+    shared = {p: p.replace("**", "_") for p, n in counts.items() if n > 1}
     if not shared:
         return lines
     heads = [f"{name} = {power}" for power, name in shared.items()]
@@ -194,14 +195,16 @@ def _block(lines: list[str], on_overflow: str) -> list[str]:
 
 
 @lru_cache(maxsize=_FLOW_MEMO_SIZE)
-def _flow_kernel(components, k, pair, h):
+def _flow_kernel(upper, k, pair, h):
     """``(kernel, tracked keys)`` for the flow of h on this bivector.
 
     ``kernel(x, y, z, t, s, dt, steps)`` runs the RK4 loop of :func:`flow`
     and returns the coordinate columns, the columns of C1, C2 (when ``pair``
     is given) and h, and per tracked column the values it takes, first value
     first: ``(q0, qh)`` for a constant column ``(q0,) + (qh,) * steps``, else
-    the column.  It is generated as source and compiled once.  Its loop does
+    the column.  It is generated as source and compiled once; a polynomial
+    too long for CPython's compiler raises ``WorkLimitError`` (see
+    ``expr._compile``).  Its loop does
     only what changes per step:
 
     * a held coordinate c is checked once, and stage 1 of step 1 reads c,
@@ -230,11 +233,13 @@ def _flow_kernel(components, k, pair, h):
     A power is never written as a product: ``x*x`` differs from ``x**2`` in
     the last bit for about 2,600 of 3,000,000 random doubles (glibc 2.36).
 
-    The key is the bivector's values, not the object: a :class:`Bivector` is
+    The key is the bivector's values (``upper``, wrapped again by
+    :meth:`Bivector.from_upper`), not the object: a :class:`Bivector` is
     unhashable, and its attributes can be reassigned.
     """
-    b = Bivector(components, conformal=k, casimirs=pair)
-    field = dict(zip(COORD_NAMES, map(_floated, map(_python_source, hamiltonian_field(b, h)))))
+    b = Bivector.from_upper(dict(zip(COORD_PAIRS, upper)), conformal=k, casimirs=pair)
+    vector = hamiltonian_field(b, h)
+    field = dict(zip(COORD_NAMES, map(_floated, map(_python_source, vector))))
     moved = [c for c in COORD_NAMES if field[c] != "0.0"]
     held = [c for c in COORD_NAMES if c not in moved]
     moving = set(moved)
@@ -287,7 +292,8 @@ def _flow_kernel(components, k, pair, h):
     taken = [q.upper() if q in varying else f"({q}, {q}h)" for q in sources]
     body += [f"return ({', '.join(columns)}), ({', '.join(values)},), ({', '.join(taken)},)"]
     namespace = {"isfinite": math.isfinite, "inf": math.inf, "escape": _escape}
-    exec("def kernel(x, y, z, t, s, dt, steps):\n    " + "\n    ".join(body), namespace)
+    source = "def kernel(x, y, z, t, s, dt, steps):\n    " + "\n    ".join(body)
+    exec(_compile(source, max(map(len, (*vector, *tracked.values()))), "exec"), namespace)
     return namespace["kernel"], tuple(tracked)
 
 
@@ -302,7 +308,7 @@ def flow(b: Bivector, h: Expr, p0: Point4, dt: float, steps: int) -> Trajectory:
     The state is four Python floats, each updated as ``x + (dt/2)*k``,
     ``x + dt*k3`` and ``x + (dt/6)*(k1 + 2*(k2 + k3) + k4)``; the exported
     CSV digits depend on this order of operations.  The loop is one generated
-    kernel, kept per value of (components, k, Casimir pair, h), so a second
+    kernel, kept per value of (upper entries, k, Casimir pair, h), so a second
     flow of the same structure and Hamiltonian compiles nothing.  A
     coordinate whose field component is the zero polynomial is held: checked
     for finiteness once, it is ``x0 + dt*0.0`` from step 1 on.  That is
@@ -342,7 +348,7 @@ def flow(b: Bivector, h: Expr, p0: Point4, dt: float, steps: int) -> Trajectory:
     if steps < 1:
         raise ValueError("steps must be at least 1")
 
-    key = tuple(map(tuple, b.components)), b.conformal, b.casimirs, h
+    key = b.upper, b.conformal, b.casimirs, h
     kernel, tracked = _flow_kernel(*key)
     columns, values, taken = kernel(*map(float, p0.coords()), p0.s, dt, steps)
     drift = dict(zip(tracked, map(_drift, taken)))

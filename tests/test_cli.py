@@ -22,6 +22,7 @@ from poisson4.expr import Point4, parse
 from poisson4.models import expected_bivector, model
 from poisson4.poisson import (
     CasimirPair,
+    PoissonVerdict,
     bivector_matrix_at,
     bivector_to_json_dict,
     flaschka_ratiu,
@@ -137,6 +138,17 @@ class TestJacobi:
         )
         assert code == 0
         assert out.strip() == "Poisson: true"
+
+    def test_a_failing_verdict(self, capsys, monkeypatch):
+        # No bivector of a Casimir pair fails the Jacobi identity, so the
+        # verdict is replaced by that of dx^dy + x dz^dt.
+        verdict = PoissonVerdict(False, ("y", "z", "t"), parse("-1"))
+        monkeypatch.setattr(cli, "is_poisson", lambda b: verdict)
+        code, out, err = run_cli(capsys, "jacobi", "--model", "cusp")
+        assert (code, out, err) == (0, "Poisson: false (J^(y,z,t) = -1)\n", "")
+        code, out, err = run_cli(capsys, "jacobi", "--model", "cusp", "--expect-poisson")
+        assert (code, out) == (1, "Poisson: false (J^(y,z,t) = -1)\n")
+        assert err == "poisson4: Jacobi identity fails and --expect-poisson is set\n"
 
 
 class TestCasimirCheck:

@@ -23,6 +23,8 @@ from poisson4.expr import (
     ParseError,
     Point4,
     Var,
+    WorkLimitError,
+    _fused_closure,
     _Parser,
     _integral,
     _pack,
@@ -217,6 +219,21 @@ class TestEvaluate:
         f = e.compiled()
         p = Point4(0.3, -1.2, 0.9, 1.7, s=-0.4)
         assert math.isclose(f(*p.values()), e.evaluate(p), rel_tol=1e-14)
+
+    def test_a_sum_too_long_to_compile_is_a_work_limit_error(self, monkeypatch):
+        # A sum of n terms compiles as n - 1 nested additions, and CPython's
+        # compiler gives up on 20,000: 3.10-3.12 above about 3,000 terms,
+        # 3.13 above about 10,000.  The refusal names the term count.  Its
+        # monomials would fill most of the shared table, so it gets its own.
+        monkeypatch.setattr(expr_module, "_SHARED_MONOMIALS", {})
+        e = Expr({(i, j, 0, 0, 0): 1 for i in range(200) for j in range(100)})
+        assert len(e) == 20_000
+        message = "^a polynomial of 20000 terms is too long to compile$"
+        with pytest.raises(WorkLimitError, match=message):
+            e.evaluate(Point4(0, 0, 0, 0))
+        assert e._compiled is None
+        with pytest.raises(WorkLimitError, match=message):
+            _fused_closure([parse("x"), e])
 
 
 class TestEquality:

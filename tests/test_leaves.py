@@ -10,7 +10,8 @@ from itertools import combinations, count, product, zip_longest
 import numpy as np
 import pytest
 
-from poisson4.expr import COORD_NAMES, Expr, Point4, _fused_closure, parse
+import poisson4.expr as expr_module
+from poisson4.expr import COORD_NAMES, Expr, Point4, WorkLimitError, _fused_closure, parse
 from poisson4.leaves import (
     NotInImageError,
     OpenLeafError,
@@ -757,6 +758,19 @@ def test_drift_beyond_double_precision_raises():
     assert _flow_outcome(flow, b, *args) == want
 
 
+def test_a_field_too_long_to_compile_is_a_work_limit_error(monkeypatch):
+    # The kernel holds each field component and tracked quantity as one sum,
+    # here about 20,000 terms, and CPython's compiler gives up on it
+    # (3.10-3.12 above about 3,000 terms, 3.13 above about 10,000).  The flow
+    # ends naming the term count of the longest, H = h.  Its monomials would
+    # fill most of the shared table, so it gets its own.
+    monkeypatch.setattr(expr_module, "_SHARED_MONOMIALS", {})
+    h = Expr({(i, j, 0, 0, 0): 1 for i in range(200) for j in range(100)})
+    b = Bivector.from_upper({(0, 1): Expr.one()})
+    with pytest.raises(WorkLimitError, match="^a polynomial of 20000 terms is too long to compile$"):
+        flow(b, h, Point4(0, 0, 0, 0), 1e-3, 1)
+
+
 def _loop_arithmetic(code):
     """The operands of each multiply in the kernel's loop, and its count of powers.
 
@@ -802,7 +816,7 @@ def test_the_loop_multiplies_floats_and_takes_each_power_once(c2, powers):
     # stage, or by tracked quantities, is taken once.
     pair = CUSP.casimirs if c2 is None else CasimirPair(parse("t"), parse(c2))
     b = Bivector(CUSP_BIVECTOR.components, casimirs=pair)
-    key = tuple(map(tuple, b.components)), b.conformal, b.casimirs, parse("x + y*z")
+    key = b.upper, b.conformal, b.casimirs, parse("x + y*z")
     multiplies, counted = _loop_arithmetic(_flow_kernel(*key)[0].__code__)
     assert len(multiplies) > 40
     assert all(len(operands) == 2 for operands in multiplies)

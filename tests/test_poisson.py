@@ -47,6 +47,7 @@ from poisson4.poisson import (
     _rank,
     _upper_at,
 )
+from poisson4.rk4 import _flow_kernel, flow
 
 CUSP = CasimirPair(parse("t"), parse("x^3 - 3*x*t + y^2 - z^2"))
 WRINKLE = CasimirPair(
@@ -1117,6 +1118,10 @@ def _work_limit_cases():
         ]
     scaled = Bivector.from_upper(non_poisson_example().upper_entries(), conformal=k)
     cases.append(("jacobiator with k, J and Pf nonzero", jacobiator, scaled))
+    # The k products are the larger set of sums: 35 * 5 term products,
+    # against the contraction's 5.
+    scaled = flaschka_ratiu(CUSP, parse("(2 + x^2 + y^2 + z^2 + t^2)^3"))
+    cases.append(("hamiltonian_field with k", lambda b: hamiltonian_field(b, parse("x + y")), scaled))
     one, zero = Expr.one(), Expr.zero()
     columns = [(one, zero, zero, zero), (zero, one, zero, zero)]
     columns += [gradient(WRINKLE.c1).entries, gradient(WRINKLE.c2).entries]
@@ -1164,6 +1169,15 @@ class TestWorkLimit:
             ("the 2x2 minors", lambda: flaschka_ratiu(WRINKLE)),
             ("the Jacobiator", lambda: jacobiator(non_poisson_example())),
             ("the contraction with a gradient", lambda: casimir_check(non_poisson_example(), parse("x"))),
+        ]:
+            with pytest.raises(WorkLimitError, match=f"^{stage} would take [1-9][0-9]* term products"):
+                call()
+        # With h = x + y, 5 products in the contraction and 3 * 5 with k.
+        monkeypatch.setattr(poisson_module, "MAX_BRACKET_PRODUCTS", 12)
+        b = flaschka_ratiu(CUSP, parse("1 + x^2 + y^2"))
+        for stage, call in [
+            ("the contraction with a gradient", lambda: hamiltonian_field(b, parse("(x + y + z)^2"))),
+            ("k times the field", lambda: hamiltonian_field(b, parse("x + y"))),
         ]:
             with pytest.raises(WorkLimitError, match=f"^{stage} would take [1-9][0-9]* term products"):
                 call()
@@ -1277,6 +1291,30 @@ class TestKeptPartials:
 
 
 class TestBivectorType:
+    def test_only_the_upper_triangle_is_stored(self):
+        assert Bivector.__slots__ == ("upper", "conformal", "casimirs", "_longest")
+        assert not hasattr(Bivector, "_trusted")
+        b = flaschka_ratiu(CUSP)
+        assert b.upper == tuple(b.components[i][j] for i, j in COORD_PAIRS)
+        assert b.upper_entries() == dict(zip(COORD_PAIRS, b.upper))
+
+    def test_no_entry_is_negated(self, monkeypatch):
+        # Every sum reads the six stored entries and folds the sign of an
+        # entry below the diagonal into its product.
+        k, h = parse("1 + x^2 + y^2 + z^2 + t^2"), parse("x + y*z")
+        p = Point4(0.1, 0.2, 0.3, 0.4, 0.5)
+        negations = []
+        negate = Expr.__neg__
+        monkeypatch.setattr(Expr, "__neg__", lambda e: negations.append(e) or negate(e))
+        _flow_kernel.cache_clear()
+        for factor in (None, k):
+            b = flaschka_ratiu(WRINKLE, factor)
+            assert is_poisson(b)
+            assert casimir_check(b, WRINKLE.c1) and casimir_check(b, WRINKLE.c2)
+            hamiltonian_field(b, h)
+            flow(b, h, p, 1e-3, 3)
+        assert negations == []
+
     def test_antisymmetry_enforced(self):
         rows = [[Expr.zero()] * 4 for _ in range(4)]
         rows[0][1] = parse("x")

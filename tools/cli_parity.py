@@ -118,8 +118,8 @@ POINT_COMMANDS = ("rank", "leaf-form", "locus")
 NOT_RUN = "not run: numpy is not installed"
 
 # Wall-clock bound on one command in-process; the slowest, the Jacobiator
-# just under the work limit, takes 3-4 s, a leaf-form that imports numpy
-# about 0.16 s, and the others under 0.02 s.
+# just under the work limit and the flow too deep to compile, take 3-4 s, a
+# leaf-form that imports numpy about 0.16 s, and the others under 0.02 s.
 COMMAND_SECONDS = 30
 
 # One command per option that takes a value, the value beginning with '-'.
@@ -236,6 +236,10 @@ def _other_commands() -> list[tuple[str, ...]]:
         # 8.4 M, under the limit, and runs.
         ("jacobi", "--c1", "(x+y+z+t+1)^6", "--c2", "(x-y+2*z-t+3)^6"),
         ("jacobi", "--c1", "(x+y+z+t+1)^6", "--c2", "(x-y+2*z-t+3)^5"),
+        # A field of 14,914 terms, inside the work limit, is one sum too deep
+        # for CPython's compiler (3.10-3.13): exit 1 naming the term count.
+        ("flow", "--c1", "(x+y+z+t+1)^8", "--c2", "(x-y+2*z-t+3)^8", "--k", "(x+y+z+t+2)^8",
+         "--h", "x", "--point", "0,0,0,0", "--steps", "1"),
         # A k that makes the probe warn beside a usage error: the usage
         # error is reported alone, with no warning before it.
         ("rank", "--model", "cusp", "--k", "x", "--point", "0,1,1"),
